@@ -58,23 +58,12 @@ class AuraClassification:
     trivial: bool
     discrete: bool
 
-    def __post_init__(self):
-        # Constant scopes and singleton scopes are transitive and symmetric.
-        if self.trivial:
-            assert self.transitive and self.symmetric
-        if self.discrete:
-            assert self.transitive and self.symmetric
-
 
 @dataclass(frozen=True)
 class SeparationAxioms:
     t0: bool
     t1: bool
     t2: bool
-
-    def __post_init__(self):
-        assert not (self.t2 and not self.t1)
-        assert not (self.t1 and not self.t0)
 
 
 class AuraSpace:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import kernel
 from .finite import PointSet, family_key, mask_indices
-from .aura import AuraSpace, _as_mask, aura_topology, is_aura_closed
+from .aura import AuraSpace, _as_mask
 from .constructions import subspace
 
 NOTION_AURA = "aura"
@@ -30,10 +30,6 @@ class Separation:
     u: PointSet
     v: PointSet
     notion: str
-
-    def __post_init__(self):
-        assert self.u and self.v
-        assert not self.u.mask & self.v.mask
 
 
 def _check_notion(notion: str) -> None:
@@ -100,16 +96,6 @@ def is_aura_connected(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> bool:
 class ComponentPartition:
     space: AuraSpace
     blocks: tuple
-
-    def __post_init__(self):
-        union = 0
-        for b in self.blocks:
-            assert b.mask
-            assert not union & b.mask
-            union |= b.mask
-            # Components of a finite space are closed.
-            assert is_aura_closed(self.space, b.mask)
-        assert union == self.space.universe.full_mask
 
 
 def aura_components(s: AuraSpace) -> ComponentPartition:

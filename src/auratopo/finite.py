@@ -27,7 +27,7 @@ MAX_POINTS = 64
 class PointUniverse:
     """Ordered collection of point labels, capped at 64."""
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "n", "full_mask")
 
     def __init__(self, labels: Sequence[str]):
         labels = tuple(str(x) for x in labels)
@@ -40,14 +40,8 @@ class PointUniverse:
             index[lab] = i
         self.labels = labels
         self._index = index
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+        self.n = len(labels)
+        self.full_mask = (1 << self.n) - 1
 
     def index(self, label: str) -> int:
         try:
@@ -59,6 +53,8 @@ class PointUniverse:
         return label in self._index
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, PointUniverse) and self.labels == other.labels
 
     def __hash__(self) -> int:

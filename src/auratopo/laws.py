@@ -16,18 +16,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from . import kernel
 from .aura import (
+    AuraClassification,
     AuraSpace,
     FiniteMap,
+    SeparationAxioms,
     aura_interior,
     classify,
     derived_set,
     is_aura_closed,
     is_aura_continuous,
-    is_aura_open,
     make_aura_space,
     separation_axioms,
 )
@@ -41,7 +43,7 @@ from .covering import (
     is_countably_aura_compact,
 )
 from .errors import SizeOutOfRange
-from .finite import PointSet, family_key, mask_indices
+from .finite import PointSet, PointUniverse, family_key, mask_indices
 from .genopen import GeneralizedClass, generalized_family
 from .search import enumerate_auras, enumerate_topologies, space_descriptor
 from .sequences import EvPSequence, converges_to, transitive_criterion
@@ -52,15 +54,20 @@ MAX_WITNESSES = 5
 CORE = "core"
 EXTENDED = "extended"
 
+# A failure message, or a callable that builds it when a check fails.
+Message = Union[str, Callable[[], str]]
+
 
 class SpaceFacts:
-    """Memoised per-space tables shared by every law."""
+    """Memoised per-space tables shared by every law.
 
-    __slots__ = (
-        "space", "n", "size", "full", "scopes", "hulls", "cl", "d", "itr",
-        "tau_a", "tau_a_set", "closed_masks", "cls", "sep", "connected",
-        "blocks", "_conn_masks",
-    )
+    Only the closure table is filled at construction. Every other table
+    is built on first use, so a space pays only for the tables that the
+    laws run over it read: the product spaces, for instance, never need
+    derived sets or interiors.
+    """
+
+    __slots__ = ("space", "n", "size", "full", "scopes", "hulls", "cl", "__dict__")
 
     def __init__(self, s: AuraSpace):
         self.space = s
@@ -71,24 +78,47 @@ class SpaceFacts:
         self.hulls = s.hull_masks
         # The closure table is the fault-injection point for the suite.
         self.cl = [kernel.aura_closure_mask(self.n, self.scopes, a) for a in range(self.size)]
-        self.d = [derived_set(s, a).mask for a in range(self.size)]
-        self.itr = [aura_interior(s, a).mask for a in range(self.size)]
-        self.tau_a = tuple(sorted(s.aura_topology_masks, key=family_key))
-        self.tau_a_set = frozenset(self.tau_a)
-        self.closed_masks = [a for a in range(self.size) if is_aura_closed(s, a)]
-        self.cls = classify(s)
-        self.sep = separation_axioms(s)
-        self.connected = is_aura_connected(s)
-        self.blocks = aura_components(s).blocks
-        self._conn_masks = None
 
+    @cached_property
+    def d(self) -> list:
+        return [derived_set(self.space, a).mask for a in range(self.size)]
+
+    @cached_property
+    def itr(self) -> list:
+        return [aura_interior(self.space, a).mask for a in range(self.size)]
+
+    @cached_property
+    def tau_a(self) -> tuple:
+        return tuple(sorted(self.space.aura_topology_masks, key=family_key))
+
+    @cached_property
+    def tau_a_set(self) -> frozenset:
+        return frozenset(self.space.aura_topology_masks)
+
+    @cached_property
+    def closed_masks(self) -> list:
+        return [a for a in range(self.size) if is_aura_closed(self.space, a)]
+
+    @cached_property
+    def cls(self) -> AuraClassification:
+        return classify(self.space)
+
+    @cached_property
+    def sep(self) -> SeparationAxioms:
+        return separation_axioms(self.space)
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_aura_connected(self.space)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        return aura_components(self.space).blocks
+
+    @cached_property
     def conn_masks(self) -> list:
-        """All carrier masks connected in the subspace sense, cached."""
-        if self._conn_masks is None:
-            self._conn_masks = [
-                a for a in range(self.size) if is_aura_connected(self.space, a)
-            ]
-        return self._conn_masks
+        """All carrier masks connected in the subspace sense."""
+        return [a for a in range(self.size) if is_aura_connected(self.space, a)]
 
 
 class LawContext:
@@ -204,12 +234,15 @@ class _Tally:
     def __post_init__(self):
         self.messages: List[str] = []
 
-    def verify(self, ok: bool, detail: str, s: Optional[AuraSpace] = None) -> None:
+    def verify(self, ok: bool, detail: Message, s: Optional[AuraSpace] = None) -> None:
+        """Count one check; a callable ``detail`` is called only on failure."""
         self.checks += 1
         if ok:
             return
         self.failed += 1
         if len(self.messages) < MAX_WITNESSES:
+            if not isinstance(detail, str):
+                detail = detail()
             where = f" | space: {space_descriptor(s)}" if s is not None else ""
             self.messages.append(f"{self.law}: {detail}{where}")
 
@@ -290,20 +323,20 @@ def _cech_axioms(ctx: LawContext, t: _Tally) -> None:
         t.verify(f.cl[0] == 0, "closure of the empty set is nonempty", s)
         for a in range(f.size):
             ca = f.cl[a]
-            t.verify(not a & ~ca, f"set {a:#x} escapes its own closure", s)
+            t.verify(not a & ~ca, lambda: f"set {a:#x} escapes its own closure", s)
             if f.cl[ca] != ca:
                 idempotent_everywhere = False
         for a in range(f.size):
             for b in range(f.size):
                 t.verify(
                     f.cl[a | b] == f.cl[a] | f.cl[b],
-                    f"closure not additive on {a:#x}, {b:#x}",
+                    lambda: f"closure not additive on {a:#x}, {b:#x}",
                     s,
                 )
                 if not a & ~b:
                     t.verify(
                         not f.cl[a] & ~f.cl[b],
-                        f"closure not monotone on {a:#x} inside {b:#x}",
+                        lambda: f"closure not monotone on {a:#x} inside {b:#x}",
                         s,
                     )
     if ctx.max_n >= 3:
@@ -324,7 +357,7 @@ def _duality(ctx: LawContext, t: _Tally) -> None:
         for a in range(f.size):
             t.verify(
                 f.itr[a] == f.full & ~f.cl[f.full & ~a],
-                f"duality breaks on {a:#x}",
+                lambda: f"duality breaks on {a:#x}",
                 s,
             )
 
@@ -340,7 +373,7 @@ def _derived_closure(ctx: LawContext, t: _Tally) -> None:
         for a in range(f.size):
             t.verify(
                 f.cl[a] == a | f.d[a],
-                f"closure of {a:#x} is not the union with its derived set",
+                lambda: f"closure of {a:#x} is not the union with its derived set",
                 s,
             )
 
@@ -357,19 +390,19 @@ def _derived_laws(ctx: LawContext, t: _Tally) -> None:
         for a in range(f.size):
             t.verify(
                 is_aura_closed(s, a) == (not f.d[a] & ~a),
-                f"closed flag disagrees with derived containment on {a:#x}",
+                lambda: f"closed flag disagrees with derived containment on {a:#x}",
                 s,
             )
             for b in range(f.size):
                 t.verify(
                     f.d[a | b] == f.d[a] | f.d[b],
-                    f"derived set not additive on {a:#x}, {b:#x}",
+                    lambda: f"derived set not additive on {a:#x}, {b:#x}",
                     s,
                 )
                 if not a & ~b:
                     t.verify(
                         not f.d[a] & ~f.d[b],
-                        f"derived set not monotone on {a:#x} inside {b:#x}",
+                        lambda: f"derived set not monotone on {a:#x} inside {b:#x}",
                         s,
                     )
 
@@ -384,16 +417,16 @@ def _subfamily(ctx: LawContext, t: _Tally) -> None:
         f = ctx.facts(s)
         ambient = s.space.topology.mask_set
         for u in f.tau_a:
-            t.verify(u in ambient, f"scope-open {u:#x} is not open", s)
+            t.verify(u in ambient, lambda: f"scope-open {u:#x} is not open", s)
         for i in range(f.n):
             h = f.hulls[i]
-            t.verify(h in f.tau_a_set, f"hull of point {i} is not scope-open", s)
-            t.verify(bool((h >> i) & 1), f"hull of point {i} misses the point", s)
+            t.verify(h in f.tau_a_set, lambda: f"hull of point {i} is not scope-open", s)
+            t.verify(bool((h >> i) & 1), lambda: f"hull of point {i} misses the point", s)
             for u in f.tau_a:
                 if (u >> i) & 1:
                     t.verify(
                         not h & ~u,
-                        f"hull of point {i} exceeds a scope-open set containing it",
+                        lambda: f"hull of point {i} exceeds a scope-open set containing it",
                         s,
                     )
 
@@ -416,7 +449,7 @@ def _transitive_base(ctx: LawContext, t: _Tally) -> None:
         for a in range(f.size):
             t.verify(
                 f.cl[f.cl[a]] == f.cl[a],
-                f"closure not idempotent on {a:#x} despite transitivity",
+                lambda: f"closure not idempotent on {a:#x} despite transitivity",
                 s,
             )
 
@@ -444,7 +477,7 @@ def _subspace_closure(ctx: LawContext, t: _Tally) -> None:
                         expect |= 1 << k
                 t.verify(
                     fs.cl[a_sub] == expect,
-                    f"subspace closure of {a_sub:#x} in carrier {ym:#x} is not the trace",
+                    lambda: f"subspace closure of {a_sub:#x} in carrier {ym:#x} is not the trace",
                     s,
                 )
 
@@ -470,13 +503,13 @@ def _subspace_tau(ctx: LawContext, t: _Tally) -> None:
                 trace.add(m)
             t.verify(
                 trace <= fs.tau_a_set,
-                f"trace family escapes the subspace scope topology on carrier {ym:#x}",
+                lambda: f"trace family escapes the subspace scope topology on carrier {ym:#x}",
                 s,
             )
             if f.cls.transitive:
                 t.verify(
                     trace == fs.tau_a_set,
-                    f"transitive space has a strict trace on carrier {ym:#x}",
+                    lambda: f"transitive space has a strict trace on carrier {ym:#x}",
                     s,
                 )
 
@@ -497,7 +530,7 @@ def _product_closure(ctx: LawContext, t: _Tally) -> None:
                 want = _box_mask(fx.cl[a], fy.cl[b], fy.n)
                 t.verify(
                     got == want,
-                    f"box closure mismatch on {a:#x} x {b:#x}",
+                    lambda: f"box closure mismatch on {a:#x} x {b:#x}",
                     prod,
                 )
 
@@ -594,7 +627,7 @@ def _image_connected(ctx: LawContext, t: _Tally) -> None:
                 continue
             t.verify(
                 not ctx.has_continuous_surjection(fs, fd),
-                "a continuous onto map lands a connected space on a disconnected one "
+                lambda: "a continuous onto map lands a connected space on a disconnected one "
                 f"with scopes {['{:#x}'.format(m) for m in fd.scopes]}",
                 fs.space,
             )
@@ -608,12 +641,12 @@ def _image_connected(ctx: LawContext, t: _Tally) -> None:
 def _union_common(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.all_spaces():
         f = ctx.facts(s)
-        conn = [a for a in f.conn_masks() if a]
+        conn = [a for a in f.conn_masks if a]
         for a, b in itertools.combinations(conn, 2):
             if a & b:
                 t.verify(
                     is_aura_connected(s, a | b),
-                    f"union {a | b:#x} of overlapping connected sets is disconnected",
+                    lambda: f"union {a | b:#x} of overlapping connected sets is disconnected",
                     s,
                 )
         if f.n >= 3:
@@ -621,7 +654,7 @@ def _union_common(ctx: LawContext, t: _Tally) -> None:
                 if a & b & c:
                     t.verify(
                         is_aura_connected(s, a | b | c),
-                        f"union {a | b | c:#x} of three connected sets through a common point is disconnected",
+                        lambda: f"union {a | b | c:#x} of three connected sets through a common point is disconnected",
                         s,
                     )
 
@@ -636,19 +669,19 @@ def _components(ctx: LawContext, t: _Tally) -> None:
         f = ctx.facts(s)
         union = 0
         for b in f.blocks:
-            t.verify(is_aura_connected(s, b.mask), f"component {b.mask:#x} is disconnected", s)
-            t.verify(is_aura_closed(s, b.mask), f"component {b.mask:#x} is not closed", s)
+            t.verify(is_aura_connected(s, b.mask), lambda: f"component {b.mask:#x} is disconnected", s)
+            t.verify(is_aura_closed(s, b.mask), lambda: f"component {b.mask:#x} is not closed", s)
             t.verify(not union & b.mask, "components overlap", s)
             union |= b.mask
         t.verify(union == f.full, "components miss part of the space", s)
         block_masks = [b.mask for b in f.blocks]
-        for c in f.conn_masks():
+        for c in f.conn_masks:
             if not c:
                 continue
             inside = sum(1 for bm in block_masks if not c & ~bm)
             t.verify(
                 inside == 1,
-                f"connected set {c:#x} is not inside exactly one component",
+                lambda: f"connected set {c:#x} is not inside exactly one component",
                 s,
             )
 
@@ -666,7 +699,7 @@ def _lc_open_components(ctx: LawContext, t: _Tally) -> None:
         for b in f.blocks:
             t.verify(
                 b.mask in f.tau_a_set,
-                f"component {b.mask:#x} of a locally connected space is not scope-open",
+                lambda: f"component {b.mask:#x} of a locally connected space is not scope-open",
                 s,
             )
 
@@ -708,40 +741,54 @@ def _sym_trans_lc(ctx: LawContext, t: _Tally) -> None:
         )
 
 
+def _convergence_sequences(universe: PointUniverse) -> list:
+    """Prefix and cycle sequences of lengths up to 2 and 3, with their text.
+
+    The text is rendered once here, since it is read only by failure
+    messages.
+    """
+    points = range(universe.n)
+    prefixes = [()] + [(i,) for i in points] + list(itertools.product(points, repeat=2))
+    cycles = [c for r in (1, 2, 3) for c in itertools.product(points, repeat=r)]
+    out = []
+    for pfx in prefixes:
+        for cyc in cycles:
+            q = EvPSequence(universe, pfx, cyc)
+            out.append((q, q.text()))
+    return out
+
+
 @_law(
     "transitive-convergence-criterion",
     CORE,
     "eventual containment in the scope matches convergence on transitive spaces",
 )
 def _convergence(ctx: LawContext, t: _Tally) -> None:
+    tables: Dict[PointUniverse, list] = {}
     for s in ctx.all_spaces():
         f = ctx.facts(s)
         if f.n == 0:
             continue
+        table = tables.get(s.universe)
+        if table is None:
+            table = tables[s.universe] = _convergence_sequences(s.universe)
+        transitive = f.cls.transitive
         labels = s.universe.labels
-        prefixes = [()] + [(i,) for i in range(f.n)] + list(itertools.product(range(f.n), repeat=2))
-        cycles = [c for r in (1, 2, 3) for c in itertools.product(range(f.n), repeat=r)]
-        for pfx in prefixes:
-            for cyc in cycles:
-                q = EvPSequence.from_labels(
-                    s.universe,
-                    [labels[i] for i in pfx],
-                    [labels[i] for i in cyc],
+        for q, text in table:
+            for x in labels:
+                crit = transitive_criterion(s, q, x)
+                conv = converges_to(s, q, x)
+                t.verify(
+                    not crit or conv,
+                    lambda: f"criterion holds at {x} for {text} without convergence",
+                    s,
                 )
-                for x in labels:
-                    crit = transitive_criterion(s, q, x)
-                    conv = converges_to(s, q, x)
+                if transitive:
                     t.verify(
-                        not crit or conv,
-                        f"criterion holds at {x} for {q.text()} without convergence",
+                        crit == conv,
+                        lambda: f"criterion and convergence split at {x} for {text} on a transitive space",
                         s,
                     )
-                    if f.cls.transitive:
-                        t.verify(
-                            crit == conv,
-                            f"criterion and convergence split at {x} for {q.text()} on a transitive space",
-                            s,
-                        )
 
 
 @_law(
@@ -770,12 +817,12 @@ def _fip_law(ctx: LawContext, t: _Tally) -> None:
                         break
                 t.verify(
                     res.fip_holds == literal,
-                    f"shortcut disagrees with the literal scan on family {list(combo)}",
+                    lambda: f"shortcut disagrees with the literal scan on family {list(combo)}",
                     s,
                 )
                 t.verify(
                     res.fip_holds == res.intersection_nonempty,
-                    f"family {list(combo)} has the property but an empty total intersection",
+                    lambda: f"family {list(combo)} has the property but an empty total intersection",
                     s,
                 )
 
@@ -819,7 +866,7 @@ def _t2_closed(ctx: LawContext, t: _Tally) -> None:
         for a in range(f.size):
             t.verify(
                 is_aura_closed(s, a),
-                f"subset {a:#x} of a t2 space is not closed",
+                lambda: f"subset {a:#x} of a t2 space is not closed",
                 s,
             )
 

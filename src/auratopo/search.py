@@ -432,12 +432,18 @@ def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
         ti = rng.randrange(len(topologies))
         space = topologies[ti]
         choices = _fiber_choices(space)
-        picks = tuple(c[rng.randrange(len(c))] for c in choices)
+        digits = [rng.randrange(len(c)) for c in choices]
+        picks = tuple(c[d] for c, d in zip(choices, digits))
         s = AuraSpace(space, ScopeFunction(space.universe, picks))
         valuation = _Valuation(s)
         if expr.evaluate(valuation):
+            # Mixed-radix position of the picks in enumerate_auras order,
+            # where the last point's choice varies fastest.
+            aura_index = 0
+            for c, d in zip(choices, digits):
+                aura_index = aura_index * len(c) + d
             vals = {a: valuation.get(a) for a in expr.atoms}
-            witnesses.append(Witness(ti, k, space_descriptor(s), _space_json(s), vals))
+            witnesses.append(Witness(ti, aura_index, space_descriptor(s), _space_json(s), vals))
     if limit is not None:
         witnesses = witnesses[:limit]
     return SearchReport("search", n, samples, expression=expr.text,

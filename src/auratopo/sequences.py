@@ -10,7 +10,7 @@ criterion the law suite checks both ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import EmptyUniverse
@@ -23,6 +23,7 @@ class EvPSequence:
     universe: PointUniverse
     prefix: tuple
     cycle: tuple
+    _cycle_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.cycle:
@@ -30,6 +31,10 @@ class EvPSequence:
         for i in self.prefix + self.cycle:
             if not 0 <= i < self.universe.n:
                 raise ValueError("sequence entry outside the universe")
+        m = 0
+        for i in self.cycle:
+            m |= 1 << i
+        object.__setattr__(self, "_cycle_mask", m)
 
     @classmethod
     def from_labels(cls, universe: PointUniverse, prefix: Sequence[str], cycle: Sequence[str]) -> "EvPSequence":
@@ -45,10 +50,7 @@ class EvPSequence:
         return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
 
     def cycle_mask(self) -> int:
-        m = 0
-        for i in self.cycle:
-            m |= 1 << i
-        return m
+        return self._cycle_mask
 
     def text(self) -> str:
         p = ",".join(self.universe.labels[i] for i in self.prefix)

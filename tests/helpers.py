@@ -33,3 +33,12 @@ def all_small_spaces(max_n: int):
     for n in range(max_n + 1):
         for top in enumerate_topologies(n):
             yield from enumerate_auras(top)
+
+
+def grid_and_random_spaces(seed: int, count: int):
+    """Every space on up to three points, then ``count`` seeded random ones
+    on one to six points."""
+    yield from all_small_spaces(3)
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rand_space(rng, rng.randrange(1, 7))

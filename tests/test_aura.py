@@ -23,7 +23,7 @@ from auratopo import (
     make_aura_space,
     separation_axioms,
 )
-from helpers import all_small_spaces, rand_space
+from helpers import all_small_spaces, grid_and_random_spaces, rand_space
 from oracles import (
     brute_closure,
     brute_derived,
@@ -102,6 +102,20 @@ def test_classification_flags_match_scans():
         assert cls.symmetric == symmetric
         assert cls.trivial == all(m == s.universe.full_mask for m in scopes)
         assert cls.discrete == all(m == 1 << i for i, m in enumerate(scopes))
+
+
+def test_trivial_and_discrete_scopes_are_transitive_and_symmetric():
+    for s in grid_and_random_spaces(seed=51, count=300):
+        cls = classify(s)
+        if cls.trivial or cls.discrete:
+            assert cls.transitive and cls.symmetric
+
+
+def test_separation_axioms_chain_downwards():
+    for s in grid_and_random_spaces(seed=52, count=300):
+        axioms = separation_axioms(s)
+        assert not axioms.t2 or axioms.t1
+        assert not axioms.t1 or axioms.t0
 
 
 def test_separation_axioms_match_neighbourhood_scans():

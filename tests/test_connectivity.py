@@ -7,13 +7,14 @@ from auratopo import (
     aura_components,
     fence_path,
     find_aura_separation,
+    is_aura_closed,
     is_aura_connected,
     is_aura_locally_connected,
     is_aura_path_connected,
     load_fixture,
 )
 from auratopo.finite import mask_indices
-from helpers import all_small_spaces, rand_space
+from helpers import all_small_spaces, grid_and_random_spaces, rand_space
 from oracles import brute_components, brute_is_connected, brute_tau_a
 
 
@@ -51,6 +52,31 @@ def test_separations_split_the_carrier_into_relatively_open_parts():
             assert _sub_open(scopes, carrier, sep.v.mask)
             # Results are phrased in the parent universe even for proper carriers.
             assert sep.u.universe is s.universe
+
+
+def test_separation_parts_are_nonempty_and_disjoint():
+    rng = random.Random(53)
+    for s in grid_and_random_spaces(seed=54, count=150):
+        carriers = range(1 << s.n) if s.n <= 3 else [rng.randrange(1 << s.n) for _ in range(8)]
+        for carrier in carriers:
+            for notion in ("aura", "tau_a"):
+                sep = find_aura_separation(s, carrier, notion)
+                if sep is None:
+                    continue
+                assert sep.u.mask and sep.v.mask
+                assert not sep.u.mask & sep.v.mask
+                assert sep.u.mask | sep.v.mask == carrier
+
+
+def test_components_are_closed_blocks_covering_the_space():
+    for s in grid_and_random_spaces(seed=55, count=200):
+        union = 0
+        for b in aura_components(s).blocks:
+            assert b.mask
+            assert not union & b.mask
+            assert is_aura_closed(s, b.mask)
+            union |= b.mask
+        assert union == s.universe.full_mask
 
 
 def test_connectedness_matches_the_oracle_on_random_spaces():

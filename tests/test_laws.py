@@ -2,7 +2,49 @@ import pytest
 
 from auratopo import LAW_NAMES, run_laws
 from auratopo.laws import CORE, EXTENDED, LawContext, get_law
-from auratopo import kernel
+from auratopo import kernel, laws
+
+# Descriptors of the discrete spaces that head every witness list below.
+DISCRETE_1 = "points a | opens {},{a} | scopes a:{a}"
+DISCRETE_2 = "points a,b | opens {},{a},{b},{a,b} | scopes a:{a} b:{b}"
+DISCRETE_2X2 = (
+    "points a|a,a|b,b|a,b|b | opens {},{a|a},{a|b},{b|a},{b|b},{a|a,a|b},{a|a,b|a},"
+    "{a|a,b|b},{a|b,b|a},{a|b,b|b},{b|a,b|b},{a|a,a|b,b|a},{a|a,a|b,b|b},{a|a,b|a,b|b},"
+    "{a|b,b|a,b|b},{a|a,a|b,b|a,b|b} | scopes a|a:{a|a} a|b:{a|b} b|a:{b|a} b|b:{b|b}"
+)
+
+# Checks per law on sizes 0..2. A refactor of the fact tables or the
+# message plumbing must not change how many checks a law makes.
+CHECKS_AT_SIZE_2 = {
+    "cech-closure-axioms": 284,
+    "closure-interior-duality": 39,
+    "derived-closure-decomposition": 39,
+    "derived-set-laws": 284,
+    "scope-topology-subfamily": 90,
+    "transitive-scope-base-idempotent": 50,
+    "subspace-closure-trace": 74,
+    "subspace-topology-inclusion": 56,
+    "product-closure-box": 1296,
+    "product-topology-chain": 162,
+    "product-transitive-equality": 81,
+    "connected-characterizations": 22,
+    "continuous-image-connected": 8,
+    "connected-union-common-point": 16,
+    "component-properties": 71,
+    "locally-connected-open-components": 11,
+    "transitive-local-connectivity": 11,
+    "symmetric-transitive-local-connectivity": 7,
+    "transitive-convergence-criterion": 3546,
+    "fip-compactness-equivalence": 151,
+    "separation-axiom-chain": 55,
+    "t2-closed-subsets": 7,
+    "generalized-open-hierarchy": 33,
+    "compact-chain-flags": 33,
+    "compact-implies-limit-finite": 11,
+    "continuous-image-compact": 68,
+    "projection-continuity": 388,
+    "product-connected-factors": 81,
+}
 
 
 def test_registry_names_are_unique_and_tiered():
@@ -50,7 +92,7 @@ def test_shared_context_is_reused():
     assert first.ok and second.ok
 
 
-def test_broken_closure_kernel_is_caught_and_named(monkeypatch):
+def _break_closure_kernel(monkeypatch):
     # Drop the lowest bit of every nonempty closure.
     real = kernel.aura_closure_mask
 
@@ -59,6 +101,10 @@ def test_broken_closure_kernel_is_caught_and_named(monkeypatch):
         return out & (out - 1)
 
     monkeypatch.setattr(kernel, "aura_closure_mask", broken)
+
+
+def test_broken_closure_kernel_is_caught_and_named(monkeypatch):
+    _break_closure_kernel(monkeypatch)
     report = run_laws(
         names=["derived-closure-decomposition", "cech-closure-axioms"], max_n=2
     )
@@ -77,6 +123,59 @@ def test_broken_closure_kernel_is_caught_and_named(monkeypatch):
     assert data["ok"] is False
     broken_rows = [row for row in data["laws"] if row["failed"]]
     assert broken_rows and all(row["failures"] for row in broken_rows)
+
+
+def test_fault_injected_failures_are_pinned(monkeypatch):
+    _break_closure_kernel(monkeypatch)
+    names = ["cech-closure-axioms", "derived-closure-decomposition", "product-closure-box"]
+    report = run_laws(names=names, max_n=2)
+    got = {o.name: (o.checks, o.failed, o.failures) for o in report.outcomes}
+    assert got == {
+        "cech-closure-axioms": (284, 24, (
+            f"cech-closure-axioms: set 0x1 escapes its own closure | space: {DISCRETE_1}",
+            f"cech-closure-axioms: set 0x1 escapes its own closure | space: {DISCRETE_2}",
+            f"cech-closure-axioms: set 0x2 escapes its own closure | space: {DISCRETE_2}",
+            f"cech-closure-axioms: set 0x3 escapes its own closure | space: {DISCRETE_2}",
+            f"cech-closure-axioms: closure not additive on 0x1, 0x2 | space: {DISCRETE_2}",
+        )),
+        "derived-closure-decomposition": (39, 28, tuple(
+            "derived-closure-decomposition: closure of "
+            f"{a} is not the union with its derived set | space: {where}"
+            for a, where in [
+                ("0x1", DISCRETE_1),
+                ("0x1", DISCRETE_2),
+                ("0x2", DISCRETE_2),
+                ("0x3", DISCRETE_2),
+                ("0x1", "points a,b | opens {},{a},{b},{a,b} | scopes a:{a} b:{a,b}"),
+            ]
+        )),
+        "product-closure-box": (1296, 693, tuple(
+            f"product-closure-box: box closure mismatch on {a} x {b} | space: {DISCRETE_2X2}"
+            for a, b in [("0x1", "0x3"), ("0x2", "0x3"), ("0x3", "0x1"),
+                         ("0x3", "0x2"), ("0x3", "0x3")]
+        )),
+    }
+
+
+def test_convergence_law_is_live(monkeypatch):
+    # A criterion that always holds must be caught on the discrete pair,
+    # where nothing but a constant tail converges.
+    monkeypatch.setattr(laws, "transitive_criterion", lambda s, q, x: True)
+    (outcome,) = run_laws(names=["transitive-convergence-criterion"], max_n=2).outcomes
+    assert (outcome.checks, outcome.failed) == (3546, 924)
+    law = "transitive-convergence-criterion"
+    assert outcome.failures == (
+        f"{law}: criterion holds at b for ;a without convergence | space: {DISCRETE_2}",
+        f"{law}: criterion and convergence split at b for ;a on a transitive space | space: {DISCRETE_2}",
+        f"{law}: criterion holds at a for ;b without convergence | space: {DISCRETE_2}",
+        f"{law}: criterion and convergence split at a for ;b on a transitive space | space: {DISCRETE_2}",
+        f"{law}: criterion holds at b for ;a,a without convergence | space: {DISCRETE_2}",
+    )
+
+
+def test_per_law_check_counts_are_pinned():
+    report = run_laws(max_n=2)
+    assert {o.name: o.checks for o in report.outcomes} == CHECKS_AT_SIZE_2
 
 
 def test_clean_rerun_after_fault_injection():

@@ -146,6 +146,21 @@ def test_sampled_search_is_seeded():
     assert c.seed == 12
 
 
+def test_sampled_witnesses_carry_their_fiber_index():
+    from auratopo import parse_document
+
+    report = search(3, "transitive or not transitive", samples=60, seed=5)
+    assert len(report.witnesses) == 60
+    topologies = enumerate_topologies(3)
+    for w in report.witnesses:
+        listed = list(enumerate_auras(topologies[w.topology_index]))[w.aura_index]
+        sampled = parse_document(json.dumps(w.document))
+        assert space_descriptor(listed) == w.descriptor
+        assert listed == sampled.space
+    # The index is a position in the fiber, not the sample's ordinal.
+    assert any(w.aura_index != k for k, w in enumerate(report.witnesses))
+
+
 def test_matrix_reports_every_ordered_pair():
     report = implication_matrix(2)
     pairs = len(ATOM_NAMES) * (len(ATOM_NAMES) - 1)
