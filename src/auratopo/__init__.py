@@ -10,6 +10,7 @@ from .errors import (
     DocumentSyntaxError,
     EmptySubspace,
     EmptyUniverse,
+    LimitOutOfRange,
     MalformedDocument,
     MissingEmpty,
     MissingWhole,
@@ -100,9 +101,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuraError", "DocumentError", "DocumentSyntaxError", "EmptySubspace",
-    "EmptyUniverse", "MalformedDocument", "MissingEmpty", "MissingWhole",
-    "NotACover", "NotAClosedFamily", "NotClosedUnderIntersection",
-    "NotClosedUnderUnion", "OpenSetNotInTopology", "PointNotInOwnAura",
+    "EmptyUniverse", "LimitOutOfRange", "MalformedDocument", "MissingEmpty",
+    "MissingWhole", "NotACover", "NotAClosedFamily",
+    "NotClosedUnderIntersection", "NotClosedUnderUnion",
+    "OpenSetNotInTopology", "PointNotInOwnAura",
     "SizeOutOfRange", "TopologyAxiomViolation", "UniverseTooLarge",
     "UnknownAtom", "UnknownFamily", "UnknownPoint",
     "FiniteTopSpace", "PointSet", "PointUniverse", "TopologyFamily",

@@ -73,9 +73,14 @@ def _product_universe(left: PointUniverse, right: PointUniverse) -> PointUnivers
 
 
 def _box_mask(left_mask: int, right_mask: int, ny: int) -> int:
+    # Walks the set bits inline rather than through mask_indices: the product
+    # scan and the product-closure law call this millions of times, and the
+    # generator costs about a third of each call.
     out = 0
-    for u in mask_indices(left_mask):
-        out |= right_mask << (u * ny)
+    while left_mask:
+        low = left_mask & -left_mask
+        out |= right_mask << ((low.bit_length() - 1) * ny)
+        left_mask ^= low
     return out
 
 

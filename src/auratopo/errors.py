@@ -61,6 +61,10 @@ class SizeOutOfRange(AuraError):
     """Enumeration size outside the supported range."""
 
 
+class LimitOutOfRange(AuraError):
+    """A witness limit must be a nonnegative count."""
+
+
 class UnknownAtom(AuraError):
     def __init__(self, name):
         self.name = name

@@ -22,7 +22,8 @@ from .connectivity import (
     is_aura_locally_connected,
     is_aura_path_connected,
 )
-from .errors import SizeOutOfRange, UnknownAtom
+from .constructions import _box_mask
+from .errors import LimitOutOfRange, SizeOutOfRange, UnknownAtom
 from .finite import (
     FiniteTopSpace,
     PointSet,
@@ -352,35 +353,39 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 # scanning
 
-def _scan_topology(space: FiniteTopSpace, topo_index: int, expr: PredicateExpr,
-                   record: bool) -> Tuple[int, List[Witness]]:
-    found = []
+# One space that satisfies the predicate: (topology_index, aura_index,
+# scope_masks, valuation). Workers pickle these back; only the hits a report
+# keeps are rendered into witnesses.
+Hit = Tuple[int, int, Tuple[int, ...], dict]
+
+
+def _scan_topology(space: FiniteTopSpace, topo_index: int,
+                   expr: PredicateExpr) -> Tuple[int, List[Hit]]:
+    found: List[Hit] = []
     scanned = 0
     for aura_index, s in enumerate(enumerate_auras(space)):
         scanned += 1
         valuation = _Valuation(s)
         if expr.evaluate(valuation):
             vals = {a: valuation.get(a) for a in expr.atoms}
-            if record:
-                found.append(Witness(topo_index, aura_index, space_descriptor(s),
-                                     _space_json(s), vals))
+            found.append((topo_index, aura_index, s.scope_masks, vals))
     return scanned, found
 
 
-def _search_worker(args) -> Tuple[int, List[Witness]]:
+def _search_worker(args) -> Tuple[int, List[Hit]]:
     n, expr_text, worker, workers = args
     expr = parse_predicate(expr_text)
     topologies = enumerate_topologies(n)
     scanned = 0
-    found: List[Witness] = []
+    found: List[Hit] = []
     for ti in range(worker, len(topologies), workers):
-        got, wit = _scan_topology(topologies[ti], ti, expr, record=True)
+        got, hits = _scan_topology(topologies[ti], ti, expr)
         scanned += got
-        found.extend(wit)
+        found.extend(hits)
     return scanned, found
 
 
-def _run_partitioned(n: int, expr_text: str, workers: int) -> Tuple[int, List[Witness]]:
+def _run_partitioned(n: int, expr_text: str, workers: int) -> Tuple[int, List[Hit]]:
     jobs = [(n, expr_text, w, workers) for w in range(workers)]
     if workers <= 1:
         results = [_search_worker(jobs[0])]
@@ -390,9 +395,19 @@ def _run_partitioned(n: int, expr_text: str, workers: int) -> Tuple[int, List[Wi
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_search_worker, jobs)
     scanned = sum(r[0] for r in results)
-    witnesses = [w for r in results for w in r[1]]
-    witnesses.sort(key=lambda w: (w.topology_index, w.aura_index))
-    return scanned, witnesses
+    hits = [h for r in results for h in r[1]]
+    hits.sort(key=lambda h: (h[0], h[1]))
+    return scanned, hits
+
+
+def _render_witnesses(topologies: List[FiniteTopSpace], hits: List[Hit]) -> List[Witness]:
+    """Rebuild each hit's space and render its descriptor and document."""
+    witnesses = []
+    for ti, aura_index, scope_masks, vals in hits:
+        space = topologies[ti]
+        s = AuraSpace(space, ScopeFunction(space.universe, scope_masks))
+        witnesses.append(Witness(ti, aura_index, space_descriptor(s), _space_json(s), vals))
+    return witnesses
 
 
 def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 1,
@@ -402,7 +417,9 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
 
     Size 5 needs either ``samples`` (seeded random scan) or ``allow_large``
     (full scan; the fiber count is in the millions).  The whole grid is
-    always scanned so reports do not depend on worker count.
+    always scanned so reports do not depend on worker count.  ``limit``
+    keeps the first witnesses in grid (or sample) order, and only those are
+    rendered; a negative limit raises ``LimitOutOfRange``.
     """
     expr = parse_predicate(expression)
     if n < 0 or n > MAX_SIZE:
@@ -413,12 +430,14 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
             "for a seeded scan or allow_large=True to force it"
         )
 
+    if limit is not None and limit < 0:
+        raise LimitOutOfRange(f"limit must be a nonnegative count, got {limit}")
+
     if samples is not None:
         return _sampled_search(n, expr, samples, seed, limit)
 
-    scanned, witnesses = _run_partitioned(n, expression, workers)
-    if limit is not None:
-        witnesses = witnesses[:limit]
+    scanned, hits = _run_partitioned(n, expression, workers)
+    witnesses = _render_witnesses(enumerate_topologies(n), hits[:limit])
     return SearchReport("search", n, scanned, expression=expression,
                         witnesses=witnesses)
 
@@ -427,7 +446,7 @@ def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
                     limit: Optional[int]) -> SearchReport:
     rng = random.Random(seed)
     topologies = enumerate_topologies(n)
-    witnesses = []
+    hits: List[Hit] = []
     for k in range(samples):
         ti = rng.randrange(len(topologies))
         space = topologies[ti]
@@ -443,11 +462,10 @@ def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
             for c, d in zip(choices, digits):
                 aura_index = aura_index * len(c) + d
             vals = {a: valuation.get(a) for a in expr.atoms}
-            witnesses.append(Witness(ti, aura_index, space_descriptor(s), _space_json(s), vals))
-    if limit is not None:
-        witnesses = witnesses[:limit]
+            hits.append((ti, aura_index, s.scope_masks, vals))
     return SearchReport("search", n, samples, expression=expr.text,
-                        witnesses=witnesses, seed=seed, samples=samples)
+                        witnesses=_render_witnesses(topologies, hits[:limit]),
+                        seed=seed, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +506,6 @@ def _product_pair_pool() -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
             for s in enumerate_auras(space):
                 pool.append((n, s.scope_masks, tuple(sorted(s.aura_topology_masks))))
     return pool
-
-
-def _box_mask(left: int, right: int, ny: int) -> int:
-    mask = 0
-    for i in range(left.bit_length()):
-        if (left >> i) & 1:
-            mask |= right << (i * ny)
-    return mask
 
 
 _PRODUCT_SCAN_CACHE: Optional[str] = None

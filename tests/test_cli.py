@@ -275,6 +275,14 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
     code, _, err = run_cli(capsys, "search", "--size", "5", "--where", "trivial")
     assert code == 2
     assert "full scans are capped" in err
+    for extra in ((), ("--samples", "50")):
+        code, out, err = run_cli(
+            capsys, "search", "--size", "2", "--where", "aT0 and not aT1",
+            "--limit", "-1", *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: limit must be a nonnegative count, got -1\n"
 
 
 PROJECT = Path(__file__).resolve().parents[1]

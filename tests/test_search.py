@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from auratopo import (
     ATOM_NAMES,
+    LimitOutOfRange,
     SizeOutOfRange,
     UnknownAtom,
     count_auras,
@@ -19,6 +21,9 @@ from auratopo.connectivity import is_aura_connected, is_aura_path_connected
 from auratopo.search import ATOMS, space_descriptor
 from helpers import rand_space
 from oracles import brute_topologies
+
+# The package's `search` attribute is the function, so fetch the module itself.
+search_module = importlib.import_module("auratopo.search")
 
 
 def test_topology_enumeration_counts():
@@ -119,12 +124,47 @@ def test_search_scan_totals_and_limit():
     assert report.spaces_scanned == 362
     assert len(report.witnesses) == 4
     unlimited = search(3, "transitive")
-    assert unlimited.witnesses[:4] == [
-        w for w in unlimited.witnesses[:4]
-    ]
-    assert [w.descriptor for w in unlimited.witnesses[:4]] == [
-        w.descriptor for w in report.witnesses
-    ]
+    assert report.witnesses == unlimited.witnesses[:4]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("limit", [0, 1, 5])
+def test_limited_report_is_the_unlimited_one_truncated(limit, workers):
+    expr = "aConnected and not tauConnected"
+    full = search(3, expr, workers=workers).to_json()
+    assert len(full["witnesses"]) > 5
+    full["witnesses"] = full["witnesses"][:limit]
+    assert search(3, expr, limit=limit, workers=workers).to_json() == full
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"limit": 4},
+        {"limit": None},
+        {"limit": 3, "samples": 60, "seed": 5},
+    ],
+)
+def test_search_renders_only_the_witnesses_it_returns(monkeypatch, kwargs):
+    calls = []
+    original = search_module._space_json
+
+    def counted(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(search_module, "_space_json", counted)
+    report = search(3, "transitive", **kwargs)
+    assert report.witnesses
+    assert len(calls) == len(report.witnesses)
+
+
+def test_negative_limit_is_rejected():
+    assert len(search(2, "aT0 and not aT1").witnesses) == 4
+    with pytest.raises(LimitOutOfRange, match="got -1"):
+        search(2, "aT0 and not aT1", limit=-1)
+    with pytest.raises(LimitOutOfRange):
+        search(2, "aT0 and not aT1", limit=-1, samples=50)
 
 
 def test_worker_count_never_changes_the_report():
