@@ -20,12 +20,14 @@ from .errors import (
     NotClosedUnderUnion,
     OpenSetNotInTopology,
     PointNotInOwnAura,
+    SamplesOutOfRange,
     SizeOutOfRange,
     TopologyAxiomViolation,
     UniverseTooLarge,
     UnknownAtom,
     UnknownFamily,
     UnknownPoint,
+    WorkersOutOfRange,
 )
 from .finite import (
     FiniteTopSpace,
@@ -104,9 +106,9 @@ __all__ = [
     "EmptyUniverse", "LimitOutOfRange", "MalformedDocument", "MissingEmpty",
     "MissingWhole", "NotACover", "NotAClosedFamily",
     "NotClosedUnderIntersection", "NotClosedUnderUnion",
-    "OpenSetNotInTopology", "PointNotInOwnAura",
+    "OpenSetNotInTopology", "PointNotInOwnAura", "SamplesOutOfRange",
     "SizeOutOfRange", "TopologyAxiomViolation", "UniverseTooLarge",
-    "UnknownAtom", "UnknownFamily", "UnknownPoint",
+    "UnknownAtom", "UnknownFamily", "UnknownPoint", "WorkersOutOfRange",
     "FiniteTopSpace", "PointSet", "PointUniverse", "TopologyFamily",
     "generate_topology", "is_tau_connected", "validate_topology",
     "AuraClassification", "AuraSpace", "FiniteMap", "ScopeFunction",

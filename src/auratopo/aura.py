@@ -107,6 +107,17 @@ class AuraSpace:
     def aura_topology_masks(self) -> tuple:
         return tuple(kernel.tau_a_masks(self.n, self.scope.masks))
 
+    @cached_property
+    def classification(self) -> "AuraClassification":
+        """``classify(self)``, computed once: the space is immutable, so every
+        later read returns the same value a fresh call would."""
+        return classify(self)
+
+    @cached_property
+    def separation(self) -> "SeparationAxioms":
+        """``separation_axioms(self)``, computed once, like ``classification``."""
+        return separation_axioms(self)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AuraSpace)

@@ -37,17 +37,20 @@ def _check_notion(notion: str) -> None:
         raise ValueError(f"unknown connectedness notion {notion!r}")
 
 
-def _whole_space_separation(s: AuraSpace) -> Optional[tuple]:
-    full = s.universe.full_mask
-    masks = s.aura_topology_masks
-    mask_set = set(masks)
-    for u in sorted(masks, key=family_key):
-        if u == 0 or u == full:
-            continue
-        comp = full & ~u
-        if comp in mask_set:
-            return u, comp
-    return None
+def _carrier_opens(s: AuraSpace, am: int, notion: str):
+    """The relatively open subsets of a nonempty carrier.
+
+    Returns ``(home, opens, carrier)``: the masks live in the universe of
+    ``home`` and ``carrier`` is the carrier's mask there. The whole universe
+    uses the scope topology itself; a proper carrier uses the subspace scope
+    topology (default notion) or the trace of the scope topology.
+    """
+    if am == s.universe.full_mask:
+        return s, s.aura_topology_masks, am
+    if notion == NOTION_AURA:
+        sub = subspace(s, am)
+        return sub, sub.aura_topology_masks, sub.universe.full_mask
+    return s, {o & am for o in s.aura_topology_masks}, am
 
 
 def find_aura_separation(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> Optional[Separation]:
@@ -60,36 +63,40 @@ def find_aura_separation(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> Opt
     am = s.universe.full_mask if a is None else _as_mask(s, a)
     if am == 0:
         return None
-    if am == s.universe.full_mask:
-        hit = _whole_space_separation(s)
-        if hit is None:
-            return None
-        u, v = hit
-        return Separation(PointSet(s.universe, u), PointSet(s.universe, v), notion)
-    if notion == NOTION_AURA:
-        sub = subspace(s, am)
-        hit = _whole_space_separation(sub)
-        if hit is None:
-            return None
-        u_labels = PointSet(sub.universe, hit[0]).labels()
-        v_labels = PointSet(sub.universe, hit[1]).labels()
-        return Separation(
-            s.universe.subset(u_labels), s.universe.subset(v_labels), notion
-        )
-    trace = {o & am for o in s.aura_topology_masks}
-    for u in sorted(trace, key=family_key):
-        if u == 0 or u == am:
-            continue
-        if (am & ~u) in trace:
+    home, opens, carrier = _carrier_opens(s, am, notion)
+    members = set(opens)
+    for u in sorted(members, key=family_key):
+        if u and u != carrier and (carrier & ~u) in members:
+            if home is s:
+                return Separation(PointSet(s.universe, u),
+                                  PointSet(s.universe, carrier & ~u), notion)
             return Separation(
-                PointSet(s.universe, u), PointSet(s.universe, am & ~u), notion
+                s.universe.subset(PointSet(home.universe, u).labels()),
+                s.universe.subset(PointSet(home.universe, carrier & ~u).labels()),
+                notion,
             )
     return None
 
 
 def is_aura_connected(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> bool:
-    """No separation exists (vacuously true for the empty carrier)."""
-    return find_aura_separation(s, a, notion) is None
+    """No separation exists (vacuously true for the empty carrier).
+
+    Equals ``find_aura_separation(s, a, notion) is None`` without its sort:
+    that scan returns the first relatively open proper nonempty U whose
+    complement in the carrier is relatively open too, so a separation exists
+    exactly when any such U does, and the scan order only picks which one
+    is returned. This is the test ``finite.is_tau_connected`` makes.
+    """
+    _check_notion(notion)
+    am = s.universe.full_mask if a is None else _as_mask(s, a)
+    if am == 0:
+        return True
+    _, opens, carrier = _carrier_opens(s, am, notion)
+    members = set(opens)
+    for u in members:
+        if u and u != carrier and (carrier & ~u) in members:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -98,56 +105,49 @@ class ComponentPartition:
     blocks: tuple
 
 
+def _comparability_rows(hulls) -> list:
+    """Row x is the mask of the points comparable with x: the members of
+    hull(x) and the points whose hull contains x."""
+    rows = list(hulls)
+    for y, h in enumerate(hulls):
+        bit = 1 << y
+        while h:
+            low = h & -h
+            rows[low.bit_length() - 1] |= bit
+            h ^= low
+    return rows
+
+
+def _flood(rows, seed: int, carrier: int) -> int:
+    """Points reachable from the ``seed`` bit by comparable steps that stay
+    inside the carrier."""
+    reached = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        grown = rows[low.bit_length() - 1] & carrier & ~reached
+        reached |= grown
+        frontier |= grown
+    return reached
+
+
 def aura_components(s: AuraSpace) -> ComponentPartition:
     """Partition into maximal connected pieces of the scope topology.
 
     Hull comparability (one endpoint inside the other's hull) generates
-    exactly the clopen-reachability classes on a finite space. Blocks
-    are ordered by their smallest point index.
+    exactly the clopen-reachability classes on a finite space. Each block
+    is the flood from the least point not yet placed, so blocks come out
+    ordered by their smallest point index.
     """
-    n = s.n
-    hulls = s.hull_masks
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in range(n):
-        for y in mask_indices(hulls[x]):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-    groups: dict = {}
-    for x in range(n):
-        groups.setdefault(find(x), 0)
-        groups[find(x)] |= 1 << x
-    blocks = sorted(groups.values(), key=lambda m: (m & -m).bit_length())
-    return ComponentPartition(s, tuple(PointSet(s.universe, m) for m in blocks))
-
-
-def _connected_within(hulls, carrier_mask: int) -> bool:
-    """Single comparability class within a scope-open carrier."""
-    points = list(mask_indices(carrier_mask))
-    if not points:
-        return True
-    pos = {p: k for k, p in enumerate(points)}
-    parent = list(range(len(points)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in points:
-        for q in mask_indices(hulls[p] & carrier_mask):
-            rp, rq = find(pos[p]), find(pos[q])
-            if rp != rq:
-                parent[rq] = rp
-    return sum(1 for k in range(len(points)) if find(k) == k) <= 1
+    rows = _comparability_rows(s.hull_masks)
+    full = s.universe.full_mask
+    blocks = []
+    rest = full
+    while rest:
+        block = _flood(rows, rest & -rest, full)
+        blocks.append(PointSet(s.universe, block))
+        rest &= ~block
+    return ComponentPartition(s, tuple(blocks))
 
 
 def is_aura_locally_connected(s: AuraSpace) -> bool:
@@ -155,9 +155,13 @@ def is_aura_locally_connected(s: AuraSpace) -> bool:
 
     On a finite space the hull is the smallest candidate, so local
     connectedness reduces to every hull being connected; hulls are
-    scope-open, where both subset notions agree.
+    scope-open, where both subset notions agree. The comparability rows
+    are built once for the space; each hull then needs one flood from
+    its least point, which reaches the whole hull exactly when the
+    comparability graph cut to the hull has a single class.
     """
-    return all(_connected_within(s.hull_masks, h) for h in set(s.hull_masks))
+    rows = _comparability_rows(s.hull_masks)
+    return all(_flood(rows, h & -h, h) == h for h in set(s.hull_masks))
 
 
 def is_aura_path_connected(s: AuraSpace) -> bool:
@@ -174,14 +178,7 @@ def fence_path(s: AuraSpace, start: str, end: str) -> Optional[list]:
     """Lexicographically least shortest fence between two points."""
     a = s.universe.index(start)
     b = s.universe.index(end)
-    hulls = s.hull_masks
-    adjacency = []
-    for x in range(s.n):
-        row = hulls[x]
-        for y in range(s.n):
-            if (hulls[y] >> x) & 1:
-                row |= 1 << y
-        adjacency.append(row & ~(1 << x))
+    adjacency = [row & ~(1 << x) for x, row in enumerate(_comparability_rows(s.hull_masks))]
     prev = {a: None}
     frontier = [a]
     while frontier and b not in prev:

@@ -65,6 +65,14 @@ class LimitOutOfRange(AuraError):
     """A witness limit must be a nonnegative count."""
 
 
+class SamplesOutOfRange(AuraError):
+    """A sample count must be a nonnegative count."""
+
+
+class WorkersOutOfRange(AuraError):
+    """A scan needs at least one worker."""
+
+
 class UnknownAtom(AuraError):
     def __init__(self, name):
         self.name = name

@@ -16,14 +16,20 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from . import kernel
-from .aura import AuraSpace, ScopeFunction, classify, separation_axioms
+from .aura import AuraSpace, ScopeFunction
 from .connectivity import (
     is_aura_connected,
     is_aura_locally_connected,
     is_aura_path_connected,
 )
 from .constructions import _box_mask
-from .errors import LimitOutOfRange, SizeOutOfRange, UnknownAtom
+from .errors import (
+    LimitOutOfRange,
+    SamplesOutOfRange,
+    SizeOutOfRange,
+    UnknownAtom,
+    WorkersOutOfRange,
+)
 from .finite import (
     FiniteTopSpace,
     PointSet,
@@ -96,10 +102,18 @@ def count_auras(space: FiniteTopSpace) -> int:
 # predicate atoms
 
 def _cl_idempotent(s: AuraSpace) -> bool:
+    """cl(cl A) = cl A for every A, checked on singletons only.
+
+    The closure is additive (a scope meets a union exactly when it meets
+    one of its parts) and cl({}) = {}, so cl(cl A) is the union of
+    cl(cl {x}) over x in A and cl A the union of cl {x}. Idempotence on
+    every singleton therefore gives it on every set, and the singletons
+    are sets themselves: n checks instead of 2**n.
+    """
     n = s.n
     scopes = s.scope_masks
-    for a in range(1 << n):
-        once = kernel.aura_closure_mask(n, scopes, a)
+    for x in range(n):
+        once = kernel.aura_closure_mask(n, scopes, 1 << x)
         if kernel.aura_closure_mask(n, scopes, once) != once:
             return False
     return True
@@ -115,17 +129,17 @@ def _tau_a_indiscrete(s: AuraSpace) -> bool:
 
 
 ATOMS = {
-    "transitive": lambda s: classify(s).transitive,
-    "symmetric": lambda s: classify(s).symmetric,
-    "trivial": lambda s: classify(s).trivial,
-    "discrete": lambda s: classify(s).discrete,
+    "transitive": lambda s: s.classification.transitive,
+    "symmetric": lambda s: s.classification.symmetric,
+    "trivial": lambda s: s.classification.trivial,
+    "discrete": lambda s: s.classification.discrete,
     "tauConnected": lambda s: is_tau_connected(s.space),
     "aConnected": is_aura_connected,
     "aPathConnected": is_aura_path_connected,
     "aLocallyConnected": is_aura_locally_connected,
-    "aT0": lambda s: separation_axioms(s).t0,
-    "aT1": lambda s: separation_axioms(s).t1,
-    "aT2": lambda s: separation_axioms(s).t2,
+    "aT0": lambda s: s.separation.t0,
+    "aT1": lambda s: s.separation.t1,
+    "aT2": lambda s: s.separation.t2,
     "clIdempotent": _cl_idempotent,
     "tauAEqualsTau": _tau_a_equals_tau,
     "tauAIndiscrete": _tau_a_indiscrete,
@@ -385,6 +399,11 @@ def _search_worker(args) -> Tuple[int, List[Hit]]:
     return scanned, found
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise WorkersOutOfRange(f"workers must be at least 1, got {workers}")
+
+
 def _run_partitioned(n: int, expr_text: str, workers: int) -> Tuple[int, List[Hit]]:
     jobs = [(n, expr_text, w, workers) for w in range(workers)]
     if workers <= 1:
@@ -419,7 +438,9 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
     (full scan; the fiber count is in the millions).  The whole grid is
     always scanned so reports do not depend on worker count.  ``limit``
     keeps the first witnesses in grid (or sample) order, and only those are
-    rendered; a negative limit raises ``LimitOutOfRange``.
+    rendered; a negative limit raises ``LimitOutOfRange``, a negative
+    sample count ``SamplesOutOfRange`` and fewer than one worker
+    ``WorkersOutOfRange``.
     """
     expr = parse_predicate(expression)
     if n < 0 or n > MAX_SIZE:
@@ -432,6 +453,9 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
 
     if limit is not None and limit < 0:
         raise LimitOutOfRange(f"limit must be a nonnegative count, got {limit}")
+    if samples is not None and samples < 0:
+        raise SamplesOutOfRange(f"samples must be a nonnegative count, got {samples}")
+    _check_workers(workers)
 
     if samples is not None:
         return _sampled_search(n, expr, samples, seed, limit)
@@ -472,6 +496,13 @@ def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
 # implication matrix
 
 def _matrix_worker(args) -> Tuple[int, dict]:
+    """First witness of every failed implication p => q in this worker's
+    share of the grid.
+
+    The worker visits its spaces in ascending (topology_index, aura_index)
+    order, so the first space that makes p true and q false is already the
+    least one: a pair is recorded only while it is absent.
+    """
     n, worker, workers = args
     topologies = enumerate_topologies(n)
     scanned = 0
@@ -480,32 +511,46 @@ def _matrix_worker(args) -> Tuple[int, dict]:
         space = topologies[ti]
         for aura_index, s in enumerate(enumerate_auras(space)):
             scanned += 1
-            valuation = _Valuation(s)
-            vals = {a: valuation.get(a) for a in ATOM_NAMES}
+            vals = {a: ATOMS[a](s) for a in ATOM_NAMES}
+            holds = [a for a in ATOM_NAMES if vals[a]]
+            fails = [a for a in ATOM_NAMES if not vals[a]]
             wit = None
-            for p in ATOM_NAMES:
-                if not vals[p]:
-                    continue
-                for q in ATOM_NAMES:
-                    if p == q or vals[q]:
-                        continue
-                    key = (p, q)
-                    prev = first.get(key)
-                    if prev is None or (ti, aura_index) < prev[:2]:
+            for p in holds:
+                for q in fails:
+                    if (p, q) not in first:
                         if wit is None:
                             wit = Witness(ti, aura_index, space_descriptor(s),
                                           _space_json(s), {})
-                        first[key] = (ti, aura_index, wit, vals)
+                        first[(p, q)] = (ti, aura_index, wit, vals)
     return scanned, first
 
 
-def _product_pair_pool() -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
+# A product-scan factor: (n, scope masks, hull masks).
+Factor = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+
+_FACTOR_SIZES = (2, 3)
+
+
+def _product_pair_pool() -> List[Factor]:
+    """Every 2- and 3-point space as a factor."""
     pool = []
-    for n in (2, 3):
+    for n in _FACTOR_SIZES:
         for space in enumerate_topologies(n):
             for s in enumerate_auras(space):
-                pool.append((n, s.scope_masks, tuple(sorted(s.aura_topology_masks))))
+                pool.append((n, s.scope_masks, s.hull_masks))
     return pool
+
+
+def _factors_differ(x: Factor, y: Factor, boxes: List[List[int]]) -> bool:
+    """Whether the product scope topology of two factors differs from the
+    closure of their open boxes, compared through minimal opens (see
+    ``product_strictness_scan``). ``boxes[u][v]`` is ``_box_mask(u, v, ny)``
+    for y's ``ny`` points."""
+    nx, scopes_x, hulls_x = x
+    ny, scopes_y, hulls_y = y
+    prod_scopes = [boxes[u][v] for u in scopes_x for v in scopes_y]
+    box_hulls = [boxes[u][v] for u in hulls_x for v in hulls_y]
+    return kernel.hull_masks(nx * ny, prod_scopes) != box_hulls
 
 
 _PRODUCT_SCAN_CACHE: Optional[str] = None
@@ -514,26 +559,27 @@ _PRODUCT_SCAN_CACHE: Optional[str] = None
 def product_strictness_scan() -> str:
     """Compare the product scope topology with the closure of open boxes over
     every ordered pair of 2- and 3-point factors, and say whether any pair
-    separates them."""
+    separates them.
+
+    Both families are finite topologies (boxes of scope-open sets are closed
+    under intersection), and a finite topology is the set of unions of its
+    minimal opens, so the two are equal exactly when every point has the same
+    minimal open in both. In the scope topology of the product that is the
+    product hull of (x, y). In the box closure it is hull(x) x hull(y): that
+    box is open, and every open set around (x, y) contains a box U x V with
+    x in U and y in V scope-open, hence hull(x) in U and hull(y) in V. So each
+    pair compares n_x * n_y hulls instead of two materialised topologies.
+    """
     global _PRODUCT_SCAN_CACHE
     if _PRODUCT_SCAN_CACHE is not None:
         return _PRODUCT_SCAN_CACHE
     pool = _product_pair_pool()
-    pairs = 0
-    strict = 0
-    for nx, scopes_x, tau_x in pool:
-        for ny, scopes_y, tau_y in pool:
-            pairs += 1
-            prod_scopes = []
-            for i in range(nx):
-                for j in range(ny):
-                    prod_scopes.append(_box_mask(scopes_x[i], scopes_y[j], ny))
-            tau_prod = set(kernel.tau_a_masks(nx * ny, tuple(prod_scopes)))
-            boxes = [_box_mask(u, v, ny) for u in tau_x for v in tau_y if u and v]
-            box_topo = set(kernel.union_closure(tuple(boxes)))
-            box_topo.add(0)
-            if tau_prod != box_topo:
-                strict += 1
+    # Every box the scan forms, built once and looked up per pair.
+    width = 1 << max(_FACTOR_SIZES)
+    boxes = {ny: [[_box_mask(u, v, ny) for v in range(1 << ny)] for u in range(width)]
+             for ny in _FACTOR_SIZES}
+    pairs = len(pool) ** 2
+    strict = sum(1 for x in pool for y in pool if _factors_differ(x, y, boxes[y[0]]))
     if strict:
         msg = (f"product scope topology differs from the box closure on "
                f"{strict} of {pairs} factor pairs")
@@ -548,6 +594,7 @@ def implication_matrix(n: int, workers: int = 1) -> SearchReport:
     """First-witness matrix for every ordered atom pair at the given size."""
     if n < 0 or n > MAX_FULL_SIZE:
         raise SizeOutOfRange(f"matrix supports sizes 0..{MAX_FULL_SIZE}, got {n}")
+    _check_workers(workers)
     jobs = [(n, w, workers) for w in range(workers)]
     if workers <= 1:
         results = [_matrix_worker(jobs[0])]

@@ -111,6 +111,16 @@ def test_trivial_and_discrete_scopes_are_transitive_and_symmetric():
             assert cls.transitive and cls.symmetric
 
 
+def test_memoised_facts_equal_a_fresh_computation():
+    for s in grid_and_random_spaces(seed=53, count=200):
+        fresh = AuraSpace(s.space, ScopeFunction(s.universe, s.scope_masks))
+        assert s.classification == classify(fresh)
+        assert s.separation == separation_axioms(fresh)
+        # Computed once: later reads return the same object.
+        assert s.classification is s.classification
+        assert s.separation is s.separation
+
+
 def test_separation_axioms_chain_downwards():
     for s in grid_and_random_spaces(seed=52, count=300):
         axioms = separation_axioms(s)

@@ -283,6 +283,20 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err == "error: limit must be a nonnegative count, got -1\n"
+    for argv in (
+        ("matrix", "--size", "2", "--workers", "0"),
+        ("search", "--size", "2", "--where", "trivial", "--workers", "-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: workers must be at least 1, got {argv[-1]}\n"
+    code, out, err = run_cli(
+        capsys, "search", "--size", "2", "--where", "trivial", "--samples", "-5"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: samples must be a nonnegative count, got -5\n"
 
 
 PROJECT = Path(__file__).resolve().parents[1]

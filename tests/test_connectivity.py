@@ -88,6 +88,35 @@ def test_connectedness_matches_the_oracle_on_random_spaces():
         assert is_aura_connected(s, carrier) == brute_is_connected(s.n, scopes, carrier)
 
 
+def test_whole_space_connectedness_agrees_with_the_separation_and_the_oracle():
+    seen = set()
+    for s in grid_and_random_spaces(seed=56, count=200):
+        connected = is_aura_connected(s)
+        assert connected == (find_aura_separation(s) is None)
+        assert connected == brute_is_connected(s.n, _scopes(s), s.universe.full_mask)
+        seen.add(connected)
+    assert seen == {True, False}
+
+
+def test_carrier_connectedness_agrees_with_the_separation_scan():
+    rng = random.Random(57)
+    for s in grid_and_random_spaces(seed=58, count=100):
+        carriers = range(1 << s.n) if s.n <= 3 else [rng.randrange(1 << s.n) for _ in range(6)]
+        for carrier in carriers:
+            for notion in ("aura", "tau_a"):
+                found = find_aura_separation(s, carrier, notion)
+                assert is_aura_connected(s, carrier, notion) == (found is None)
+
+
+def test_local_connectedness_is_every_hull_connected_by_the_oracle():
+    # Both sides hold on every space: each point of hull(x) is reached from x
+    # through scopes, so every hull is connected. The test pins that the
+    # flood and the definitional oracle agree.
+    for s in grid_and_random_spaces(seed=59, count=200):
+        local = is_aura_locally_connected(s)
+        assert local == all(brute_is_connected(s.n, _scopes(s), h) for h in s.hull_masks)
+
+
 def test_empty_carrier_is_vacuously_connected():
     for s in all_small_spaces(2):
         assert is_aura_connected(s, 0)

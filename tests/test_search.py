@@ -7,8 +7,10 @@ import pytest
 from auratopo import (
     ATOM_NAMES,
     LimitOutOfRange,
+    SamplesOutOfRange,
     SizeOutOfRange,
     UnknownAtom,
+    WorkersOutOfRange,
     count_auras,
     enumerate_auras,
     enumerate_topologies,
@@ -16,11 +18,12 @@ from auratopo import (
     parse_predicate,
     search,
 )
+from auratopo import kernel
 from auratopo.aura import classify, separation_axioms
 from auratopo.connectivity import is_aura_connected, is_aura_path_connected
 from auratopo.search import ATOMS, space_descriptor
-from helpers import rand_space
-from oracles import brute_topologies
+from helpers import grid_and_random_spaces, rand_space
+from oracles import brute_closure, brute_topologies
 
 # The package's `search` attribute is the function, so fetch the module itself.
 search_module = importlib.import_module("auratopo.search")
@@ -224,3 +227,100 @@ def test_witness_documents_parse_back():
         doc = dict(w.document)
         parsed = parse_document(json.dumps(doc))
         assert space_descriptor(parsed.space) == w.descriptor
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_below_one_is_rejected(workers):
+    with pytest.raises(WorkersOutOfRange, match=f"got {workers}"):
+        search(2, "trivial", workers=workers)
+    with pytest.raises(WorkersOutOfRange):
+        search(2, "trivial", workers=workers, samples=5)
+    with pytest.raises(WorkersOutOfRange):
+        implication_matrix(2, workers=workers)
+
+
+def test_negative_sample_count_is_rejected():
+    assert search(2, "trivial", samples=0).spaces_scanned == 0
+    with pytest.raises(SamplesOutOfRange, match="got -5"):
+        search(2, "trivial", samples=-5)
+
+
+def test_singleton_idempotence_matches_the_definitional_scan():
+    seen = set()
+    for s in grid_and_random_spaces(seed=81, count=150):
+        n, scopes = s.n, s.scope_masks
+        definitional = all(
+            brute_closure(n, scopes, brute_closure(n, scopes, a)) == brute_closure(n, scopes, a)
+            for a in range(1 << n)
+        )
+        assert ATOMS["clIdempotent"](s) == definitional
+        seen.add(definitional)
+    assert seen == {True, False}
+
+
+def _small_factor_pool():
+    """Every 2-point factor and every fifth 3-point one: 9 + 73 factors."""
+    pool = []
+    for n, step in ((2, 1), (3, 5)):
+        spaces = [s for top in enumerate_topologies(n) for s in enumerate_auras(top)]
+        pool.extend((n, s.scope_masks, s.hull_masks) for s in spaces[::step])
+    return pool
+
+
+def _topologies_differ(x, y):
+    """The comparison the scan used to make: the whole product scope topology
+    against the union closure of the open boxes."""
+    (nx, scopes_x, _), (ny, scopes_y, _) = x, y
+    box = search_module._box_mask
+    prod_scopes = [box(u, v, ny) for u in scopes_x for v in scopes_y]
+    tau_x = kernel.tau_a_masks(nx, list(scopes_x))
+    tau_y = kernel.tau_a_masks(ny, list(scopes_y))
+    boxes = [box(u, v, ny) for u in tau_x for v in tau_y if u and v]
+    return set(kernel.tau_a_masks(nx * ny, prod_scopes)) != set(kernel.union_closure(boxes)) | {0}
+
+
+@pytest.fixture
+def small_product_scan(monkeypatch):
+    pool = _small_factor_pool()
+    monkeypatch.setattr(search_module, "_product_pair_pool", lambda: pool)
+    monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
+    return pool
+
+
+def test_product_scan_hull_verdict_matches_the_topology_comparison(small_product_scan):
+    pool = small_product_scan
+    boxes = {ny: [[search_module._box_mask(u, v, ny) for v in range(1 << ny)]
+                  for u in range(8)] for ny in (2, 3)}
+    for x in pool:
+        for y in pool:
+            assert search_module._factors_differ(x, y, boxes[y[0]]) == _topologies_differ(x, y)
+    assert search_module.product_strictness_scan() == (
+        "product scope topology equals the box closure on all "
+        f"{len(pool) ** 2} ordered pairs of 2- and 3-point factors"
+    )
+
+
+def test_product_scan_reports_a_broken_hull(small_product_scan, monkeypatch):
+    pool = small_product_scan
+    # A scope stands in for the hull, which differs where the scope is not transitive.
+    broken = [(n, scopes, scopes) for n, scopes, _ in pool]
+    intact = sum(1 for _, scopes, hulls in pool if scopes == hulls)
+    assert 0 < intact < len(pool)
+    monkeypatch.setattr(search_module, "_product_pair_pool", lambda: broken)
+    assert search_module.product_strictness_scan() == (
+        "product scope topology differs from the box closure on "
+        f"{len(pool) ** 2 - intact ** 2} of {len(pool) ** 2} factor pairs"
+    )
+
+
+def test_product_scan_reports_a_broken_box(small_product_scan, monkeypatch):
+    pool = small_product_scan
+    box = search_module._box_mask
+    # Drops the first right-hand point from every box over two or more left points.
+    monkeypatch.setattr(search_module, "_box_mask",
+                        lambda u, v, ny: box(u, v & ~1 if u & (u - 1) else v, ny))
+    message = search_module.product_strictness_scan()
+    prefix = "product scope topology differs from the box closure on "
+    assert message.startswith(prefix)
+    strict, _, total, *_ = message[len(prefix):].split()
+    assert 0 < int(strict) and int(total) == len(pool) ** 2
