@@ -20,8 +20,8 @@ from .finite import (
     PointSet,
     PointUniverse,
     TopologyFamily,
+    _as_mask,
     mask_indices,
-    validate_topology,
 )
 
 
@@ -143,25 +143,13 @@ def make_aura_space(labels, opens, scopes, validate_tau: bool = True) -> AuraSpa
     to a label list.
     """
     universe = PointUniverse(labels)
-    sets = [universe.subset(o) for o in opens]
-    if validate_tau:
-        topo = validate_topology(universe, sets)
-    else:
-        topo = TopologyFamily(universe, {s.mask for s in sets}, validate=False)
+    topo = TopologyFamily(universe, {universe.mask_of(o) for o in opens}, validate=validate_tau)
     space = FiniteTopSpace(universe, topo)
     if isinstance(scopes, Mapping):
-        masks = [universe.subset(scopes[lab]).mask for lab in universe.labels]
+        masks = [universe.mask_of(scopes[lab]) for lab in universe.labels]
     else:
-        masks = [universe.subset(s).mask for s in scopes]
+        masks = [universe.mask_of(s) for s in scopes]
     return AuraSpace(space, ScopeFunction(universe, masks))
-
-
-def _as_mask(s: AuraSpace, a) -> int:
-    if isinstance(a, PointSet):
-        if a.universe != s.universe:
-            raise ValueError("set lives in a different universe")
-        return a.mask
-    return int(a)
 
 
 def aura_closure(s: AuraSpace, a) -> PointSet:

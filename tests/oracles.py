@@ -109,18 +109,56 @@ def brute_components(n, scopes):
     return sorted(blocks, key=lambda m: (m & -m).bit_length())
 
 
+def brute_is_topology(n, family):
+    """The finite topology axioms as stated: the empty set and the whole
+    set are members, and so are the union and the intersection of every
+    two members."""
+    fam = set(family)
+    full = (1 << n) - 1
+    if 0 not in fam or full not in fam:
+        return False
+    return all((a | b) in fam and (a & b) in fam for a in fam for b in fam)
+
+
+def brute_first_violation(n, family):
+    """First violated axiom in the canonical order, with its witness.
+
+    The order is: empty set, whole set, then every union, then every
+    intersection, of pairs a before b with members sorted by size and then
+    by their ascending point indices. Returns None for a topology,
+    ``("empty",)`` or ``("whole",)``, or ``(kind, a, b)`` with kind
+    ``"union"`` or ``"intersection"``.
+    """
+    fam = set(family)
+    full = (1 << n) - 1
+    if 0 not in fam:
+        return ("empty",)
+    if full not in fam:
+        return ("whole",)
+
+    def key(m):
+        points = [x for x in range(n) if (m >> x) & 1]
+        return (len(points), points)
+
+    ordered = sorted(fam, key=key)
+    pairs = list(itertools.combinations(ordered, 2))
+    for a, b in pairs:
+        if (a | b) not in fam:
+            return ("union", a, b)
+    for a, b in pairs:
+        if (a & b) not in fam:
+            return ("intersection", a, b)
+    return None
+
+
 def brute_topologies(n):
     """Every family over n points satisfying the finite topology axioms."""
-    full = (1 << n) - 1
     subsets = list(range(1 << n))
     out = []
     for bits in range(1 << len(subsets)):
         family = [subsets[i] for i in range(len(subsets)) if (bits >> i) & 1]
-        fam = set(family)
-        if 0 not in fam or full not in fam:
-            continue
-        if all((a | b) in fam and (a & b) in fam for a in family for b in family):
-            out.append(frozenset(fam))
+        if brute_is_topology(n, family):
+            out.append(frozenset(family))
     return out
 
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -246,6 +248,23 @@ def test_verify_paper_json_is_byte_deterministic(capsys):
     data = json.loads(first)
     assert data["ok"] is True
     assert len(data["checks"]) == 16
+
+
+def test_validate_names_the_missing_open_of_a_large_document(tmp_path, capsys):
+    # A 12-point discrete document (4,096 opens in a seeded order) with one
+    # open left out: exit 2 with the same first violated pair as a scan of
+    # every pair gives.
+    labels = [f"p{i}" for i in range(12)]
+    opens = [list(c) for k in range(13) for c in itertools.combinations(labels, k)]
+    random.Random(6).shuffle(opens)
+    gone = opens.pop(next(i for i, o in enumerate(opens) if 2 <= len(o) <= 10))
+    assert gone == ["p3", "p6", "p9", "p10"]
+    doc = {"points": labels, "opens": opens, "aura": {x: [x] for x in labels}}
+    path = tmp_path / "gap12.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: union of {p3} and {p10,p6,p9} is missing\n"
 
 
 def test_input_errors_exit_2(docs, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from auratopo import (
     NotClosedUnderUnion,
     PointSet,
     PointUniverse,
+    TopologyAxiomViolation,
     TopologyFamily,
     UniverseTooLarge,
     generate_topology,
@@ -17,6 +19,14 @@ from auratopo import (
     validate_topology,
 )
 from auratopo.finite import family_key, mask_indices, minimal_open, tau_closure, tau_interior
+from oracles import brute_first_violation, brute_is_topology
+
+VIOLATIONS = {
+    "empty": MissingEmpty,
+    "whole": MissingWhole,
+    "union": NotClosedUnderUnion,
+    "intersection": NotClosedUnderIntersection,
+}
 
 
 def test_universe_rejects_duplicates():
@@ -64,6 +74,78 @@ def test_validate_topology_reports_first_violation():
         validate_topology(PointUniverse(["a", "b", "c"]), [0, 0b011, 0b110, 0b111])
 
 
+def _validation_outcome(n, family):
+    """(error class, witness masks...) raised by ``validate_topology``, or None."""
+    try:
+        validate_topology(PointUniverse([str(i) for i in range(n)]), family)
+    except TopologyAxiomViolation as e:
+        return (type(e), *(s.mask for s in getattr(e, "witness", ())))
+    return None
+
+
+def _parity_families(seed, count):
+    """Every family on up to three points, then seeded families on four to six
+    points: generated topologies, and unclosed ones made by dropping or adding
+    a set, or by drawing the members at random."""
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            yield n, [m for m in range(1 << n) if (bits >> m) & 1]
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(4, 7)
+        full = (1 << n) - 1
+        topo = generate_topology(
+            PointUniverse([str(i) for i in range(n)]),
+            [rng.randrange(0, 1 << n) for _ in range(rng.randrange(0, n + 3))],
+        )
+        opens = sorted(topo.mask_set)
+        yield n, opens
+        yield n, [m for m in opens if m != rng.choice(opens)]
+        yield n, opens + [rng.randrange(0, 1 << n)]
+        drawn = {rng.randrange(0, 1 << n) for _ in range(rng.randrange(1, 2 * n))}
+        yield n, sorted(drawn | {0, full})
+
+
+def test_validation_matches_the_definitional_scan():
+    verdicts = set()
+    raised = set()
+    for n, family in _parity_families(seed=6, count=300):
+        got = _validation_outcome(n, family)
+        first = brute_first_violation(n, family)
+        want = None if first is None else (VIOLATIONS[first[0]], *first[1:])
+        assert got == want, (n, family)
+        assert (got is None) == brute_is_topology(n, family), (n, family)
+        verdicts.add((n, got is None))
+        if got is not None:
+            raised.add(got[0])
+    # Both verdicts on every size from two points up, and every error class.
+    assert verdicts >= {(n, ok) for n in range(2, 7) for ok in (True, False)}
+    assert raised == set(VIOLATIONS.values())
+
+
+def test_validation_rejects_singletons_without_growing_the_family():
+    # Every minimal open is a member here, so closing the minimal opens under
+    # unions would grow towards 2**64 sets; the check must not build anything.
+    u = PointUniverse([f"p{i}" for i in range(64)])
+    family = [0, u.full_mask] + [1 << i for i in range(64)]
+    start = time.perf_counter()
+    with pytest.raises(NotClosedUnderUnion) as caught:
+        validate_topology(u, family)
+    elapsed = time.perf_counter() - start
+    assert [s.text() for s in caught.value.witness] == ["{p0}", "{p1}"]
+    assert elapsed < 0.5, f"singleton family took {elapsed:.2f}s"
+
+
+def test_sixteen_point_discrete_family_validates_quickly():
+    u = PointUniverse([f"p{i}" for i in range(16)])
+    start = time.perf_counter()
+    topo = validate_topology(u, range(1 << 16))
+    elapsed = time.perf_counter() - start
+    assert len(topo) == 1 << 16
+    assert topo.minimal_masks == tuple(1 << i for i in range(16))
+    assert elapsed < 5.0, f"16-point discrete family took {elapsed:.2f}s"
+
+
 def test_generated_topology_is_valid_and_contains_subbasis():
     rng = random.Random(4)
     for _ in range(200):
@@ -106,6 +188,7 @@ def test_minimal_open_is_contained_in_every_open_neighbourhood():
     space = FiniteTopSpace(u, topo)
     m = minimal_open(space, "b").mask
     assert m in topo.mask_set
+    assert space.minimal_open_masks == topo.minimal_masks == (0b011, 0b010, 0b110)
     for o in topo.mask_set:
         if o & 0b010:
             assert not m & ~o
