@@ -8,7 +8,6 @@ import itertools
 import time
 
 from auratopo.kernel import _pykernel
-from auratopo.search import _product_pair_pool
 
 try:
     from auratopo.kernel import _fastkernel
@@ -41,15 +40,6 @@ def bench_closures(impl, auras):
     return acc
 
 
-def bench_product_connectivity(impl, pool):
-    hits = 0
-    for nx, scopes_x, _ in pool:
-        for ny, scopes_y, _ in pool:
-            if impl.product_is_connected(nx, scopes_x, ny, scopes_y):
-                hits += 1
-    return hits
-
-
 def run(name, fn, *args):
     rows = []
     for impl in (_pykernel, _fastkernel):
@@ -64,13 +54,11 @@ def run(name, fn, *args):
 
 def main():
     auras4 = _discrete4_auras()
-    pool = _product_pair_pool()
     table = []
     table += run("enumerate_preorders(4)", bench_preorders, 4)
     table += run("enumerate_preorders(5)", bench_preorders, 5)
     table += run("tau_a over discrete-4 auras (4096)", bench_tau_a, auras4)
     table += run("closures over discrete-4 auras (65536)", bench_closures, auras4)
-    table += run("product connectivity (371x371 factors)", bench_product_connectivity, pool)
 
     width = max(len(r[0]) for r in table) + 2
     print(f"{'benchmark':<{width}}{'backend':<9}{'seconds':>9}  checksum")

@@ -2,10 +2,11 @@
 compactness family.
 
 On finite universes every cover is finite, so all compactness notions
-hold outright; the functions return those constants but offer an oracle
-mode that re-derives them by exhaustive enumeration at up to four
-points. The content of the notions lives in the symbolic
-module, where the infinite models separate them.
+hold outright; the functions return those constants, and all but the
+vacuous limit point compactness offer an oracle mode that re-derives
+them by exhaustive enumeration at up to four points. The content of the
+notions lives in the symbolic module, where the infinite models
+separate them.
 """
 
 from __future__ import annotations
@@ -155,35 +156,24 @@ def is_aura_lindelof(s: AuraSpace, a=None, oracle: bool = False) -> bool:
     """Every scope-open cover has a countable subcover.
 
     A finite cover is its own countable subcover, so this is constant
-    true; the oracle confirms each covering subfamily is countable by
-    exhibiting it verbatim.
+    true; since a finite subcover is countable, the oracle re-checks it
+    through the compactness cover scan.
     """
     tm = s.universe.full_mask if a is None else _as_mask(s, a)
     if not oracle:
         return True
     _oracle_gate(s)
-    pool = [m for m in s.aura_topology_masks if m]
-    for r in range(len(pool) + 1):
-        for fam in combinations(pool, r):
-            union = 0
-            for m in fam:
-                union |= m
-            if not tm & ~union and len(fam) > len(pool):
-                return False
-    return True
+    return _cover_subfamilies_admit_finite_subcover(s, s.aura_topology_masks, tm)
 
 
-def is_aura_limit_point_compact(s: AuraSpace, a=None, oracle: bool = False) -> bool:
+def is_aura_limit_point_compact(s: AuraSpace, a=None) -> bool:
     """Every infinite subset has a scope-limit point.
 
-    Vacuously true on finite universes; the oracle verifies that no
-    subset is infinite.
+    Vacuously true on finite universes. There is no oracle mode: no
+    subset of a finite carrier is infinite, so a scan has nothing to
+    find.
     """
-    if not oracle:
-        return True
-    _oracle_gate(s)
-    # Vacuity scan: no subset of a finite universe is infinite.
-    return all(m.bit_count() <= s.n for m in range(s.universe.full_mask + 1))
+    return True
 
 
 def generalized_compactness(s: AuraSpace, cls: GeneralizedClass, oracle: bool = False) -> bool:

@@ -350,7 +350,10 @@ def _as_mask(space, a) -> int:
         if a.universe != space.universe:
             raise ValueError("set lives in a different universe")
         return a.mask
-    return int(a)
+    m = int(a)
+    if m & ~space.universe.full_mask:
+        raise ValueError("mask has bits outside the universe")
+    return m
 
 
 def tau_closure(space: FiniteTopSpace, a) -> PointSet:

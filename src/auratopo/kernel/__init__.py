@@ -34,7 +34,6 @@ is_symmetric = _impl.is_symmetric
 aura_closure_mask = _impl.aura_closure_mask
 enumerate_preorders = _impl.enumerate_preorders
 component_count = _impl.component_count
-product_is_connected = _impl.product_is_connected
 
 __all__ = [
     "BACKEND",
@@ -46,5 +45,4 @@ __all__ = [
     "aura_closure_mask",
     "enumerate_preorders",
     "component_count",
-    "product_is_connected",
 ]

@@ -155,27 +155,3 @@ def component_count(n, hulls):
                 parent[rb] = ra
     return sum(1 for x in range(n) if find(x) == x)
 
-
-def product_is_connected(nx, amasks, ny, bmasks):
-    """Connectivity of the product scope space, without materializing it.
-
-    Product point (x, y) gets index x*ny + y and scope a(x) x b(y).
-    """
-    if nx == 0 or ny == 0:
-        return True
-    paura = []
-    for x in range(nx):
-        shifts = []
-        probe = amasks[x]
-        while probe:
-            low = probe & -probe
-            shifts.append((low.bit_length() - 1) * ny)
-            probe ^= low
-        for y in range(ny):
-            by = bmasks[y]
-            m = 0
-            for s in shifts:
-                m |= by << s
-            paura.append(m)
-    total = nx * ny
-    return component_count(total, hull_masks(total, paura)) == 1

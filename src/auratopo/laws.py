@@ -915,7 +915,7 @@ def _compact_chain(ctx: LawContext, t: _Tally) -> None:
 def _compact_limit(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.all_spaces():
         t.verify(
-            not is_aura_compact(s) or is_aura_limit_point_compact(s, oracle=True),
+            not is_aura_compact(s) or is_aura_limit_point_compact(s),
             "compact space flagged not limit point compact",
             s,
         )

@@ -82,6 +82,35 @@ def brute_is_connected(n, scopes, carrier):
     return True
 
 
+def brute_first_separation(n, scopes, carrier, notion):
+    """First separation's left part in the canonical order, or None.
+
+    The relatively open subsets of the carrier are those of the subspace
+    scope topology (each scope cut to the carrier) for ``"aura"``, and the
+    trace of ``brute_tau_a`` on the carrier for ``"tau_a"``. Sorted by size
+    and then by ascending point indices, the first nonempty proper one whose
+    complement in the carrier is relatively open too is returned.
+    """
+    if notion == "aura":
+        points = [x for x in range(n) if (carrier >> x) & 1]
+        opens = {
+            a for a in range(1 << n)
+            if not a & ~carrier
+            and all(not scopes[x] & carrier & ~a for x in points if (a >> x) & 1)
+        }
+    else:
+        opens = {o & carrier for o in brute_tau_a(n, scopes)}
+
+    def key(m):
+        points = [x for x in range(n) if (m >> x) & 1]
+        return (len(points), points)
+
+    for u in sorted(opens, key=key):
+        if u and u != carrier and (carrier & ~u) in opens:
+            return u
+    return None
+
+
 def brute_components(n, scopes):
     """Blocks as maximal connected subsets, found by downward scan."""
     full = (1 << n) - 1

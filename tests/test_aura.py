@@ -15,11 +15,14 @@ from auratopo import (
     aura_topology,
     classify,
     derived_set,
+    find_aura_separation,
     generate_topology,
     hull,
     is_aura_closed,
+    is_aura_connected,
     is_aura_continuous,
     is_aura_open,
+    load_fixture,
     make_aura_space,
     separation_axioms,
 )
@@ -196,3 +199,19 @@ def test_scope_function_accepts_masks_and_validates_membership():
     assert s.scope_masks == (0b01, 0b11)
     with pytest.raises(PointNotInOwnAura):
         AuraSpace(space, ScopeFunction(u, [0b10, 0b11]))
+
+
+def test_int_masks_outside_the_universe_are_rejected():
+    s = load_fixture("rotor3")
+    calls = [
+        lambda: aura_closure(s, 0b1000),
+        lambda: aura_closure(s, -1),
+        lambda: is_aura_open(s, 0b1000),
+        lambda: is_aura_connected(s, 0b1010),
+        lambda: is_aura_connected(s, 0b1010, "tau_a"),
+        lambda: find_aura_separation(s, 0b1010),
+        lambda: find_aura_separation(s, 0b1010, "tau_a"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="mask has bits outside the universe"):
+            call()

@@ -15,7 +15,7 @@ from auratopo import (
 )
 from auratopo.finite import mask_indices
 from helpers import all_small_spaces, grid_and_random_spaces, rand_space
-from oracles import brute_components, brute_is_connected, brute_tau_a
+from oracles import brute_components, brute_first_separation, brute_is_connected, brute_tau_a
 
 
 def _scopes(s):
@@ -52,6 +52,29 @@ def test_separations_split_the_carrier_into_relatively_open_parts():
             assert _sub_open(scopes, carrier, sep.v.mask)
             # Results are phrased in the parent universe even for proper carriers.
             assert sep.u.universe is s.universe
+
+
+def test_separation_is_the_first_in_canonical_order():
+    # The brute oracle sorts every relatively open set, so this pins which
+    # separation comes back, not only that one does.
+    def check(s, carrier):
+        for notion in ("aura", "tau_a"):
+            expected = brute_first_separation(s.n, _scopes(s), carrier, notion)
+            sep = find_aura_separation(s, carrier, notion)
+            if expected is None:
+                assert sep is None
+            else:
+                assert (sep.u.mask, sep.v.mask) == (expected, carrier & ~expected)
+
+    for s in all_small_spaces(3):
+        for carrier in range(1 << s.n):
+            check(s, carrier)
+    rng = random.Random(60)
+    for _ in range(60):
+        s = rand_space(rng, rng.randrange(4, 7))
+        for carrier in rng.sample(range(1 << s.n), 12):
+            check(s, carrier)
+        check(s, s.universe.full_mask)
 
 
 def test_separation_parts_are_nonempty_and_disjoint():

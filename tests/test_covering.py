@@ -143,5 +143,16 @@ def test_compactness_oracles_agree_at_small_size():
         assert is_aura_compact(s, oracle=True)
         assert is_countably_aura_compact(s, oracle=True)
         assert is_aura_lindelof(s, oracle=True)
-        assert is_aura_limit_point_compact(s, oracle=True)
         assert generalized_compactness(s, GeneralizedClass.BETA, oracle=True)
+
+
+def test_lindelof_oracle_fails_when_a_cover_has_no_subcover(monkeypatch):
+    # The oracle must be able to say no: with a subcover search that never
+    # finds one, some covering subfamily has no countable subcover.
+    def no_subcover(*args):
+        raise NotACover("forced")
+
+    monkeypatch.setattr("auratopo.covering.minimal_subcover", no_subcover)
+    s = _space3()
+    assert is_aura_lindelof(s)
+    assert not is_aura_lindelof(s, oracle=True)

@@ -12,9 +12,7 @@ except ImportError:
     _fastkernel = None
 
 from auratopo.aura import AuraSpace, ScopeFunction
-from auratopo.connectivity import is_aura_connected
-from auratopo.constructions import product
-from helpers import all_small_spaces, rand_space
+from helpers import all_small_spaces
 from oracles import brute_closure, brute_hull, brute_tau_a
 
 BACKENDS = [_pykernel] + ([_fastkernel] if _fastkernel is not None else [])
@@ -119,24 +117,8 @@ def test_component_count_matches_the_component_partition():
             assert impl.component_count(s.n, list(s.hull_masks)) == expected
 
 
-def test_product_connectivity_agrees_with_the_materialized_product():
-    rng = random.Random(94)
-    for _ in range(60):
-        a = rand_space(rng, rng.randrange(1, 4))
-        b = rand_space(rng, rng.randrange(1, 4))
-        expected = is_aura_connected(product(a, b))
-        for impl in BACKENDS:
-            assert (
-                impl.product_is_connected(
-                    a.n, list(a.scope.masks), b.n, list(b.scope.masks)
-                )
-                == expected
-            )
-
-
-def test_empty_factor_products_count_as_connected():
+def test_empty_space_has_no_components():
     for impl in BACKENDS:
-        assert impl.product_is_connected(0, [], 2, [1, 2])
         assert impl.component_count(0, []) == 0
 
 
