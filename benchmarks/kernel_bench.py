@@ -7,6 +7,7 @@ is skipped with a note when the extension is not built.
 import itertools
 import time
 
+from auratopo import enumerate_auras, enumerate_topologies
 from auratopo.kernel import _pykernel
 
 try:
@@ -40,6 +41,16 @@ def bench_closures(impl, auras):
     return acc
 
 
+def _size4_hulls():
+    """The hull tuple of every size-4 space (59,123 of them)."""
+    return [list(s.hull_masks) for top in enumerate_topologies(4)
+            for s in enumerate_auras(top)]
+
+
+def bench_components(impl, hulls):
+    return sum(impl.component_count(4, h) for h in hulls)
+
+
 def run(name, fn, *args):
     rows = []
     for impl in (_pykernel, _fastkernel):
@@ -59,6 +70,8 @@ def main():
     table += run("enumerate_preorders(5)", bench_preorders, 5)
     table += run("tau_a over discrete-4 auras (4096)", bench_tau_a, auras4)
     table += run("closures over discrete-4 auras (65536)", bench_closures, auras4)
+    table += run("component_count over size-4 hulls (59123)", bench_components,
+                 _size4_hulls())
 
     width = max(len(r[0]) for r in table) + 2
     print(f"{'benchmark':<{width}}{'backend':<9}{'seconds':>9}  checksum")

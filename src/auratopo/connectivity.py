@@ -14,7 +14,7 @@ scope-open carriers and on the whole universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import kernel
 from .finite import PointSet, family_key, mask_indices
@@ -38,15 +38,15 @@ def _check_notion(notion: str) -> None:
         raise ValueError(f"unknown connectedness notion {notion!r}")
 
 
-def _carrier_rows(s: AuraSpace, am: int, notion: str) -> list:
+def _carrier_rows(s: AuraSpace, am: int, notion: str) -> Sequence[int]:
     """Comparability rows whose flood inside the carrier yields its
     components. A proper carrier under the default notion gets the
     subspace hulls, kept in the universe of ``s`` by giving each point
     outside the carrier the scope {x}."""
     if notion == NOTION_TAU or am == s.universe.full_mask:
-        return _comparability_rows(s.hull_masks)
+        return s.comparability_rows
     cut = [m & am if am >> x & 1 else 1 << x for x, m in enumerate(s.scope.masks)]
-    return _comparability_rows(kernel.hull_masks(s.n, cut))
+    return kernel.comparability_rows(kernel.hull_masks(s.n, cut))
 
 
 def find_aura_separation(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> Optional[Separation]:
@@ -65,7 +65,7 @@ def find_aura_separation(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> Opt
     """
     _check_notion(notion)
     am = s.universe.full_mask if a is None else _as_mask(s, a)
-    blocks = _blocks(_carrier_rows(s, am, notion), am)
+    blocks = kernel.flood_blocks(_carrier_rows(s, am, notion), am)
     if len(blocks) < 2:
         return None
     u = min(blocks, key=family_key)
@@ -83,51 +83,13 @@ def is_aura_connected(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> bool:
     am = s.universe.full_mask if a is None else _as_mask(s, a)
     if am == 0:
         return True
-    return _flood(_carrier_rows(s, am, notion), am & -am, am) == am
+    return kernel.flood(_carrier_rows(s, am, notion), am & -am, am) == am
 
 
 @dataclass(frozen=True)
 class ComponentPartition:
     space: AuraSpace
     blocks: tuple
-
-
-def _comparability_rows(hulls) -> list:
-    """Row x is the mask of the points comparable with x: the members of
-    hull(x) and the points whose hull contains x."""
-    rows = list(hulls)
-    for y, h in enumerate(hulls):
-        bit = 1 << y
-        while h:
-            low = h & -h
-            rows[low.bit_length() - 1] |= bit
-            h ^= low
-    return rows
-
-
-def _flood(rows, seed: int, carrier: int) -> int:
-    """Points reachable from the ``seed`` bit by comparable steps that stay
-    inside the carrier."""
-    reached = frontier = seed
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        grown = rows[low.bit_length() - 1] & carrier & ~reached
-        reached |= grown
-        frontier |= grown
-    return reached
-
-
-def _blocks(rows, carrier: int) -> list:
-    """Component masks of the carrier, each the flood from the least point
-    not yet placed, so they come out ordered by their smallest index."""
-    blocks = []
-    rest = carrier
-    while rest:
-        block = _flood(rows, rest & -rest, carrier)
-        blocks.append(block)
-        rest &= ~block
-    return blocks
 
 
 def aura_components(s: AuraSpace) -> ComponentPartition:
@@ -137,7 +99,7 @@ def aura_components(s: AuraSpace) -> ComponentPartition:
     exactly the clopen-reachability classes on a finite space; the blocks
     are ordered by their smallest point index.
     """
-    blocks = _blocks(_comparability_rows(s.hull_masks), s.universe.full_mask)
+    blocks = kernel.flood_blocks(s.comparability_rows, s.universe.full_mask)
     return ComponentPartition(s, tuple(PointSet(s.universe, b) for b in blocks))
 
 
@@ -146,13 +108,13 @@ def is_aura_locally_connected(s: AuraSpace) -> bool:
 
     On a finite space the hull is the smallest candidate, so local
     connectedness reduces to every hull being connected; hulls are
-    scope-open, where both subset notions agree. The comparability rows
-    are built once for the space; each hull then needs one flood from
-    its least point, which reaches the whole hull exactly when the
-    comparability graph cut to the hull has a single class.
+    scope-open, where both subset notions agree. Each hull needs one
+    flood of the space's comparability rows from its least point, which
+    reaches the whole hull exactly when the comparability graph cut to
+    the hull has a single class.
     """
-    rows = _comparability_rows(s.hull_masks)
-    return all(_flood(rows, h & -h, h) == h for h in set(s.hull_masks))
+    rows = s.comparability_rows
+    return all(kernel.flood(rows, h & -h, h) == h for h in set(s.hull_masks))
 
 
 def is_aura_path_connected(s: AuraSpace) -> bool:
@@ -169,7 +131,7 @@ def fence_path(s: AuraSpace, start: str, end: str) -> Optional[list]:
     """Lexicographically least shortest fence between two points."""
     a = s.universe.index(start)
     b = s.universe.index(end)
-    adjacency = [row & ~(1 << x) for x, row in enumerate(_comparability_rows(s.hull_masks))]
+    adjacency = [row & ~(1 << x) for x, row in enumerate(s.comparability_rows)]
     prev = {a: None}
     frontier = [a]
     while frontier and b not in prev:

@@ -4,7 +4,9 @@ All functions speak plain ints. A subset of an n-point universe is the
 mask with bit i set for the i-th point; a scope assignment is a list of
 n masks, one per point, with bit i set in entry i. The compiled kernel
 implements the same contract; either backend must produce identical
-output for identical input.
+output for identical input. ``comparability_rows``, ``flood`` and
+``flood_blocks`` have no compiled twin: the kernel facade serves these
+to both backends.
 """
 
 from __future__ import annotations
@@ -127,31 +129,51 @@ def enumerate_preorders(n):
     return out
 
 
+def comparability_rows(hulls):
+    """Row x is the mask of the points comparable with x: the members of
+    hull(x) and the points whose hull contains x."""
+    rows = list(hulls)
+    for y, h in enumerate(hulls):
+        bit = 1 << y
+        while h:
+            low = h & -h
+            rows[low.bit_length() - 1] |= bit
+            h ^= low
+    return rows
+
+
+def flood(rows, seed, carrier):
+    """Points reachable from the ``seed`` bit by steps along ``rows`` that
+    stay inside the carrier."""
+    reached = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        grown = rows[low.bit_length() - 1] & carrier & ~reached
+        reached |= grown
+        frontier |= grown
+    return reached
+
+
+def flood_blocks(rows, carrier):
+    """Classes of the carrier, each the flood from the least point not yet
+    placed, so they come out ordered by their smallest index."""
+    blocks = []
+    rest = carrier
+    while rest:
+        block = flood(rows, rest & -rest, carrier)
+        blocks.append(block)
+        rest &= ~block
+    return blocks
+
+
 def component_count(n, hulls):
     """Connected pieces of the comparability graph of the hulls.
 
     x and y are adjacent when one lies in the other's hull; classes of
     the induced reachability are exactly the components of the finite
-    space whose minimal opens are the hulls.
+    space whose minimal opens are the hulls. Each class is one bitmask
+    flood of the comparability rows from the least point not yet placed,
+    so the count is the number of floods it takes to place all n points.
     """
-    if n == 0:
-        return 0
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x in range(n):
-        probe = hulls[x]
-        while probe:
-            low = probe & -probe
-            y = low.bit_length() - 1
-            probe ^= low
-            ra, rb = find(x), find(y)
-            if ra != rb:
-                parent[rb] = ra
-    return sum(1 for x in range(n) if find(x) == x)
-
+    return len(flood_blocks(comparability_rows(hulls), (1 << n) - 1))

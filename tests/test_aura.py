@@ -75,6 +75,12 @@ def test_scope_topology_and_hulls_match_definitions():
         assert sorted(s.aura_topology_masks) == brute_tau_a(n, scopes)
         for i, lab in enumerate(s.universe.labels):
             assert hull(s, lab).mask == brute_hull(n, scopes, i)
+        # x and y are comparable when one lies in the other's hull.
+        hulls = [brute_hull(n, scopes, x) for x in range(n)]
+        assert s.comparability_rows == tuple(
+            sum(1 << y for y in range(n) if hulls[x] >> y & 1 or hulls[y] >> x & 1)
+            for x in range(n)
+        )
 
 
 def test_aura_topology_returns_valid_family():

@@ -12,8 +12,8 @@ except ImportError:
     _fastkernel = None
 
 from auratopo.aura import AuraSpace, ScopeFunction
-from helpers import all_small_spaces
-from oracles import brute_closure, brute_hull, brute_tau_a
+from helpers import all_small_spaces, rand_space
+from oracles import brute_closure, brute_components, brute_hull, brute_tau_a
 
 BACKENDS = [_pykernel] + ([_fastkernel] if _fastkernel is not None else [])
 
@@ -109,10 +109,13 @@ def test_preorders_really_are_reflexive_and_transitive():
 
 
 def test_component_count_matches_the_component_partition():
-    from auratopo.connectivity import aura_components
-
-    for s in all_small_spaces(3):
-        expected = len(aura_components(s).blocks)
+    # brute_components scans subsets for maximal connected ones and floods
+    # nothing, so it is independent of both kernels and of aura_components.
+    rng = random.Random(94)
+    spaces = list(all_small_spaces(3)) + [rand_space(rng, rng.randrange(4, 7))
+                                          for _ in range(40)]
+    for s in spaces:
+        expected = len(brute_components(s.n, s.scope_masks))
         for impl in BACKENDS:
             assert impl.component_count(s.n, list(s.hull_masks)) == expected
 

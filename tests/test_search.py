@@ -219,6 +219,36 @@ def test_matrix_reports_every_ordered_pair():
     assert "productScan" in data
 
 
+def _brute_first_witnesses(n):
+    """First (topology_index, aura_index, descriptor) of every failing ordered
+    atom pair, from a plain grid scan that evaluates every atom on every
+    space and skips nothing."""
+    first = {}
+    for ti, top in enumerate(enumerate_topologies(n)):
+        for ai, s in enumerate(enumerate_auras(top)):
+            vals = {a: fn(s) for a, fn in ATOMS.items()}
+            for p in ATOM_NAMES:
+                for q in ATOM_NAMES:
+                    if vals[p] and not vals[q] and (p, q) not in first:
+                        first[(p, q)] = (ti, ai, space_descriptor(s))
+    return first
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_matrix_matches_a_brute_first_witness_scan(n, workers):
+    expected = _brute_first_witnesses(n)
+    report = implication_matrix(n, workers=workers)
+    assert list(report.implications) == [
+        (p, q) for p in ATOM_NAMES for q in ATOM_NAMES if p != q]
+    for (p, q), w in report.implications.items():
+        if (p, q) not in expected:
+            assert w is None
+        else:
+            assert (w.topology_index, w.aura_index, w.descriptor) == expected[(p, q)]
+            assert w.valuation == {p: True, q: False}
+
+
 def test_witness_documents_parse_back():
     from auratopo import parse_document
 
@@ -324,3 +354,36 @@ def test_product_scan_reports_a_broken_box(small_product_scan, monkeypatch):
     assert message.startswith(prefix)
     strict, _, total, *_ = message[len(prefix):].split()
     assert 0 < int(strict) and int(total) == len(pool) ** 2
+
+
+def test_product_scan_decides_each_distinct_factor_pair_once(monkeypatch):
+    pool = _small_factor_pool() * 2
+    calls = []
+    differ = search_module._factors_differ
+
+    def counted(x, y, boxes):
+        calls.append((x, y))
+        return differ(x, y, boxes)
+
+    monkeypatch.setattr(search_module, "_factors_differ", counted)
+    monkeypatch.setattr(search_module, "_product_pair_pool", lambda: pool)
+    monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
+    distinct = len(set(pool))
+    assert distinct <= len(pool) // 2
+    assert search_module.product_strictness_scan() == (
+        "product scope topology equals the box closure on all "
+        f"{len(pool) ** 2} ordered pairs of 2- and 3-point factors"
+    )
+    assert len(calls) == distinct ** 2
+
+    # The strict pairs are weighted by multiplicity, as in a scan of every pair.
+    broken = [(n, scopes, scopes) for n, scopes, _ in pool]
+    intact = sum(1 for _, scopes, hulls in pool if scopes == hulls)
+    calls.clear()
+    monkeypatch.setattr(search_module, "_product_pair_pool", lambda: broken)
+    monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
+    assert search_module.product_strictness_scan() == (
+        "product scope topology differs from the box closure on "
+        f"{len(pool) ** 2 - intact ** 2} of {len(pool) ** 2} factor pairs"
+    )
+    assert len(calls) == len(set(broken)) ** 2
