@@ -10,9 +10,11 @@ materialized here through minimal hulls rather than a powerset scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import kernel
+from .kernel.comparability import comparability_rows
 from .errors import OpenSetNotInTopology, PointNotInOwnAura
 from .finite import (
     FiniteTopSpace,
@@ -22,30 +24,6 @@ from .finite import (
     _as_mask,
     mask_indices,
 )
-
-
-class _memo:
-    """``functools.cached_property`` without its lock.
-
-    Up to Python 3.11 that property takes a lock on the first read of each
-    instance, and a grid scan reads most facts of a space once, so the lock
-    costs about as much as building the space's comparability rows. The
-    values memoised here depend only on the immutable space, so two threads
-    racing on a first read store equal values.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 class ScopeFunction:
@@ -121,29 +99,29 @@ class AuraSpace:
     def scope_masks(self) -> tuple:
         return self.scope.masks
 
-    @_memo
+    @cached_property
     def hull_masks(self) -> tuple:
         """Minimal scope-open set around each point."""
         return tuple(kernel.hull_masks(self.n, self.scope.masks))
 
-    @_memo
+    @cached_property
     def comparability_rows(self) -> tuple:
         """Per point, the points comparable with it: the members of its hull
         and the points whose hull contains it. Connectivity floods these
         rows on the whole space, and on any carrier under ``tau_a``."""
-        return tuple(kernel.comparability_rows(self.hull_masks))
+        return tuple(comparability_rows(self.hull_masks))
 
-    @_memo
+    @cached_property
     def aura_topology_masks(self) -> tuple:
         return tuple(kernel.tau_a_masks(self.n, self.scope.masks))
 
-    @_memo
+    @cached_property
     def classification(self) -> "AuraClassification":
         """``classify(self)``, computed once: the space is immutable, so every
         later read returns the same value a fresh call would."""
         return classify(self)
 
-    @_memo
+    @cached_property
     def separation(self) -> "SeparationAxioms":
         """``separation_axioms(self)``, computed once, like ``classification``."""
         return separation_axioms(self)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import kernel
+from .kernel.comparability import comparability_rows, flood, flood_blocks
 from .finite import PointSet, family_key, mask_indices
 from .aura import AuraSpace, _as_mask
 
@@ -46,7 +47,7 @@ def _carrier_rows(s: AuraSpace, am: int, notion: str) -> Sequence[int]:
     if notion == NOTION_TAU or am == s.universe.full_mask:
         return s.comparability_rows
     cut = [m & am if am >> x & 1 else 1 << x for x, m in enumerate(s.scope.masks)]
-    return kernel.comparability_rows(kernel.hull_masks(s.n, cut))
+    return comparability_rows(kernel.hull_masks(s.n, cut))
 
 
 def find_aura_separation(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> Optional[Separation]:
@@ -65,7 +66,7 @@ def find_aura_separation(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> Opt
     """
     _check_notion(notion)
     am = s.universe.full_mask if a is None else _as_mask(s, a)
-    blocks = kernel.flood_blocks(_carrier_rows(s, am, notion), am)
+    blocks = flood_blocks(_carrier_rows(s, am, notion), am)
     if len(blocks) < 2:
         return None
     u = min(blocks, key=family_key)
@@ -83,7 +84,7 @@ def is_aura_connected(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> bool:
     am = s.universe.full_mask if a is None else _as_mask(s, a)
     if am == 0:
         return True
-    return kernel.flood(_carrier_rows(s, am, notion), am & -am, am) == am
+    return flood(_carrier_rows(s, am, notion), am & -am, am) == am
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def aura_components(s: AuraSpace) -> ComponentPartition:
     exactly the clopen-reachability classes on a finite space; the blocks
     are ordered by their smallest point index.
     """
-    blocks = kernel.flood_blocks(s.comparability_rows, s.universe.full_mask)
+    blocks = flood_blocks(s.comparability_rows, s.universe.full_mask)
     return ComponentPartition(s, tuple(PointSet(s.universe, b) for b in blocks))
 
 
@@ -114,7 +115,7 @@ def is_aura_locally_connected(s: AuraSpace) -> bool:
     the hull has a single class.
     """
     rows = s.comparability_rows
-    return all(kernel.flood(rows, h & -h, h) == h for h in set(s.hull_masks))
+    return all(flood(rows, h & -h, h) == h for h in set(s.hull_masks))
 
 
 def is_aura_path_connected(s: AuraSpace) -> bool:

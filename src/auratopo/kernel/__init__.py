@@ -3,16 +3,12 @@
 The compiled extension is preferred when importable; the pure Python
 twin is the fallback. AURATOPO_KERNEL=python forces the fallback,
 AURATOPO_KERNEL=c insists on the extension (and raises if absent), so
-benchmarks and tests can pin a backend. ``comparability_rows``, ``flood``
-and ``flood_blocks`` have one implementation, in the pure Python twin,
-which both backends share.
+benchmarks and tests can pin a backend.
 """
 
 from __future__ import annotations
 
 import os
-
-from . import _pykernel
 
 _requested = os.environ.get("AURATOPO_KERNEL", "auto").strip().lower()
 
@@ -38,9 +34,6 @@ is_symmetric = _impl.is_symmetric
 aura_closure_mask = _impl.aura_closure_mask
 enumerate_preorders = _impl.enumerate_preorders
 component_count = _impl.component_count
-comparability_rows = _pykernel.comparability_rows
-flood = _pykernel.flood
-flood_blocks = _pykernel.flood_blocks
 
 __all__ = [
     "BACKEND",
@@ -52,7 +45,4 @@ __all__ = [
     "aura_closure_mask",
     "enumerate_preorders",
     "component_count",
-    "comparability_rows",
-    "flood",
-    "flood_blocks",
 ]

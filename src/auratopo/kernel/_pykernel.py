@@ -4,12 +4,12 @@ All functions speak plain ints. A subset of an n-point universe is the
 mask with bit i set for the i-th point; a scope assignment is a list of
 n masks, one per point, with bit i set in entry i. The compiled kernel
 implements the same contract; either backend must produce identical
-output for identical input. ``comparability_rows``, ``flood`` and
-``flood_blocks`` have no compiled twin: the kernel facade serves these
-to both backends.
+output for identical input.
 """
 
 from __future__ import annotations
+
+from .comparability import comparability_rows, flood_blocks
 
 BACKEND = "python"
 
@@ -127,44 +127,6 @@ def enumerate_preorders(n):
 
     place(0)
     return out
-
-
-def comparability_rows(hulls):
-    """Row x is the mask of the points comparable with x: the members of
-    hull(x) and the points whose hull contains x."""
-    rows = list(hulls)
-    for y, h in enumerate(hulls):
-        bit = 1 << y
-        while h:
-            low = h & -h
-            rows[low.bit_length() - 1] |= bit
-            h ^= low
-    return rows
-
-
-def flood(rows, seed, carrier):
-    """Points reachable from the ``seed`` bit by steps along ``rows`` that
-    stay inside the carrier."""
-    reached = frontier = seed
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        grown = rows[low.bit_length() - 1] & carrier & ~reached
-        reached |= grown
-        frontier |= grown
-    return reached
-
-
-def flood_blocks(rows, carrier):
-    """Classes of the carrier, each the flood from the least point not yet
-    placed, so they come out ordered by their smallest index."""
-    blocks = []
-    rest = carrier
-    while rest:
-        block = flood(rows, rest & -rest, carrier)
-        blocks.append(block)
-        rest &= ~block
-    return blocks
 
 
 def component_count(n, hulls):
