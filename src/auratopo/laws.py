@@ -10,6 +10,12 @@ Closure values inside the shared fact tables are read through the
 kernel module attribute on purpose: patching ``kernel.aura_closure_mask``
 must make the closure laws fail loudly, which the test suite uses to
 prove the laws are live.
+
+Laws whose instances repeat one verdict many times (the convergence
+criterion, the product laws, the cover scan) run through class replay
+(``_Replay``): each class of instances that read the same inputs is
+decided once through the operators, and a class that fails is replayed
+in full, so reports under a fault keep their bytes.
 """
 
 from __future__ import annotations
@@ -61,13 +67,12 @@ Message = Union[str, Callable[[], str]]
 class SpaceFacts:
     """Memoised per-space tables shared by every law.
 
-    Only the closure table is filled at construction. Every other table
-    is built on first use, so a space pays only for the tables that the
-    laws run over it read: the product spaces, for instance, never need
-    derived sets or interiors.
+    Every table is built on first use, so a space pays only for the
+    tables that the laws run over it read: most product spaces, for
+    instance, never need closures, derived sets or interiors.
     """
 
-    __slots__ = ("space", "n", "size", "full", "scopes", "hulls", "cl", "__dict__")
+    __slots__ = ("space", "n", "size", "full", "scopes", "__dict__")
 
     def __init__(self, s: AuraSpace):
         self.space = s
@@ -75,9 +80,15 @@ class SpaceFacts:
         self.size = 1 << s.n
         self.full = s.universe.full_mask
         self.scopes = s.scope.masks
-        self.hulls = s.hull_masks
+
+    @cached_property
+    def hulls(self) -> tuple:
+        return self.space.hull_masks
+
+    @cached_property
+    def cl(self) -> list:
         # The closure table is the fault-injection point for the suite.
-        self.cl = [kernel.aura_closure_mask(self.n, self.scopes, a) for a in range(self.size)]
+        return [kernel.aura_closure_mask(self.n, self.scopes, a) for a in range(self.size)]
 
     @cached_property
     def d(self) -> list:
@@ -245,6 +256,59 @@ class _Tally:
                 detail = detail()
             where = f" | space: {space_descriptor(s)}" if s is not None else ""
             self.messages.append(f"{self.law}: {detail}{where}")
+
+
+class _Replay:
+    """Class replay: decide each class of check instances once.
+
+    A law hands each check instance to :meth:`run` under a key built
+    from exactly the inputs its verdict reads, so every instance of a
+    key makes the same checks with the same outcomes. The first instance
+    of a key runs its checks through the public operators. Once a key
+    has passed, later instances only add their check count. A key that
+    failed is never marked passed: every later instance of it runs in
+    full, in its original place, so the failed count and the first
+    messages are those of a full run under any fault whose effect
+    depends only on the key.
+
+    The trade-off is that a replayed instance no longer runs the
+    operators: a fault that reads an input outside the key passes. Each
+    law argues in its docstring that its key holds every input it reads,
+    and the test suite checks the convergence key against every sequence
+    it stands for, on all spaces up to two points and a sample of the
+    three-point ones.
+    """
+
+    def __init__(self, t: _Tally):
+        self.t = t
+        self.passed: Dict[object, int] = {}
+
+    def run(self, key, checks: Callable[[], None]) -> None:
+        count = self.passed.get(key)
+        if count is not None:
+            self.t.checks += count
+            return
+        before, failed = self.t.checks, self.t.failed
+        checks()
+        if self.t.failed == failed:
+            self.passed[key] = self.t.checks - before
+
+
+def _pair_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
+    """Replay key of a factor pair: both sizes and both scope tuples.
+
+    It is sufficient for every verdict that reads only scope data. The
+    closure of a set collects the points whose scope meets it, the hull
+    of x collects the points reached from x through scopes, and τ_a is
+    the unions of hulls: all three are functions of the scopes. The
+    scopes of the product are the boxes a(x) × b(y) of the factor
+    scopes, in an order fixed by the two sizes, so the closure, hulls
+    and τ_a of the product are functions of the key too, as are the
+    box family built from the two τ_a and the projection maps. The
+    ambient topologies are not in the key, so no verdict that reads
+    them may be replayed.
+    """
+    return (sx.n, sx.scope.masks, sy.n, sy.scope.masks)
 
 
 @dataclass(frozen=True)
@@ -520,19 +584,26 @@ def _subspace_tau(ctx: LawContext, t: _Tally) -> None:
     "closure of a box is the box of the closures",
 )
 def _product_closure(ctx: LawContext, t: _Tally) -> None:
+    """Replayed per factor pair under ``_pair_key``: the product closure
+    and both factor closures are functions of the scopes."""
+    replay = _Replay(t)
     for sx, sy in ctx.factor_pairs():
-        fx, fy = ctx.facts(sx), ctx.facts(sy)
-        prod = ctx.product_of(sx, sy)
-        fp = ctx.facts(prod)
-        for a in range(fx.size):
-            for b in range(fy.size):
-                got = fp.cl[_box_mask(a, b, fy.n)]
-                want = _box_mask(fx.cl[a], fy.cl[b], fy.n)
-                t.verify(
-                    got == want,
-                    lambda: f"box closure mismatch on {a:#x} x {b:#x}",
-                    prod,
-                )
+
+        def checks() -> None:
+            fx, fy = ctx.facts(sx), ctx.facts(sy)
+            prod = ctx.product_of(sx, sy)
+            fp = ctx.facts(prod)
+            for a in range(fx.size):
+                for b in range(fy.size):
+                    got = fp.cl[_box_mask(a, b, fy.n)]
+                    want = _box_mask(fx.cl[a], fy.cl[b], fy.n)
+                    t.verify(
+                        got == want,
+                        lambda: f"box closure mismatch on {a:#x} x {b:#x}",
+                        prod,
+                    )
+
+        replay.run(_pair_key(sx, sy), checks)
 
 
 @_law(
@@ -541,18 +612,24 @@ def _product_closure(ctx: LawContext, t: _Tally) -> None:
     "boxes of scope-open sets generate a subfamily of the product scope topology, inside the product topology",
 )
 def _product_chain(ctx: LawContext, t: _Tally) -> None:
+    """The box-family half reads the two factor τ_a and the product τ_a,
+    so it is replayed under ``_pair_key``. The other half reads the
+    product topology, built from the factor topologies, so it runs on
+    every pair."""
+    replay = _Replay(t)
     for sx, sy in ctx.factor_pairs():
         prod = ctx.product_of(sx, sy)
         fp = ctx.facts(prod)
-        box_family = product_topology_of_factors(sx, sy).mask_set
-        ambient = prod.space.topology.mask_set
-        t.verify(
-            box_family <= fp.tau_a_set,
-            "box-generated family escapes the product scope topology",
-            prod,
+        replay.run(
+            _pair_key(sx, sy),
+            lambda: t.verify(
+                product_topology_of_factors(sx, sy).mask_set <= fp.tau_a_set,
+                "box-generated family escapes the product scope topology",
+                prod,
+            ),
         )
         t.verify(
-            fp.tau_a_set <= ambient,
+            fp.tau_a_set <= prod.space.topology.mask_set,
             "product scope topology escapes the product topology",
             prod,
         )
@@ -564,18 +641,22 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
     "with transitive factors the box-generated family is the whole product scope topology",
 )
 def _product_equality(ctx: LawContext, t: _Tally) -> None:
+    """Replayed under ``_pair_key``: transitivity, the box family and the
+    product τ_a are functions of the scopes."""
+    replay = _Replay(t)
     for sx, sy in ctx.factor_pairs():
-        fx, fy = ctx.facts(sx), ctx.facts(sy)
-        if not (fx.cls.transitive and fy.cls.transitive):
-            continue
-        prod = ctx.product_of(sx, sy)
-        fp = ctx.facts(prod)
-        box_family = product_topology_of_factors(sx, sy).mask_set
-        t.verify(
-            box_family == fp.tau_a_set,
-            "transitive factors produced a strictly larger product scope topology",
-            prod,
-        )
+
+        def checks() -> None:
+            if not (ctx.facts(sx).cls.transitive and ctx.facts(sy).cls.transitive):
+                return
+            prod = ctx.product_of(sx, sy)
+            t.verify(
+                product_topology_of_factors(sx, sy).mask_set == ctx.facts(prod).tau_a_set,
+                "transitive factors produced a strictly larger product scope topology",
+                prod,
+            )
+
+        replay.run(_pair_key(sx, sy), checks)
 
 
 @_law(
@@ -758,37 +839,71 @@ def _convergence_sequences(universe: PointUniverse) -> list:
     return out
 
 
+def _cycle_classes(table: list) -> list:
+    """One representative per cycle mask, the first sequence of the table
+    with that mask, with the number of sequences it stands for."""
+    reps: Dict[int, list] = {}
+    for q, text in table:
+        reps.setdefault(q.cycle_mask(), [q, text, 0])[2] += 1
+    return list(reps.values())
+
+
+def _convergence_checks(t: _Tally, s: AuraSpace, q: EvPSequence, text: str, transitive: bool) -> None:
+    for x in s.universe.labels:
+        crit = transitive_criterion(s, q, x)
+        conv = converges_to(s, q, x)
+        t.verify(
+            not crit or conv,
+            lambda: f"criterion holds at {x} for {text} without convergence",
+            s,
+        )
+        if transitive:
+            t.verify(
+                crit == conv,
+                lambda: f"criterion and convergence split at {x} for {text} on a transitive space",
+                s,
+            )
+
+
 @_law(
     "transitive-convergence-criterion",
     CORE,
     "eventual containment in the scope matches convergence on transitive spaces",
 )
 def _convergence(ctx: LawContext, t: _Tally) -> None:
-    tables: Dict[PointUniverse, list] = {}
+    """Class replay per space, keyed by the cycle mask.
+
+    ``aura_limits`` tests cycle ⊆ hull(x) and ``transitive_criterion``
+    tests cycle ⊆ a(x); both read a sequence only through
+    ``q.cycle_mask()``, and ``converges_to`` only through
+    ``aura_limits``. So on one space every sequence with a given cycle
+    mask gets the verdicts of the first one, which runs through the
+    operators and stands for all of them. If any representative fails,
+    the space's whole per-sequence loop runs, so the messages come in
+    the order and with the sequence texts of a full run.
+    """
+    tables: Dict[PointUniverse, tuple] = {}
     for s in ctx.all_spaces():
         f = ctx.facts(s)
         if f.n == 0:
             continue
         table = tables.get(s.universe)
         if table is None:
-            table = tables[s.universe] = _convergence_sequences(s.universe)
+            seqs = _convergence_sequences(s.universe)
+            table = tables[s.universe] = (seqs, _cycle_classes(seqs))
+        seqs, classes = table
         transitive = f.cls.transitive
-        labels = s.universe.labels
-        for q, text in table:
-            for x in labels:
-                crit = transitive_criterion(s, q, x)
-                conv = converges_to(s, q, x)
-                t.verify(
-                    not crit or conv,
-                    lambda: f"criterion holds at {x} for {text} without convergence",
-                    s,
-                )
-                if transitive:
-                    t.verify(
-                        crit == conv,
-                        lambda: f"criterion and convergence split at {x} for {text} on a transitive space",
-                        s,
-                    )
+        probe = _Tally(t.law)
+        weighted = 0
+        for q, text, count in classes:
+            before = probe.checks
+            _convergence_checks(probe, s, q, text, transitive)
+            weighted += count * (probe.checks - before)
+        if probe.failed:
+            for q, text in seqs:
+                _convergence_checks(t, s, q, text, transitive)
+        else:
+            t.checks += weighted
 
 
 @_law(
@@ -898,13 +1013,20 @@ def _hierarchy(ctx: LawContext, t: _Tally) -> None:
     "compactness, countable compactness, and the Lindelof property all hold on finite spaces",
 )
 def _compact_chain(ctx: LawContext, t: _Tally) -> None:
+    """Replayed per space under ``(n, τ_a)``: the three cover scans read
+    only the size and the scope-open family."""
+    replay = _Replay(t)
     for s in ctx.all_spaces():
-        compact = is_aura_compact(s, oracle=True)
-        countable = is_countably_aura_compact(s, oracle=True)
-        lindelof = is_aura_lindelof(s, oracle=True)
-        t.verify(compact, "finite space flagged non-compact by the cover scan", s)
-        t.verify(not compact or countable, "compact without countably compact", s)
-        t.verify(not compact or lindelof, "compact without Lindelof", s)
+
+        def checks() -> None:
+            compact = is_aura_compact(s, oracle=True)
+            countable = is_countably_aura_compact(s, oracle=True)
+            lindelof = is_aura_lindelof(s, oracle=True)
+            t.verify(compact, "finite space flagged non-compact by the cover scan", s)
+            t.verify(not compact or countable, "compact without countably compact", s)
+            t.verify(not compact or lindelof, "compact without Lindelof", s)
+
+        replay.run((s.n, s.aura_topology_masks), checks)
 
 
 @_law(
@@ -947,27 +1069,34 @@ def _image_compact(ctx: LawContext, t: _Tally) -> None:
     "projections are continuous and onto, and pull compactness and connectedness back to the factors",
 )
 def _projections(ctx: LawContext, t: _Tally) -> None:
+    """Replayed under ``_pair_key``: the projections are fixed by the two
+    sizes, and continuity, connectedness and compactness read only the
+    scope topologies of the product and the factors."""
+    replay = _Replay(t)
     for sx, sy in ctx.factor_pairs():
-        prod = ctx.product_of(sx, sy)
-        fp = ctx.facts(prod)
-        nx, ny = sx.n, sy.n
-        left = FiniteMap(prod.universe, sx.universe, [k // ny for k in range(nx * ny)])
-        right = FiniteMap(prod.universe, sy.universe, [k % ny for k in range(nx * ny)])
-        t.verify(is_aura_continuous(left, prod, sx), "left projection is not continuous", prod)
-        t.verify(is_aura_continuous(right, prod, sy), "right projection is not continuous", prod)
-        t.verify(left.is_surjective() and right.is_surjective(), "projection is not onto", prod)
-        if fp.connected:
-            t.verify(
-                ctx.facts(sx).connected and ctx.facts(sy).connected,
-                "connected product with a disconnected factor",
-                prod,
-            )
-        if is_aura_compact(prod):
-            t.verify(
-                is_aura_compact(sx) and is_aura_compact(sy),
-                "compact product with a non-compact factor",
-                prod,
-            )
+
+        def checks() -> None:
+            prod = ctx.product_of(sx, sy)
+            nx, ny = sx.n, sy.n
+            left = FiniteMap(prod.universe, sx.universe, [k // ny for k in range(nx * ny)])
+            right = FiniteMap(prod.universe, sy.universe, [k % ny for k in range(nx * ny)])
+            t.verify(is_aura_continuous(left, prod, sx), "left projection is not continuous", prod)
+            t.verify(is_aura_continuous(right, prod, sy), "right projection is not continuous", prod)
+            t.verify(left.is_surjective() and right.is_surjective(), "projection is not onto", prod)
+            if ctx.facts(prod).connected:
+                t.verify(
+                    ctx.facts(sx).connected and ctx.facts(sy).connected,
+                    "connected product with a disconnected factor",
+                    prod,
+                )
+            if is_aura_compact(prod):
+                t.verify(
+                    is_aura_compact(sx) and is_aura_compact(sy),
+                    "compact product with a non-compact factor",
+                    prod,
+                )
+
+        replay.run(_pair_key(sx, sy), checks)
 
 
 @_law(
@@ -976,15 +1105,20 @@ def _projections(ctx: LawContext, t: _Tally) -> None:
     "a product of nonempty spaces is connected exactly when both factors are",
 )
 def _product_connected(ctx: LawContext, t: _Tally) -> None:
+    """Replayed under ``_pair_key``: connectedness reads only the hulls."""
+    replay = _Replay(t)
     for sx, sy in ctx.factor_pairs():
-        fx, fy = ctx.facts(sx), ctx.facts(sy)
-        prod = ctx.product_of(sx, sy)
-        fp = ctx.facts(prod)
-        t.verify(
-            fp.connected == (fx.connected and fy.connected),
-            "product connectedness disagrees with the factors",
-            prod,
-        )
+
+        def checks() -> None:
+            fx, fy = ctx.facts(sx), ctx.facts(sy)
+            prod = ctx.product_of(sx, sy)
+            t.verify(
+                ctx.facts(prod).connected == (fx.connected and fy.connected),
+                "product connectedness disagrees with the factors",
+                prod,
+            )
+
+        replay.run(_pair_key(sx, sy), checks)
 
 
 LAW_NAMES = tuple(law.name for law in LAWS)

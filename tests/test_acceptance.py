@@ -81,7 +81,7 @@ def test_criterion_2_law_suite():
     assert report.ok, "law failures:\n" + "\n".join(witnesses)
     assert len(report.outcomes) == 26
     assert all(o.checks > 0 for o in report.outcomes)
-    assert elapsed < 60.0, f"law suite took {elapsed:.2f}s"
+    assert elapsed < 15.0, f"law suite took {elapsed:.2f}s"
 
 
 @criterion(3, "symbolic separations")

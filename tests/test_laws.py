@@ -1,7 +1,11 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from auratopo import LAW_NAMES, run_laws
-from auratopo.laws import CORE, EXTENDED, LawContext, get_law
+from auratopo.laws import CORE, EXTENDED, LawContext, _convergence_sequences, get_law
+from auratopo.sequences import aura_limits, converges_to, transitive_criterion
 from auratopo import kernel, laws
 
 # Descriptors of the discrete spaces that head every witness list below.
@@ -188,3 +192,170 @@ def test_size_gate():
 
     with pytest.raises(SizeOutOfRange):
         run_laws(max_n=4)
+
+
+# Faults whose effect depends only on the inputs a law's replay key reads,
+# so each breaks some keys and leaves the others passing.
+
+def _break_box_family(monkeypatch):
+    # Add the singleton {a|a} to the box family when the first point of the
+    # left factor has the whole carrier as its scope.
+    real = laws.product_topology_of_factors
+
+    def broken(sx, sy):
+        family = real(sx, sy)
+        if sx.scope.masks[0] != sx.universe.full_mask:
+            return family
+        return SimpleNamespace(mask_set=family.mask_set | {1})
+
+    monkeypatch.setattr(laws, "product_topology_of_factors", broken)
+
+
+def _break_continuity(monkeypatch):
+    # No map is continuous into a space whose last point has a full scope.
+    real = laws.is_aura_continuous
+
+    def broken(f, src, dst):
+        return dst.scope.masks[-1] != dst.universe.full_mask and real(f, src, dst)
+
+    monkeypatch.setattr(laws, "is_aura_continuous", broken)
+
+
+def _break_product_connectedness(monkeypatch):
+    # Flip the verdict on 4-point spaces whose first point has a full scope.
+    real = laws.is_aura_connected
+
+    def broken(s, a=None):
+        flip = s.n == 4 and a is None and s.scope.masks[0] == s.universe.full_mask
+        return real(s, a) != flip
+
+    monkeypatch.setattr(laws, "is_aura_connected", broken)
+
+
+def _break_lindelof(monkeypatch):
+    # The Lindelof scan fails wherever the scope topology is trivial.
+    monkeypatch.setattr(
+        laws, "is_aura_lindelof", lambda s, oracle=False: len(s.aura_topology_masks) > 2
+    )
+
+
+REPLAY_FAULTS = {
+    "product-topology-chain": _break_box_family,
+    "product-transitive-equality": _break_box_family,
+    "projection-continuity": _break_continuity,
+    "product-connected-factors": _break_product_connectedness,
+    "compact-chain-flags": _break_lindelof,
+}
+
+
+def _space_2x2(opens: str, scopes: str) -> str:
+    return f"points a|a,a|b,b|a,b|b | opens {opens} | scopes {scopes}"
+
+
+OPENS_2X2 = DISCRETE_2X2[len("points a|a,a|b,b|a,b|b | opens "):DISCRETE_2X2.index(" | scopes")]
+OPENS_2X2_A = "{},{a|a},{b|a},{a|a,a|b},{a|a,b|a},{b|a,b|b},{a|a,a|b,b|a},{a|a,b|a,b|b},{a|a,a|b,b|a,b|b}"
+OPENS_2X2_B = "{},{a|b},{b|b},{a|a,a|b},{a|b,b|b},{b|a,b|b},{a|a,a|b,b|b},{a|b,b|a,b|b},{a|a,a|b,b|a,b|b}"
+
+
+def _pinned(law: str, checks: int, failed: int, detail: str, spaces: list) -> tuple:
+    return checks, failed, tuple(f"{law}: {detail} | space: {where}" for where in spaces)
+
+
+def test_replayed_fault_outcomes_are_pinned(monkeypatch):
+    # Pinned from a run that checked every factor pair and space in full:
+    # replaying passed keys must not move a count or a witness.
+    box_witnesses = [
+        _space_2x2(OPENS_2X2, "a|a:{a|a,b|a} a|b:{a|b,b|b} b|a:{b|a} b|b:{b|b}"),
+        _space_2x2(OPENS_2X2, "a|a:{a|a,b|a} a|b:{a|a,a|b,b|a,b|b} b|a:{b|a} b|b:{b|a,b|b}"),
+        _space_2x2(OPENS_2X2, "a|a:{a|a,a|b,b|a,b|b} a|b:{a|b,b|b} b|a:{b|a,b|b} b|b:{b|b}"),
+        _space_2x2(OPENS_2X2, "a|a:{a|a,a|b,b|a,b|b} a|b:{a|a,a|b,b|a,b|b} b|a:{b|a,b|b} b|b:{b|a,b|b}"),
+        _space_2x2(OPENS_2X2_A, "a|a:{a|a,b|a} a|b:{a|a,a|b,b|a,b|b} b|a:{b|a} b|b:{b|a,b|b}"),
+    ]
+    got = {}
+    for name, fault in REPLAY_FAULTS.items():
+        with monkeypatch.context() as m:
+            fault(m)
+            (o,) = run_laws(names=[name], max_n=2).outcomes
+        got[name] = (o.checks, o.failed, o.failures)
+    assert got == {
+        "product-topology-chain": _pinned(
+            "product-topology-chain", 162, 54,
+            "box-generated family escapes the product scope topology", box_witnesses,
+        ),
+        "product-transitive-equality": _pinned(
+            "product-transitive-equality", 81, 54,
+            "transitive factors produced a strictly larger product scope topology", box_witnesses,
+        ),
+        "projection-continuity": _pinned(
+            "projection-continuity", 388, 108, "right projection is not continuous", [
+                _space_2x2(OPENS_2X2, "a|a:{a|a} a|b:{a|a,a|b} b|a:{b|a} b|b:{b|a,b|b}"),
+                _space_2x2(OPENS_2X2, "a|a:{a|a,a|b} a|b:{a|a,a|b} b|a:{b|a,b|b} b|b:{b|a,b|b}"),
+                _space_2x2(OPENS_2X2_A, "a|a:{a|a} a|b:{a|a,a|b} b|a:{b|a} b|b:{b|a,b|b}"),
+                _space_2x2(OPENS_2X2_A, "a|a:{a|a,a|b} a|b:{a|a,a|b} b|a:{b|a,b|b} b|b:{b|a,b|b}"),
+                _space_2x2(OPENS_2X2_B, "a|a:{a|a,a|b} a|b:{a|a,a|b} b|a:{b|a,b|b} b|b:{b|a,b|b}"),
+            ],
+        ),
+        "product-connected-factors": _pinned(
+            "product-connected-factors", 81, 36, "product connectedness disagrees with the factors", [
+                _space_2x2(OPENS_2X2, "a|a:{a|a,a|b,b|a,b|b} a|b:{a|b,b|b} b|a:{b|a,b|b} b|b:{b|b}"),
+                _space_2x2(OPENS_2X2, "a|a:{a|a,a|b,b|a,b|b} a|b:{a|a,a|b,b|a,b|b} b|a:{b|a,b|b} b|b:{b|a,b|b}"),
+                _space_2x2(OPENS_2X2_A, "a|a:{a|a,a|b,b|a,b|b} a|b:{a|a,a|b,b|a,b|b} b|a:{b|a,b|b} b|b:{b|a,b|b}"),
+                _space_2x2(OPENS_2X2_B, "a|a:{a|a,a|b,b|a,b|b} a|b:{a|b,b|b} b|a:{b|a,b|b} b|b:{b|b}"),
+                _space_2x2(OPENS_2X2_B, "a|a:{a|a,a|b,b|a,b|b} a|b:{a|a,a|b,b|a,b|b} b|a:{b|a,b|b} b|b:{b|a,b|b}"),
+            ],
+        ),
+        "compact-chain-flags": _pinned(
+            "compact-chain-flags", 33, 6, "compact without Lindelof", [
+                "points  | opens {} | scopes ",
+                "points a | opens {},{a} | scopes a:{a}",
+                "points a,b | opens {},{a},{b},{a,b} | scopes a:{a,b} b:{a,b}",
+                "points a,b | opens {},{a},{a,b} | scopes a:{a,b} b:{a,b}",
+                "points a,b | opens {},{b},{a,b} | scopes a:{a,b} b:{a,b}",
+            ],
+        ),
+    }
+
+
+def test_convergence_operators_run_once_per_cycle_mask(monkeypatch):
+    # Each space runs the operators on one sequence per nonempty cycle mask
+    # and point: 1·1 on the one-point space, 2·3 on each of the nine
+    # two-point spaces.
+    calls = []
+    real = laws.converges_to
+
+    def counted(s, q, x):
+        calls.append(1)
+        return real(s, q, x)
+
+    monkeypatch.setattr(laws, "converges_to", counted)
+    ctx = LawContext(2)
+    report = run_laws(names=["transitive-convergence-criterion"], ctx=ctx)
+    assert report.ok
+    assert len(calls) == sum(s.n * ((1 << s.n) - 1) for s in ctx.all_spaces()) == 55
+
+
+def test_convergence_verdicts_read_only_the_cycle_mask():
+    # The convergence law runs the operators on the first sequence of each
+    # cycle mask and counts the rest; every other sequence must agree with it.
+    # All spaces up to two points, and a seeded third of the three-point ones.
+    ctx = LawContext(3)
+    spaces = [s for n in (1, 2) for s in ctx.spaces(n)]
+    spaces += random.Random(9).sample(ctx.spaces(3), 120)
+    tables = {}
+    mismatches = []
+    for s in spaces:
+        table = tables.get(s.universe)
+        if table is None:
+            table = tables[s.universe] = _convergence_sequences(s.universe)
+        labels = s.universe.labels
+        verdicts = {}
+        for q, text in table:
+            got = (
+                aura_limits(s, q),
+                tuple(converges_to(s, q, x) for x in labels),
+                tuple(transitive_criterion(s, q, x) for x in labels),
+            )
+            want = verdicts.setdefault(q.cycle_mask(), got)
+            if got != want:
+                mismatches.append((repr(s), text))
+    assert mismatches == []
