@@ -134,6 +134,12 @@ class AuraSpace:
         )
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of (space, scope), computed once: the space is immutable,
+        and law caches keyed by spaces hash the same space many times."""
         return hash((self.space, self.scope))
 
     def __repr__(self) -> str:

@@ -14,7 +14,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import kernel
 from .aura import AuraSpace, ScopeFunction
@@ -149,19 +149,105 @@ ATOMS = {
 ATOM_NAMES = tuple(ATOMS)
 
 
+# The two atoms that read the ambient topology; the other twelve read only
+# the scope tuple (see ``_ScopeFacts``).
+TOPOLOGY_ATOMS = ("tauConnected", "tauAEqualsTau")
+SCOPE_ATOMS = tuple(a for a in ATOM_NAMES if a not in TOPOLOGY_ATOMS)
+
+
+class _ScopeFacts:
+    """What one scope tuple decides by itself, kept in a worker's memo.
+
+    A space of the grid is its topology τ plus its scope tuple, on the
+    canonical labels of its size n, which is the tuple's length. None of
+    the twelve ``SCOPE_ATOMS`` reads τ:
+
+    - ``transitive``, ``symmetric``, ``trivial`` and ``discrete``
+      (``classify``) and ``clIdempotent`` read ``scope_masks`` and n (the
+      full mask is ``(1 << n) - 1``);
+    - ``aT0``, ``aT1`` and ``aT2`` (``separation_axioms``) read
+      ``hull_masks``;
+    - ``aConnected`` floods ``comparability_rows`` over the full mask,
+      ``aLocallyConnected`` floods them inside each hull, and
+      ``aPathConnected`` counts the components of ``hull_masks``;
+    - ``tauAIndiscrete`` compares ``aura_topology_masks`` with {∅, X}.
+
+    ``hull_masks``, ``comparability_rows`` and ``aura_topology_masks`` are
+    built from n and ``scope_masks`` alone. τ only decides which tuples
+    occur, since every scope must be τ-open. So all spaces with one scope
+    tuple give each scope-only atom the same value, and the first of them
+    decides it for the rest. The same holds for τ_a, kept as a frozenset:
+    on a later space ``tauAEqualsTau`` is one comparison of that set with
+    the space's τ.
+
+    A memo holds one entry per tuple met (64 at n = 3, 4,096 at n = 4),
+    made of bools and frozensets of ints, so no space is kept alive.
+    """
+
+    __slots__ = ("values", "vector", "tau_a")
+
+    def __init__(self):
+        self.values: dict = {}  # scope-only atom -> value, filled lazily
+        self.vector: Optional[tuple] = None  # all of them, in SCOPE_ATOMS order
+        self.tau_a: Optional[frozenset] = None  # the scope-open masks
+
+
+# A scan's memo of what each scope tuple decides.
+ScopeMemo = Dict[Tuple[int, ...], _ScopeFacts]
+
+
 class _Valuation:
-    """Lazy memo of atom values on one space."""
+    """Lazy atom values on one space, read through the scan's memos.
 
-    __slots__ = ("space", "values")
+    A scope-only atom is looked up in the memo entry of the space's scope
+    tuple, ``tauConnected`` in ``topo``, which the caller shares among the
+    spaces of one topology, and ``tauAEqualsTau`` compares the entry's τ_a
+    with the space's τ. A value missing from its memo is decided by
+    ``ATOMS[atom]`` on this space and stored, so each atom runs once per
+    scope tuple, and ``tauConnected`` once per topology. Without memos from
+    the caller a valuation decides every atom on its own space.
+    """
 
-    def __init__(self, space: AuraSpace):
+    __slots__ = ("space", "facts", "topo")
+
+    def __init__(self, space: AuraSpace, memo: Optional[ScopeMemo] = None,
+                 topo: Optional[dict] = None):
         self.space = space
-        self.values = {}
+        if memo is None:
+            memo = {}
+        facts = memo.get(space.scope_masks)
+        if facts is None:
+            facts = memo[space.scope_masks] = _ScopeFacts()
+        self.facts = facts
+        self.topo = {} if topo is None else topo
 
     def get(self, atom: str) -> bool:
-        if atom not in self.values:
-            self.values[atom] = ATOMS[atom](self.space)
-        return self.values[atom]
+        if atom == "tauConnected":
+            values = self.topo
+        elif atom == "tauAEqualsTau":
+            return self._tau_a_equals_tau()
+        else:
+            values = self.facts.values
+        value = values.get(atom)
+        if value is None:
+            value = values[atom] = ATOMS[atom](self.space)
+        return value
+
+    def scope_vector(self) -> tuple:
+        """The values of ``SCOPE_ATOMS``, in that order, memoised by tuple."""
+        facts = self.facts
+        if facts.vector is None:
+            facts.vector = tuple(self.get(a) for a in SCOPE_ATOMS)
+        return facts.vector
+
+    def _tau_a_equals_tau(self) -> bool:
+        s = self.space
+        facts = self.facts
+        if facts.tau_a is not None:
+            return facts.tau_a == s.space.topology.mask_set
+        value = ATOMS["tauAEqualsTau"](s)
+        facts.tau_a = frozenset(s.aura_topology_masks)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +460,14 @@ class SearchReport:
 Hit = Tuple[int, int, Tuple[int, ...], dict]
 
 
-def _scan_topology(space: FiniteTopSpace, topo_index: int,
-                   expr: PredicateExpr) -> Tuple[int, List[Hit]]:
+def _scan_topology(space: FiniteTopSpace, topo_index: int, expr: PredicateExpr,
+                   memo: ScopeMemo) -> Tuple[int, List[Hit]]:
     found: List[Hit] = []
     scanned = 0
+    topo: dict = {}
     for aura_index, s in enumerate(enumerate_auras(space)):
         scanned += 1
-        valuation = _Valuation(s)
+        valuation = _Valuation(s, memo, topo)
         if expr.evaluate(valuation):
             vals = {a: valuation.get(a) for a in expr.atoms}
             found.append((topo_index, aura_index, s.scope_masks, vals))
@@ -391,10 +478,11 @@ def _search_worker(args) -> Tuple[int, List[Hit]]:
     n, expr_text, worker, workers = args
     expr = parse_predicate(expr_text)
     topologies = enumerate_topologies(n)
+    memo: ScopeMemo = {}
     scanned = 0
     found: List[Hit] = []
     for ti in range(worker, len(topologies), workers):
-        got, hits = _scan_topology(topologies[ti], ti, expr)
+        got, hits = _scan_topology(topologies[ti], ti, expr, memo)
         scanned += got
         found.extend(hits)
     return scanned, found
@@ -471,6 +559,8 @@ def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
                     limit: Optional[int]) -> SearchReport:
     rng = random.Random(seed)
     topologies = enumerate_topologies(n)
+    memo: ScopeMemo = {}
+    topos: dict = {}
     hits: List[Hit] = []
     for k in range(samples):
         ti = rng.randrange(len(topologies))
@@ -479,7 +569,7 @@ def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
         digits = [rng.randrange(len(c)) for c in choices]
         picks = tuple(c[d] for c, d in zip(choices, digits))
         s = AuraSpace(space, ScopeFunction(space.universe, picks))
-        valuation = _Valuation(s)
+        valuation = _Valuation(s, memo, topos.setdefault(ti, {}))
         if expr.evaluate(valuation):
             # Mixed-radix position of the picks in enumerate_auras order,
             # where the last point's choice varies fastest.
@@ -504,24 +594,40 @@ def _matrix_worker(args) -> Tuple[int, dict]:
     order, so the first space that makes p true and q false is already the
     least one: a pair is recorded only while it is absent.
 
+    Every space is read through a ``_Valuation`` over the worker's scope
+    memo. The twelve scope-only atoms read nothing but the scope tuple (the
+    proof is in ``_ScopeFacts``), so each runs once per distinct tuple (4,096
+    of the 59,123 spaces at size 4); ``tauConnected`` runs once per
+    topology, and ``tauAEqualsTau`` compares the tuple's memoised τ_a with
+    each space's τ.
+
     The pairs a space makes false depend only on its valuation, and every
     pair of a valuation met before was recorded then, at an earlier space.
     So only the first space of each distinct valuation runs the pair loop
-    (27 of the 59,123 spaces at size 4).
+    (27 of the 59,123 spaces at size 4). The valuation is keyed as the
+    scope-only values in ``SCOPE_ATOMS`` order (one tuple per scope tuple,
+    kept in the memo) plus the two topology atoms: the same fourteen values
+    in a fixed arrangement, so two spaces share a key exactly when they
+    share a valuation.
     """
     n, worker, workers = args
     topologies = enumerate_topologies(n)
+    memo: ScopeMemo = {}
     scanned = 0
     first: dict = {}
     seen = set()
     for ti in range(worker, len(topologies), workers):
         space = topologies[ti]
+        topo: dict = {}
         for aura_index, s in enumerate(enumerate_auras(space)):
             scanned += 1
-            vals = tuple(ATOMS[a](s) for a in ATOM_NAMES)
-            if vals in seen:
+            valuation = _Valuation(s, memo, topo)
+            key = (valuation.scope_vector(), valuation.get("tauConnected"),
+                   valuation.get("tauAEqualsTau"))
+            if key in seen:
                 continue
-            seen.add(vals)
+            seen.add(key)
+            vals = [valuation.get(a) for a in ATOM_NAMES]
             holds = [a for a, v in zip(ATOM_NAMES, vals) if v]
             fails = [a for a, v in zip(ATOM_NAMES, vals) if not v]
             wit = None

@@ -10,6 +10,7 @@ from auratopo import (
     PointNotInOwnAura,
     PointUniverse,
     ScopeFunction,
+    TopologyFamily,
     aura_closure,
     aura_interior,
     aura_topology,
@@ -128,6 +129,34 @@ def test_memoised_facts_equal_a_fresh_computation():
         # Computed once: later reads return the same object.
         assert s.classification is s.classification
         assert s.separation is s.separation
+
+
+def test_equal_spaces_built_separately_hash_equal():
+    originals = list(grid_and_random_spaces(seed=54, count=100))
+    by_space = {s: k for k, s in enumerate(originals)}
+    for s in originals:
+        universe = PointUniverse(list(s.universe.labels))
+        topology = TopologyFamily(universe, set(s.space.topology.mask_set))
+        rebuilt = AuraSpace(FiniteTopSpace(universe, topology),
+                            ScopeFunction(universe, list(s.scope_masks)))
+        assert rebuilt is not s and rebuilt == s
+        assert hash(rebuilt) == hash(s) == hash(s)
+        # A rebuilt space finds the entry of its equal in a dict keyed by spaces.
+        assert originals[by_space[rebuilt]] == s
+
+
+def test_a_space_is_hashed_once(monkeypatch):
+    calls = []
+    space_hash = FiniteTopSpace.__hash__
+
+    def counted(space):
+        calls.append(space)
+        return space_hash(space)
+
+    monkeypatch.setattr(FiniteTopSpace, "__hash__", counted)
+    s = rand_space(random.Random(55), 4)
+    assert hash(s) == hash(s) == hash({s: 0}.popitem()[0])
+    assert len(calls) == 1
 
 
 def test_separation_axioms_chain_downwards():

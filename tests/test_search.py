@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,9 +22,9 @@ from auratopo import (
 from auratopo import kernel
 from auratopo.aura import classify, separation_axioms
 from auratopo.connectivity import is_aura_connected, is_aura_path_connected
-from auratopo.search import ATOMS, space_descriptor
-from helpers import grid_and_random_spaces, rand_space
-from oracles import brute_closure, brute_topologies
+from auratopo.search import ATOMS, SCOPE_ATOMS, TOPOLOGY_ATOMS, space_descriptor
+from helpers import all_small_spaces, grid_and_random_spaces, rand_space
+from oracles import brute_closure, brute_tau_a, brute_topologies
 
 # The package's `search` attribute is the function, so fetch the module itself.
 search_module = importlib.import_module("auratopo.search")
@@ -387,3 +388,99 @@ def test_product_scan_decides_each_distinct_factor_pair_once(monkeypatch):
         f"{len(pool) ** 2 - intact ** 2} of {len(pool) ** 2} factor pairs"
     )
     assert len(calls) == len(set(broken)) ** 2
+
+
+def _split_scope_verdicts(atoms):
+    """(scope tuple, atom) for every scope-only atom that gives two spaces of
+    one scope tuple on at most three points different values."""
+    values = {}
+    for s in all_small_spaces(3):
+        for a in SCOPE_ATOMS:
+            values.setdefault((s.scope_masks, a), set()).add(atoms[a](s))
+    return [key for key, seen in values.items() if len(seen) > 1]
+
+
+def test_scope_only_atoms_read_nothing_but_the_scope_tuple():
+    # The premise of the scan's scope memo: every topology that admits a
+    # scope tuple gives each of the twelve scope-only atoms the same value.
+    assert set(SCOPE_ATOMS) | set(TOPOLOGY_ATOMS) == set(ATOM_NAMES)
+    assert len(SCOPE_ATOMS) == 12
+    tuples = Counter(s.scope_masks for s in all_small_spaces(3))
+    assert sum(1 for key in tuples if len(key) == 3) == 64
+    assert max(tuples.values()) > 1
+    assert _split_scope_verdicts(ATOMS) == []
+    # The check has teeth: an atom that also reads the topology is caught.
+    leaky = dict(ATOMS, aT0=lambda s: s.separation.t0 or len(s.space.topology.mask_set) > 4)
+    assert _split_scope_verdicts(leaky)
+
+
+def test_memoised_tau_a_equals_tau_matches_the_definition():
+    memo = {}
+    for s in all_small_spaces(3):
+        expected = frozenset(brute_tau_a(s.n, s.scope_masks)) == s.space.topology.mask_set
+        assert ATOMS["tauAEqualsTau"](s) == expected
+        # Read through a memo that later spaces of the same scope tuple share.
+        assert search_module._Valuation(s, memo).get("tauAEqualsTau") == expected
+
+
+def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
+    tuples = len({s.scope_masks for s in all_small_spaces(3) if s.n == 3})
+    topologies = len(enumerate_topologies(3))
+    assert (tuples, topologies) == (64, 29)
+
+    calls = Counter()
+    for atom, fn in list(ATOMS.items()):
+        def counted(s, _atom=atom, _fn=fn):
+            calls[_atom] += 1
+            return _fn(s)
+        monkeypatch.setitem(ATOMS, atom, counted)
+    report = implication_matrix(3, workers=1)
+    assert report.spaces_scanned == 362
+    for atom in SCOPE_ATOMS:
+        assert calls[atom] == tuples, atom
+    assert calls["tauConnected"] == topologies
+    assert calls["tauAEqualsTau"] <= tuples
+
+    calls.clear()
+    search(3, "tauAEqualsTau and not aConnected or tauConnected and not aT0")
+    assert 0 < max(calls[a] for a in SCOPE_ATOMS) <= tuples
+    assert 0 < calls["tauConnected"] <= topologies
+    assert 0 < calls["tauAEqualsTau"] <= tuples
+
+
+def _brute_hits(n, expression):
+    """(topology_index, aura_index, descriptor, valuation) of every space
+    that satisfies the predicate, from a plain scan that decides every atom
+    on every space with no memo."""
+    expr = parse_predicate(expression)
+    hits = []
+    for ti, top in enumerate(enumerate_topologies(n)):
+        for ai, s in enumerate(enumerate_auras(top)):
+            vals = {a: fn(s) for a, fn in ATOMS.items()}
+            if expr.evaluate(vals):
+                hits.append((ti, ai, space_descriptor(s), {a: vals[a] for a in expr.atoms}))
+    return hits
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("expression", [
+    "tauAEqualsTau and not aConnected",
+    "tauConnected and not aT0",
+    "not tauAEqualsTau and aLocallyConnected or tauConnected and not clIdempotent",
+])
+def test_search_matches_a_per_space_brute_scan(expression, workers):
+    expected = _brute_hits(3, expression)
+    assert 0 < len(expected) < 362
+    report = search(3, expression, workers=workers)
+    got = [(w.topology_index, w.aura_index, w.descriptor, w.valuation)
+           for w in report.witnesses]
+    assert got == expected
+
+
+def test_sampled_search_matches_a_per_space_brute_scan():
+    expression = "tauAEqualsTau or not tauConnected and aPathConnected"
+    expected = _brute_hits(3, expression)
+    report = search(3, expression, samples=120, seed=9)
+    assert report.witnesses
+    for w in report.witnesses:
+        assert (w.topology_index, w.aura_index, w.descriptor, w.valuation) in expected
