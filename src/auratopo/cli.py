@@ -6,6 +6,12 @@ Output is byte-deterministic for fixed inputs and flags.
 
 Exit codes: 0 for success (including a search that found witnesses),
 1 for a failed verification or an empty search, 2 for input errors.
+
+Each subcommand imports the layers it uses inside its ``cmd_*`` function,
+so a process compiles and runs only those. Only ``verify-paper`` loads the
+law suite and the fixtures, only ``symbolic`` the symbolic models, and
+only ``convergence`` and ``verify-paper`` the sequences; ``search``,
+``matrix`` and ``enumerate`` load no document layer.
 """
 
 from __future__ import annotations
@@ -15,26 +21,13 @@ import json
 import sys
 from typing import List, Optional
 
-from .aura import AuraSpace, aura_closure, aura_interior, classify, derived_set, separation_axioms
-from .connectivity import (
-    aura_components,
-    is_aura_connected,
-    is_aura_locally_connected,
-    is_aura_path_connected,
-)
-from .constructions import product, subspace
-from .documents import SpaceDocument, load_document, serialize_space
+from .aura import AuraSpace
 from .errors import AuraError, DocumentError
-from .finite import PointSet, family_key, is_tau_connected, mask_indices
-from .search import (
-    count_auras,
-    enumerate_topologies,
-    implication_matrix,
-    search,
-)
-from .sequences import aura_limits, converges_to, parse_sequence
-from .symbolic import MODEL_NAMES, get_model
-from .verification import run_verification
+from .finite import PointSet, family_key, mask_indices
+
+# ``symbolic.MODEL_NAMES``, spelled out so that building the parser does not
+# compile the symbolic models; a test keeps the two equal.
+MODEL_NAMES = ("nat-successor", "nat-discrete", "trivial", "cofinite-trivial")
 
 
 def _print(lines: List[str]) -> None:
@@ -75,7 +68,9 @@ def _parse_set(s: AuraSpace, text: str) -> PointSet:
     return s.universe.subset(labels)
 
 
-def _document(args) -> SpaceDocument:
+def _document(args):
+    from .documents import load_document
+
     return load_document(args.file)
 
 
@@ -96,6 +91,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .aura import classify, separation_axioms
+    from .connectivity import (
+        aura_components,
+        is_aura_connected,
+        is_aura_locally_connected,
+        is_aura_path_connected,
+    )
+    from .finite import is_tau_connected
+
     doc = _document(args)
     s = doc.space
     cls = classify(s)
@@ -177,18 +181,26 @@ def _cmd_operator(args, op_name: str, fn) -> int:
 
 
 def cmd_closure(args) -> int:
+    from .aura import aura_closure
+
     return _cmd_operator(args, "closure", aura_closure)
 
 
 def cmd_interior(args) -> int:
+    from .aura import aura_interior
+
     return _cmd_operator(args, "interior", aura_interior)
 
 
 def cmd_derived(args) -> int:
+    from .aura import derived_set
+
     return _cmd_operator(args, "derived", derived_set)
 
 
 def cmd_components(args) -> int:
+    from .connectivity import aura_components
+
     s = _document(args).space
     blocks = aura_components(s).blocks
     if args.json:
@@ -199,6 +211,9 @@ def cmd_components(args) -> int:
 
 
 def cmd_subspace(args) -> int:
+    from .constructions import subspace
+    from .documents import serialize_space
+
     s = _document(args).space
     carrier = _parse_set(s, args.points)
     sub = subspace(s, carrier)
@@ -207,6 +222,9 @@ def cmd_subspace(args) -> int:
 
 
 def cmd_product(args) -> int:
+    from .constructions import product
+    from .documents import load_document, serialize_space
+
     left = load_document(args.left).space
     right = load_document(args.right).space
     sys.stdout.write(serialize_space(product(left, right)))
@@ -214,6 +232,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    from .sequences import aura_limits, converges_to, parse_sequence
+
     s = _document(args).space
     seq = parse_sequence(s.universe, args.seq)
     if args.limit is not None:
@@ -232,6 +252,8 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_symbolic(args) -> int:
+    from .symbolic import get_model
+
     model = get_model(args.model, carrier_label=args.carrier)
     report = model.compactness_report()
     if args.json:
@@ -247,6 +269,8 @@ def cmd_symbolic(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import search
+
     report = search(
         args.size,
         args.where,
@@ -264,6 +288,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from .search import implication_matrix
+
     report = implication_matrix(args.size, workers=args.workers)
     if args.json:
         _print_json(report.to_json())
@@ -273,6 +299,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .search import count_auras, enumerate_topologies
+
     spaces = enumerate_topologies(args.size)
     auras = sum(count_auras(space) for space in spaces)
     if args.json:
@@ -298,6 +326,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from .verification import run_verification
+
     report = run_verification(
         fixtures_dir=args.fixtures_dir,
         include_laws=not args.skip_laws,

@@ -26,6 +26,8 @@ from .connectivity import (
 from .constructions import _box_mask
 from .errors import (
     LimitOutOfRange,
+    OpenSetNotInTopology,
+    PointNotInOwnAura,
     SamplesOutOfRange,
     SizeOutOfRange,
     UnknownAtom,
@@ -80,8 +82,35 @@ def enumerate_topologies(n: int) -> List[FiniteTopSpace]:
 
 
 def _fiber_choices(space: FiniteTopSpace) -> List[List[int]]:
+    """Per point, the open sets that contain it, in canonical family order.
+
+    The grid over the space is the product of these lists, with the last
+    point's choice varying fastest. Every enumeration, count, scan and
+    ``aura_index`` reads the grid from here.
+    """
     opens = sorted(space.topology.mask_set, key=family_key)
     return [[m for m in opens if (m >> i) & 1] for i in range(space.universe.n)]
+
+
+def _checked_choices(space: FiniteTopSpace) -> List[List[int]]:
+    """``_fiber_choices(space)``, with every candidate checked once.
+
+    ``AuraSpace`` accepts a scope tuple exactly when each entry i is open
+    and contains point i. Every tuple of the grid takes its entry i from
+    list i, so once each candidate of each list passes that test, every
+    tuple of the product passes it too. The scans therefore walk plain
+    tuples and build no space to validate them. A failing candidate raises
+    the error ``AuraSpace`` raises for it.
+    """
+    choices = _fiber_choices(space)
+    opens = space.topology.mask_set
+    for i, (label, candidates) in enumerate(zip(space.universe.labels, choices)):
+        for m in candidates:
+            if m not in opens:
+                raise OpenSetNotInTopology(label)
+            if not (m >> i) & 1:
+                raise PointNotInOwnAura(label)
+    return choices
 
 
 def enumerate_auras(space: FiniteTopSpace):
@@ -120,6 +149,13 @@ def _cl_idempotent(s: AuraSpace) -> bool:
     return True
 
 
+def _tau_connected(s) -> bool:
+    """Whether τ is connected. It reads τ alone, so it takes the
+    ``FiniteTopSpace`` itself (as the scans pass it, once per topology) or
+    any ``AuraSpace`` over it."""
+    return is_tau_connected(s.space if isinstance(s, AuraSpace) else s)
+
+
 def _tau_a_equals_tau(s: AuraSpace) -> bool:
     return set(s.aura_topology_masks) == s.space.topology.mask_set
 
@@ -134,7 +170,7 @@ ATOMS = {
     "symmetric": lambda s: s.classification.symmetric,
     "trivial": lambda s: s.classification.trivial,
     "discrete": lambda s: s.classification.discrete,
-    "tauConnected": lambda s: is_tau_connected(s.space),
+    "tauConnected": _tau_connected,
     "aConnected": is_aura_connected,
     "aPathConnected": is_aura_path_connected,
     "aLocallyConnected": is_aura_locally_connected,
@@ -180,16 +216,27 @@ class _ScopeFacts:
     on a later space ``tauAEqualsTau`` is one comparison of that set with
     the space's τ.
 
+    The grid scans build the first space of each tuple as a validated
+    ``AuraSpace`` and decide on it every atom the scan reads
+    (``_first_of_tuple``). A later space of the tuple is only its topology
+    and its tuple: it is valid because its tuple is drawn from checked
+    choices (``_checked_choices``), and its values are those of the entry,
+    so it needs no space of its own. A search also keeps in ``verdicts``
+    its predicate's outcome per value of the two topology atoms, since
+    nothing else enters it.
+
     A memo holds one entry per tuple met (64 at n = 3, 4,096 at n = 4),
-    made of bools and frozensets of ints, so no space is kept alive.
+    made of bools, frozensets of ints and small dicts of bools, so no space
+    is kept alive.
     """
 
-    __slots__ = ("values", "vector", "tau_a")
+    __slots__ = ("values", "vector", "tau_a", "verdicts")
 
     def __init__(self):
         self.values: dict = {}  # scope-only atom -> value, filled lazily
         self.vector: Optional[tuple] = None  # all of them, in SCOPE_ATOMS order
         self.tau_a: Optional[frozenset] = None  # the scope-open masks
+        self.verdicts: dict = {}  # (tauConnected, tauAEqualsTau) -> hit values
 
 
 # A scan's memo of what each scope tuple decides.
@@ -197,21 +244,21 @@ ScopeMemo = Dict[Tuple[int, ...], _ScopeFacts]
 
 
 class _Valuation:
-    """Lazy atom values on one space, read through the scan's memos.
+    """Lazy atom values on one space, read through a scan's memo.
 
     A scope-only atom is looked up in the memo entry of the space's scope
-    tuple, ``tauConnected`` in ``topo``, which the caller shares among the
-    spaces of one topology, and ``tauAEqualsTau`` compares the entry's τ_a
-    with the space's τ. A value missing from its memo is decided by
-    ``ATOMS[atom]`` on this space and stored, so each atom runs once per
-    scope tuple, and ``tauConnected`` once per topology. Without memos from
-    the caller a valuation decides every atom on its own space.
+    tuple, and ``tauAEqualsTau`` compares the entry's τ_a with the space's
+    τ. A value missing from the entry is decided by ``ATOMS[atom]`` on this
+    space and stored, so each atom runs once per scope tuple; the grid scans
+    use a valuation only on the first space of each tuple
+    (``_first_of_tuple``). ``tauConnected`` is kept for this space alone.
+    Without a memo from the caller a valuation decides every atom on its
+    own space.
     """
 
     __slots__ = ("space", "facts", "topo")
 
-    def __init__(self, space: AuraSpace, memo: Optional[ScopeMemo] = None,
-                 topo: Optional[dict] = None):
+    def __init__(self, space: AuraSpace, memo: Optional[ScopeMemo] = None):
         self.space = space
         if memo is None:
             memo = {}
@@ -219,7 +266,7 @@ class _Valuation:
         if facts is None:
             facts = memo[space.scope_masks] = _ScopeFacts()
         self.facts = facts
-        self.topo = {} if topo is None else topo
+        self.topo: dict = {}  # tauConnected, once decided
 
     def get(self, atom: str) -> bool:
         if atom == "tauConnected":
@@ -233,13 +280,6 @@ class _Valuation:
             value = values[atom] = ATOMS[atom](self.space)
         return value
 
-    def scope_vector(self) -> tuple:
-        """The values of ``SCOPE_ATOMS``, in that order, memoised by tuple."""
-        facts = self.facts
-        if facts.vector is None:
-            facts.vector = tuple(self.get(a) for a in SCOPE_ATOMS)
-        return facts.vector
-
     def _tau_a_equals_tau(self) -> bool:
         s = self.space
         facts = self.facts
@@ -248,6 +288,50 @@ class _Valuation:
         value = ATOMS["tauAEqualsTau"](s)
         facts.tau_a = frozenset(s.aura_topology_masks)
         return value
+
+
+def _first_of_tuple(space: FiniteTopSpace, picks: Tuple[int, ...], memo: ScopeMemo,
+                    atoms: Tuple[str, ...]) -> _ScopeFacts:
+    """The memo entry of a scope tuple met for the first time, on the grid
+    space (``space``, ``picks``).
+
+    That space is built and validated, and it decides each of ``atoms`` but
+    ``tauConnected``, which reads τ alone and is decided on the topology.
+    So the entry holds every value that a later space of the tuple needs,
+    and a later space builds nothing.
+    """
+    valuation = _Valuation(AuraSpace(space, ScopeFunction(space.universe, picks)), memo)
+    for atom in atoms:
+        if atom != "tauConnected":
+            valuation.get(atom)
+    return valuation.facts
+
+
+_UNSEEN = object()
+
+
+def _hit_values(expr: PredicateExpr, space: FiniteTopSpace, picks: Tuple[int, ...],
+                memo: ScopeMemo, tau_connected: Optional[bool]) -> Optional[dict]:
+    """The predicate's atom values on the grid space (``space``, ``picks``)
+    if the predicate holds there, else None.
+
+    ``tau_connected`` is the topology's ``tauConnected``, or None when the
+    predicate does not read it. Every other atom comes from the tuple's memo
+    entry (``_first_of_tuple``), and ``tauAEqualsTau`` from comparing its
+    τ_a with τ. So the outcome depends only on the entry and on the two
+    topology atoms, and it is kept in the entry under their values: a later
+    space with the same pair evaluates nothing.
+    """
+    facts = memo.get(picks) or _first_of_tuple(space, picks, memo, expr.atoms)
+    tau_a_equals_tau = None if facts.tau_a is None else facts.tau_a == space.topology.mask_set
+    key = (tau_connected, tau_a_equals_tau)
+    hit = facts.verdicts.get(key, _UNSEEN)
+    if hit is _UNSEEN:
+        values = dict(facts.values, tauConnected=tau_connected,
+                      tauAEqualsTau=tau_a_equals_tau)
+        hit = {a: values[a] for a in expr.atoms} if expr.evaluate(values) else None
+        facts.verdicts[key] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +343,9 @@ class PredicateExpr:
         self.atoms = atoms
         self._fn = fn
 
-    def evaluate(self, valuation: _Valuation) -> bool:
+    def evaluate(self, valuation) -> bool:
+        """The predicate on a valuation: anything whose ``get(atom)`` gives
+        the atom's value, such as a ``_Valuation`` or a dict."""
         return self._fn(valuation)
 
     def holds_on(self, space: AuraSpace) -> bool:
@@ -460,31 +546,47 @@ class SearchReport:
 Hit = Tuple[int, int, Tuple[int, ...], dict]
 
 
+def _tau_connected_if_read(expr: PredicateExpr, space: FiniteTopSpace) -> Optional[bool]:
+    """``tauConnected`` of the topology, decided once, if the predicate reads it."""
+    return ATOMS["tauConnected"](space) if "tauConnected" in expr.atoms else None
+
+
 def _scan_topology(space: FiniteTopSpace, topo_index: int, expr: PredicateExpr,
-                   memo: ScopeMemo) -> Tuple[int, List[Hit]]:
-    found: List[Hit] = []
+                   memo: ScopeMemo, found: List[Hit], keep: Optional[int]) -> int:
+    """Scan one topology's grid for the predicate; return the spaces scanned.
+
+    The grid is walked as plain scope tuples, in ``enumerate_auras`` order,
+    so a tuple's position is its ``aura_index``. Each tuple is a valid scope
+    function: it takes its entry i from list i of ``_checked_choices``,
+    whose every candidate passed the test ``AuraSpace`` makes of entry i
+    (open, and containing point i). Only the first space of each scope
+    tuple is built, and it decides the tuple's atoms (``_first_of_tuple``);
+    ``tauConnected`` is decided once for the topology (``_hit_values``).
+
+    Hits are appended to ``found`` while it holds fewer than ``keep`` (all
+    of them if ``keep`` is None): the grid is visited in ascending order, so
+    these are the first ones.
+    """
+    tau_connected = _tau_connected_if_read(expr, space)
     scanned = 0
-    topo: dict = {}
-    for aura_index, s in enumerate(enumerate_auras(space)):
+    for aura_index, picks in enumerate(itertools.product(*_checked_choices(space))):
         scanned += 1
-        valuation = _Valuation(s, memo, topo)
-        if expr.evaluate(valuation):
-            vals = {a: valuation.get(a) for a in expr.atoms}
-            found.append((topo_index, aura_index, s.scope_masks, vals))
-    return scanned, found
+        vals = _hit_values(expr, space, picks, memo, tau_connected)
+        if vals is not None and (keep is None or len(found) < keep):
+            found.append((topo_index, aura_index, picks, vals))
+    return scanned
 
 
 def _search_worker(args) -> Tuple[int, List[Hit]]:
-    n, expr_text, worker, workers = args
+    """Spaces scanned, and the first ``keep`` hits, of one worker's share."""
+    n, expr_text, keep, worker, workers = args
     expr = parse_predicate(expr_text)
     topologies = enumerate_topologies(n)
     memo: ScopeMemo = {}
     scanned = 0
     found: List[Hit] = []
     for ti in range(worker, len(topologies), workers):
-        got, hits = _scan_topology(topologies[ti], ti, expr, memo)
-        scanned += got
-        found.extend(hits)
+        scanned += _scan_topology(topologies[ti], ti, expr, memo, found, keep)
     return scanned, found
 
 
@@ -493,8 +595,13 @@ def _check_workers(workers: int) -> None:
         raise WorkersOutOfRange(f"workers must be at least 1, got {workers}")
 
 
-def _run_partitioned(n: int, expr_text: str, workers: int) -> Tuple[int, List[Hit]]:
-    jobs = [(n, expr_text, w, workers) for w in range(workers)]
+def _run_partitioned(n: int, expr_text: str, keep: Optional[int],
+                     workers: int) -> Tuple[int, List[Hit]]:
+    """Spaces scanned, and the first ``keep`` hits in grid order.
+
+    Each worker keeps its own first ``keep`` hits, which hold the first
+    ``keep`` of all."""
+    jobs = [(n, expr_text, keep, w, workers) for w in range(workers)]
     if workers <= 1:
         results = [_search_worker(jobs[0])]
     else:
@@ -505,16 +612,18 @@ def _run_partitioned(n: int, expr_text: str, workers: int) -> Tuple[int, List[Hi
     scanned = sum(r[0] for r in results)
     hits = [h for r in results for h in r[1]]
     hits.sort(key=lambda h: (h[0], h[1]))
-    return scanned, hits
+    return scanned, hits[:keep]
 
 
 def _render_witnesses(topologies: List[FiniteTopSpace], hits: List[Hit]) -> List[Witness]:
-    """Rebuild each hit's space and render its descriptor and document."""
+    """Rebuild each hit's space and render its descriptor and document.
+    Hits of one scope tuple share their values, so each witness gets a copy."""
     witnesses = []
     for ti, aura_index, scope_masks, vals in hits:
         space = topologies[ti]
         s = AuraSpace(space, ScopeFunction(space.universe, scope_masks))
-        witnesses.append(Witness(ti, aura_index, space_descriptor(s), _space_json(s), vals))
+        witnesses.append(Witness(ti, aura_index, space_descriptor(s), _space_json(s),
+                                 dict(vals)))
     return witnesses
 
 
@@ -549,35 +658,37 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
     if samples is not None:
         return _sampled_search(n, expr, samples, seed, limit)
 
-    scanned, hits = _run_partitioned(n, expression, workers)
-    witnesses = _render_witnesses(enumerate_topologies(n), hits[:limit])
+    scanned, hits = _run_partitioned(n, expression, limit, workers)
+    witnesses = _render_witnesses(enumerate_topologies(n), hits)
     return SearchReport("search", n, scanned, expression=expression,
                         witnesses=witnesses)
 
 
 def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
                     limit: Optional[int]) -> SearchReport:
+    """Scan ``samples`` seeded random grid spaces, read as in ``_scan_topology``."""
     rng = random.Random(seed)
     topologies = enumerate_topologies(n)
     memo: ScopeMemo = {}
-    topos: dict = {}
+    grids: dict = {}  # topology index -> (checked choices, tauConnected)
     hits: List[Hit] = []
     for k in range(samples):
         ti = rng.randrange(len(topologies))
         space = topologies[ti]
-        choices = _fiber_choices(space)
+        grid = grids.get(ti)
+        if grid is None:
+            grid = grids[ti] = (_checked_choices(space), _tau_connected_if_read(expr, space))
+        choices, tau_connected = grid
         digits = [rng.randrange(len(c)) for c in choices]
         picks = tuple(c[d] for c, d in zip(choices, digits))
-        s = AuraSpace(space, ScopeFunction(space.universe, picks))
-        valuation = _Valuation(s, memo, topos.setdefault(ti, {}))
-        if expr.evaluate(valuation):
+        vals = _hit_values(expr, space, picks, memo, tau_connected)
+        if vals is not None:
             # Mixed-radix position of the picks in enumerate_auras order,
             # where the last point's choice varies fastest.
             aura_index = 0
             for c, d in zip(choices, digits):
                 aura_index = aura_index * len(c) + d
-            vals = {a: valuation.get(a) for a in expr.atoms}
-            hits.append((ti, aura_index, s.scope_masks, vals))
+            hits.append((ti, aura_index, picks, vals))
     return SearchReport("search", n, samples, expression=expr.text,
                         witnesses=_render_witnesses(topologies, hits[:limit]),
                         seed=seed, samples=samples)
@@ -585,6 +696,10 @@ def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
 
 # ---------------------------------------------------------------------------
 # implication matrix
+
+# What the first space of each scope tuple decides for the matrix.
+_MATRIX_DECIDED = SCOPE_ATOMS + ("tauAEqualsTau",)
+
 
 def _matrix_worker(args) -> Tuple[int, dict]:
     """First witness of every failed implication p => q in this worker's
@@ -594,12 +709,16 @@ def _matrix_worker(args) -> Tuple[int, dict]:
     order, so the first space that makes p true and q false is already the
     least one: a pair is recorded only while it is absent.
 
-    Every space is read through a ``_Valuation`` over the worker's scope
-    memo. The twelve scope-only atoms read nothing but the scope tuple (the
-    proof is in ``_ScopeFacts``), so each runs once per distinct tuple (4,096
-    of the 59,123 spaces at size 4); ``tauConnected`` runs once per
-    topology, and ``tauAEqualsTau`` compares the tuple's memoised τ_a with
-    each space's τ.
+    The grid is walked as plain scope tuples, as in ``_scan_topology``:
+    every tuple is valid because each candidate it is drawn from passed
+    ``_checked_choices``, which checks what ``AuraSpace`` checks. Every
+    space is read through the worker's scope memo. The twelve scope-only
+    atoms read nothing but the scope tuple (the proof is in
+    ``_ScopeFacts``), so the first space of each distinct tuple is built and
+    decides them, with τ_a (``_first_of_tuple``; 4,096 of the 59,123 spaces
+    at size 4); ``tauConnected`` runs once per topology, and
+    ``tauAEqualsTau`` compares the tuple's memoised τ_a with each space's
+    τ. A witness is built again from its tuple to be rendered.
 
     The pairs a space makes false depend only on its valuation, and every
     pair of a valuation met before was recorded then, at an earlier space.
@@ -618,23 +737,29 @@ def _matrix_worker(args) -> Tuple[int, dict]:
     seen = set()
     for ti in range(worker, len(topologies), workers):
         space = topologies[ti]
-        topo: dict = {}
-        for aura_index, s in enumerate(enumerate_auras(space)):
+        tau = space.topology.mask_set
+        tau_connected = ATOMS["tauConnected"](space)
+        for aura_index, picks in enumerate(itertools.product(*_checked_choices(space))):
             scanned += 1
-            valuation = _Valuation(s, memo, topo)
-            key = (valuation.scope_vector(), valuation.get("tauConnected"),
-                   valuation.get("tauAEqualsTau"))
+            facts = memo.get(picks)
+            if facts is None:
+                facts = _first_of_tuple(space, picks, memo, _MATRIX_DECIDED)
+                facts.vector = tuple(facts.values[a] for a in SCOPE_ATOMS)
+            tau_a_equals_tau = facts.tau_a == tau
+            key = (facts.vector, tau_connected, tau_a_equals_tau)
             if key in seen:
                 continue
             seen.add(key)
-            vals = [valuation.get(a) for a in ATOM_NAMES]
-            holds = [a for a, v in zip(ATOM_NAMES, vals) if v]
-            fails = [a for a, v in zip(ATOM_NAMES, vals) if not v]
+            values = dict(facts.values, tauConnected=tau_connected,
+                          tauAEqualsTau=tau_a_equals_tau)
+            holds = [a for a in ATOM_NAMES if values[a]]
+            fails = [a for a in ATOM_NAMES if not values[a]]
             wit = None
             for p in holds:
                 for q in fails:
                     if (p, q) not in first:
                         if wit is None:
+                            s = AuraSpace(space, ScopeFunction(space.universe, picks))
                             wit = Witness(ti, aura_index, space_descriptor(s),
                                           _space_json(s), {})
                         first[(p, q)] = (ti, aura_index, wit)
@@ -648,12 +773,14 @@ _FACTOR_SIZES = (2, 3)
 
 
 def _product_pair_pool() -> List[Factor]:
-    """Every 2- and 3-point space as a factor."""
+    """Every 2- and 3-point space as a factor, in grid order. The scope
+    tuples are valid for the reason given in ``_scan_topology``, so no
+    space is built; the hulls come straight from the kernel."""
     pool = []
     for n in _FACTOR_SIZES:
         for space in enumerate_topologies(n):
-            for s in enumerate_auras(space):
-                pool.append((n, s.scope_masks, s.hull_masks))
+            for picks in itertools.product(*_checked_choices(space)):
+                pool.append((n, picks, tuple(kernel.hull_masks(n, picks))))
     return pool
 
 
