@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import kernel
-from .kernel.comparability import comparability_rows
+from .kernel import comparability_rows
 from .errors import OpenSetNotInTopology, PointNotInOwnAura
 from .finite import (
     FiniteTopSpace,
@@ -22,7 +22,9 @@ from .finite import (
     PointUniverse,
     TopologyFamily,
     _as_mask,
+    family_key,
     mask_indices,
+    sorted_labels,
 )
 
 
@@ -164,6 +166,20 @@ def make_aura_space(labels, opens, scopes, validate_tau: bool = True) -> AuraSpa
     else:
         masks = [universe.mask_of(s) for s in scopes]
     return AuraSpace(space, ScopeFunction(universe, masks))
+
+
+def space_document(s: AuraSpace) -> dict:
+    """The ``points``, ``opens`` and ``aura`` fields of a space's JSON
+    document, the inverse of ``make_aura_space``: opens in canonical family
+    order, every set as its ascending labels."""
+    universe = s.universe
+    return {
+        "points": list(universe.labels),
+        "opens": [sorted_labels(universe, m)
+                  for m in sorted(s.space.topology.mask_set, key=family_key)],
+        "aura": {lab: sorted_labels(universe, m)
+                 for lab, m in zip(universe.labels, s.scope_masks)},
+    }
 
 
 def aura_closure(s: AuraSpace, a) -> PointSet:

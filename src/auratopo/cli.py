@@ -22,8 +22,8 @@ import sys
 from typing import List, Optional
 
 from .aura import AuraSpace
-from .errors import AuraError, DocumentError
-from .finite import PointSet, family_key, mask_indices
+from .errors import AuraError
+from .finite import PointSet, family_key, family_text, sorted_labels
 
 # ``symbolic.MODEL_NAMES``, spelled out so that building the parser does not
 # compile the symbolic models; a test keeps the two equal.
@@ -48,11 +48,11 @@ def _bool(value: bool) -> str:
 
 
 def _set_labels(s: AuraSpace, mask: int) -> list:
-    return sorted(s.universe.labels[i] for i in mask_indices(mask))
+    return sorted_labels(s.universe, mask)
 
 
 def _set_text(s: AuraSpace, mask: int) -> str:
-    return "{" + ",".join(_set_labels(s, mask)) + "}"
+    return PointSet(s.universe, mask).text()
 
 
 def _family_masks(masks) -> list:
@@ -60,7 +60,7 @@ def _family_masks(masks) -> list:
 
 
 def _family_text(s: AuraSpace, masks) -> str:
-    return " ".join(_set_text(s, m) for m in _family_masks(masks))
+    return family_text(s.universe, masks)
 
 
 def _parse_set(s: AuraSpace, text: str) -> PointSet:
@@ -307,8 +307,7 @@ def cmd_enumerate(args) -> int:
         out = {"size": args.size, "topologies": len(spaces), "auras": auras}
         if not args.count_only:
             out["families"] = [
-                [sorted(space.universe.labels[i] for i in mask_indices(m))
-                 for m in sorted(space.topology.mask_set, key=family_key)]
+                [sorted_labels(space.universe, m) for m in _family_masks(space.topology.mask_set)]
                 for space in spaces
             ]
         _print_json(out)
@@ -316,11 +315,7 @@ def cmd_enumerate(args) -> int:
     lines = [f"size: {args.size}", f"topologies: {len(spaces)}", f"auras: {auras}"]
     if not args.count_only:
         for i, space in enumerate(spaces):
-            fam = " ".join(
-                "{" + ",".join(sorted(space.universe.labels[k] for k in mask_indices(m))) + "}"
-                for m in sorted(space.topology.mask_set, key=family_key)
-            )
-            lines.append(f"topology {i}: {fam}")
+            lines.append(f"topology {i}: {family_text(space.universe, space.topology.mask_set)}")
     _print(lines)
     return 0
 
@@ -442,20 +437,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DocumentError, AuraError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (AuraError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except KeyError as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import kernel
-from .kernel.comparability import comparability_rows, flood, flood_blocks
+from .kernel import comparability_rows, flood, flood_blocks
 from .finite import PointSet, family_key, mask_indices
 from .aura import AuraSpace, _as_mask
 

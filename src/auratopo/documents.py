@@ -12,9 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .aura import AuraSpace, make_aura_space
+from .aura import AuraSpace, make_aura_space, space_document
 from .errors import DocumentSyntaxError, MalformedDocument, UnknownPoint
-from .finite import family_key, mask_indices
 
 __all__ = ["SpaceDocument", "parse_document", "parse_space", "serialize_space", "load_document"]
 
@@ -92,22 +91,8 @@ def parse_space(text: str) -> AuraSpace:
     return parse_document(text).space
 
 
-def _sorted_labels(space: AuraSpace, mask: int) -> list:
-    labels = space.universe.labels
-    return sorted(labels[i] for i in mask_indices(mask))
-
-
 def serialize_space(space: AuraSpace, name: Optional[str] = None) -> str:
-    universe = space.universe
-    doc = {
-        "points": list(universe.labels),
-        "opens": [
-            _sorted_labels(space, m)
-            for m in sorted(space.space.topology.mask_set, key=family_key)
-        ],
-        "aura": {lab: _sorted_labels(space, space.scope_masks[i])
-                 for i, lab in enumerate(universe.labels)},
-    }
+    doc = space_document(space)
     if name is not None:
         doc["name"] = name
     return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"

@@ -95,6 +95,11 @@ def family_key(mask: int):
     return (len(indices), indices)
 
 
+def sorted_labels(universe: PointUniverse, mask: int) -> list:
+    """Member labels of a mask, ascending: a set's form in JSON documents."""
+    return sorted(universe.labels[i] for i in mask_indices(mask))
+
+
 class PointSet:
     """Immutable subset of a universe, backed by one int."""
 
@@ -158,10 +163,16 @@ class PointSet:
 
     def text(self) -> str:
         """Canonical display: member names ascending, {} when empty."""
-        return "{" + ",".join(sorted(self.labels())) + "}"
+        return "{" + ",".join(sorted_labels(self.universe, self.mask)) + "}"
 
     def __repr__(self) -> str:
         return self.text()
+
+
+def family_text(universe: PointUniverse, masks) -> str:
+    """A set family on one line: members in canonical family order, each as
+    ``PointSet.text()``, separated by spaces."""
+    return " ".join(PointSet(universe, m).text() for m in sorted(masks, key=family_key))
 
 
 class TopologyFamily:

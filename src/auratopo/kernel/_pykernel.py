@@ -1,15 +1,11 @@
-"""Pure Python kernel: bitmask primitives behind every hot loop.
+"""The kernel: bitmask primitives behind every hot loop.
 
 All functions speak plain ints. A subset of an n-point universe is the
 mask with bit i set for the i-th point; a scope assignment is a list of
-n masks, one per point, with bit i set in entry i. The compiled kernel
-implements the same contract; either backend must produce identical
-output for identical input.
+n masks, one per point, with bit i set in entry i.
 """
 
 from __future__ import annotations
-
-from .comparability import comparability_rows, flood_blocks
 
 BACKEND = "python"
 
@@ -94,8 +90,7 @@ def enumerate_preorders(n):
 
     Row x is the set {y : x R y}, i.e. the minimal open of x in the
     topology the preorder generates. Rows are assigned depth first in
-    ascending mask order, so the output is lexicographically sorted and
-    identical across backends.
+    ascending mask order, so the output is lexicographically sorted.
     """
     if n == 0:
         return [()]
@@ -127,6 +122,44 @@ def enumerate_preorders(n):
 
     place(0)
     return out
+
+
+def comparability_rows(hulls):
+    """Row x is the mask of the points comparable with x: the members of
+    hull(x) and the points whose hull contains x."""
+    rows = list(hulls)
+    for y, h in enumerate(hulls):
+        bit = 1 << y
+        while h:
+            low = h & -h
+            rows[low.bit_length() - 1] |= bit
+            h ^= low
+    return rows
+
+
+def flood(rows, seed, carrier):
+    """Points reachable from the ``seed`` bit by steps along ``rows`` that
+    stay inside the carrier."""
+    reached = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        grown = rows[low.bit_length() - 1] & carrier & ~reached
+        reached |= grown
+        frontier |= grown
+    return reached
+
+
+def flood_blocks(rows, carrier):
+    """Classes of the carrier, each the flood from the least point not yet
+    placed, so they come out ordered by their smallest index."""
+    blocks = []
+    rest = carrier
+    while rest:
+        block = flood(rows, rest & -rest, carrier)
+        blocks.append(block)
+        rest &= ~block
+    return blocks
 
 
 def component_count(n, hulls):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import kernel
-from .aura import AuraSpace, ScopeFunction
+from .aura import AuraSpace, ScopeFunction, space_document
 from .connectivity import (
     is_aura_connected,
     is_aura_locally_connected,
@@ -441,18 +441,8 @@ def space_descriptor(s: AuraSpace) -> str:
 
 
 def _space_json(s: AuraSpace) -> dict:
-    universe = s.universe
-    return {
-        "points": list(universe.labels),
-        "opens": [
-            sorted(PointSet(universe, m).labels())
-            for m in sorted(s.space.topology.mask_set, key=family_key)
-        ],
-        "aura": {
-            lab: sorted(PointSet(universe, m).labels())
-            for lab, m in zip(universe.labels, s.scope_masks)
-        },
-    }
+    """The witness's space document, built once per rendered witness."""
+    return space_document(s)
 
 
 @dataclass

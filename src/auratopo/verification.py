@@ -15,24 +15,10 @@ from typing import List, Optional
 from .aura import AuraSpace, classify
 from .connectivity import aura_components, is_aura_connected, is_aura_path_connected
 from .constructions import product, subspace
-from .finite import family_key, is_tau_connected, mask_indices
+from .finite import family_text, is_tau_connected, mask_indices
 from .fixtures import PRODUCT_PAIRS, load_fixture
 from .laws import LawReport, run_laws
 from .sequences import aura_limits, parse_sequence
-
-
-def _family_text(space: AuraSpace, masks) -> str:
-    universe = space.universe
-    parts = []
-    for m in sorted(masks, key=family_key):
-        labels = sorted(universe.labels[i] for i in mask_indices(m))
-        parts.append("{" + ",".join(labels) + "}")
-    return " ".join(parts)
-
-
-def _set_text(space: AuraSpace, mask: int) -> str:
-    labels = sorted(space.universe.labels[i] for i in mask_indices(mask))
-    return "{" + ",".join(labels) + "}"
 
 
 @dataclass(frozen=True)
@@ -61,7 +47,7 @@ def _check(name: str, expected: str, actual: str) -> CheckResult:
 
 
 def _scope_topology_check(name: str, s: AuraSpace, expected: str) -> CheckResult:
-    return _check(name, expected, _family_text(s, s.aura_topology_masks))
+    return _check(name, expected, family_text(s.universe, s.aura_topology_masks))
 
 
 def fixture_checks(fixtures_dir: Optional[str] = None) -> List[CheckResult]:
@@ -86,7 +72,7 @@ def fixture_checks(fixtures_dir: Optional[str] = None) -> List[CheckResult]:
     out.append(_check(
         "clusters5-components",
         "{1,2} {3,4} {5}",
-        " ".join(_set_text(clusters, b.mask) for b in blocks),
+        " ".join(b.text() for b in blocks),
     ))
 
     rotor = get("rotor3")
@@ -101,8 +87,7 @@ def fixture_checks(fixtures_dir: Optional[str] = None) -> List[CheckResult]:
         "rotor3-subspace-scopes",
         "a:{a,b} b:{b}",
         " ".join(
-            f"{lab}:{_set_text(sub, sub.scope.masks[i])}"
-            for i, lab in enumerate(sub.universe.labels)
+            f"{lab}:{sub.scope.of(lab).text()}" for lab in sub.universe.labels
         ),
     ))
     out.append(_scope_topology_check("rotor3-subspace-scope-topology", sub, "{} {b} {a,b}"))
@@ -143,7 +128,7 @@ def fixture_checks(fixtures_dir: Optional[str] = None) -> List[CheckResult]:
         out.append(_check(
             f"chain3-limits-cycle-{text[1:].replace(',', '-')}",
             expected,
-            _set_text(chain, aura_limits(chain, seq).mask),
+            aura_limits(chain, seq).text(),
         ))
 
     split = get("split3")
