@@ -1,0 +1,72 @@
+"""In-process timings of the law suite, law by law.
+
+Run with ``PYTHONPATH=src python3 benchmarks/laws_bench.py [--repeats N]``.
+Each repeat runs every law once, in registry order, on a fresh
+``LawContext`` at sizes up to 3, as ``verify-paper`` does. The output is one
+JSON object: per law its median seconds and its checks, the median total,
+and how many products ``constructions.product`` built in one run.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+
+from auratopo import laws
+
+
+def _one_run() -> dict:
+    """Seconds and checks per law, and the products built, of one run."""
+    built = 0
+    real_product = laws.product
+
+    def counted(sx, sy):
+        nonlocal built
+        built += 1
+        return real_product(sx, sy)
+
+    laws.product = counted
+    try:
+        ctx = laws.LawContext()
+        rows = {}
+        for law in laws.LAWS:
+            t0 = time.perf_counter()
+            (outcome,) = laws.run_laws(names=[law.name], ctx=ctx).outcomes
+            rows[law.name] = (time.perf_counter() - t0, outcome.checks)
+    finally:
+        laws.product = real_product
+    return {"laws": rows, "products": built}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    runs = [_one_run() for _ in range(args.repeats)]
+    names = [law.name for law in laws.LAWS]
+    per_law = {
+        name: {
+            "s": round(statistics.median(r["laws"][name][0] for r in runs), 4),
+            "checks": runs[0]["laws"][name][1],
+        }
+        for name in names
+    }
+    totals = [sum(s for s, _ in r["laws"].values()) for r in runs]
+    print(json.dumps({
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "repeats": args.repeats,
+        "total_s": round(statistics.median(totals), 4),
+        "checks": sum(row["checks"] for row in per_law.values()),
+        "products_built": runs[0]["products"],
+        "laws": per_law,
+    }, indent=2))
+
+
+if __name__ == "__main__":
+    main()

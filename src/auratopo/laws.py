@@ -15,7 +15,10 @@ Laws whose instances repeat one verdict many times (the convergence
 criterion, the product laws, the cover scan) run through class replay
 (``_Replay``): each class of instances that read the same inputs is
 decided once through the operators, and a class that fails is replayed
-in full, so reports under a fault keep their bytes.
+in full, so reports under a fault keep their bytes. Two all-pairs laws
+check every instance but memoise, per class, the families it reads:
+``product-topology-chain`` the product's two topologies, and
+``continuous-image-compact`` the onto images of a source.
 """
 
 from __future__ import annotations
@@ -304,11 +307,25 @@ def _pair_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
     scopes of the product are the boxes a(x) × b(y) of the factor
     scopes, in an order fixed by the two sizes, so the closure, hulls
     and τ_a of the product are functions of the key too, as are the
-    box family built from the two τ_a and the projection maps. The
-    ambient topologies are not in the key, so no verdict that reads
-    them may be replayed.
+    box family built from the two τ_a and the projection maps. So
+    ``product-topology-chain`` may take τ_{a×b} of every pair from the
+    first pair of its key. The ambient topologies are not in the key, so
+    no verdict that reads them may be replayed under it.
     """
     return (sx.n, sx.scope.masks, sy.n, sy.scope.masks)
+
+
+def _product_topology_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
+    """Class key of the product topology: both sizes and both topologies.
+
+    ``product`` builds the topology as all unions of the boxes
+    m(x) × m(y) of the factors' minimal opens, and a box's mask is placed
+    by the two sizes alone. The minimal open m(x) is the intersection of
+    the opens that contain x, a function of the factor's open family. So
+    two pairs with the same key get the same product open family, whatever
+    their scopes.
+    """
+    return (sx.n, sx.space.topology.mask_set, sy.n, sy.space.topology.mask_set)
 
 
 @dataclass(frozen=True)
@@ -613,23 +630,45 @@ def _product_closure(ctx: LawContext, t: _Tally) -> None:
 )
 def _product_chain(ctx: LawContext, t: _Tally) -> None:
     """The box-family half reads the two factor τ_a and the product τ_a,
-    so it is replayed under ``_pair_key``. The other half reads the
-    product topology, built from the factor topologies, so it runs on
-    every pair."""
+    so it is replayed under ``_pair_key``.
+
+    The other half tests τ_{a×b} ⊆ τ_X × τ_Y on every pair, as one
+    subset test of two memoised families. τ_{a×b} is a function of
+    ``_pair_key`` (528 classes at sizes up to 3), and τ_X × τ_Y of
+    ``_product_topology_key`` (248 classes); each family is taken from
+    the product of the first pair of its class. So the test reads the
+    same two families that the pair's own product holds. Only a failed
+    test builds the pair's own product, which decides the check again
+    and names the witness.
+    """
     replay = _Replay(t)
+    tau_a_of: Dict[tuple, frozenset] = {}
+    topology_of: Dict[tuple, frozenset] = {}
     for sx, sy in ctx.factor_pairs():
-        prod = ctx.product_of(sx, sy)
-        fp = ctx.facts(prod)
-        replay.run(
-            _pair_key(sx, sy),
-            lambda: t.verify(
-                product_topology_of_factors(sx, sy).mask_set <= fp.tau_a_set,
+
+        def box_checks() -> None:
+            prod = ctx.product_of(sx, sy)
+            t.verify(
+                product_topology_of_factors(sx, sy).mask_set <= ctx.facts(prod).tau_a_set,
                 "box-generated family escapes the product scope topology",
                 prod,
-            ),
-        )
+            )
+
+        pair_key = _pair_key(sx, sy)
+        replay.run(pair_key, box_checks)
+        tau_a = tau_a_of.get(pair_key)
+        if tau_a is None:
+            tau_a = tau_a_of[pair_key] = ctx.facts(ctx.product_of(sx, sy)).tau_a_set
+        topology_key = _product_topology_key(sx, sy)
+        topology = topology_of.get(topology_key)
+        if topology is None:
+            topology = topology_of[topology_key] = ctx.product_of(sx, sy).space.topology.mask_set
+        if tau_a <= topology:
+            t.checks += 1
+            continue
+        prod = ctx.product_of(sx, sy)
         t.verify(
-            fp.tau_a_set <= prod.space.topology.mask_set,
+            ctx.facts(prod).tau_a_set <= prod.space.topology.mask_set,
             "product scope topology escapes the product topology",
             prod,
         )
@@ -1049,13 +1088,27 @@ def _compact_limit(ctx: LawContext, t: _Tally) -> None:
     "a continuous onto image of a compact space is compact",
 )
 def _image_compact(ctx: LawContext, t: _Tally) -> None:
+    """Every (compact source, onto image) instance is checked, and the
+    targets of a source are listed once per source class ``(n, τ_a)``.
+
+    ``has_continuous_surjection`` reads the source only through its size
+    and τ_a (continuity of a map is a preimage test against the two scope
+    topologies, and being onto reads the sizes), so every source of a
+    class has the same targets, in ``all_facts`` order.
+    """
     all_facts = [ctx.facts(s) for s in ctx.all_spaces()]
+    targets_of: Dict[tuple, list] = {}
     for fs in all_facts:
         if not is_aura_compact(fs.space):
             continue
-        for fd in all_facts:
-            if fd.n > fs.n or not ctx.has_continuous_surjection(fs, fd):
-                continue
+        key = (fs.n, fs.tau_a)
+        targets = targets_of.get(key)
+        if targets is None:
+            targets = targets_of[key] = [
+                fd for fd in all_facts
+                if fd.n <= fs.n and ctx.has_continuous_surjection(fs, fd)
+            ]
+        for fd in targets:
             t.verify(
                 is_aura_compact(fd.space),
                 "continuous onto image of a compact space flagged non-compact",

@@ -567,11 +567,10 @@ def _scan_topology(space: FiniteTopSpace, topo_index: int, expr: PredicateExpr,
     return scanned
 
 
-def _search_worker(args) -> Tuple[int, List[Hit]]:
+def _search_share(topologies: List[FiniteTopSpace], expr_text: str, keep: Optional[int],
+                  worker: int, workers: int) -> Tuple[int, List[Hit]]:
     """Spaces scanned, and the first ``keep`` hits, of one worker's share."""
-    n, expr_text, keep, worker, workers = args
     expr = parse_predicate(expr_text)
-    topologies = enumerate_topologies(n)
     memo: ScopeMemo = {}
     scanned = 0
     found: List[Hit] = []
@@ -580,23 +579,30 @@ def _search_worker(args) -> Tuple[int, List[Hit]]:
     return scanned, found
 
 
+def _search_worker(args) -> Tuple[int, List[Hit]]:
+    """``_search_share`` in a pool worker, which enumerates its own topologies."""
+    n, expr_text, keep, worker, workers = args
+    return _search_share(enumerate_topologies(n), expr_text, keep, worker, workers)
+
+
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise WorkersOutOfRange(f"workers must be at least 1, got {workers}")
 
 
-def _run_partitioned(n: int, expr_text: str, keep: Optional[int],
-                     workers: int) -> Tuple[int, List[Hit]]:
+def _run_partitioned(topologies: List[FiniteTopSpace], n: int, expr_text: str,
+                     keep: Optional[int], workers: int) -> Tuple[int, List[Hit]]:
     """Spaces scanned, and the first ``keep`` hits in grid order.
 
-    Each worker keeps its own first ``keep`` hits, which hold the first
-    ``keep`` of all."""
-    jobs = [(n, expr_text, keep, w, workers) for w in range(workers)]
+    ``topologies`` is ``enumerate_topologies(n)``; one worker scans it in
+    place, and pool workers enumerate their own. Each worker keeps its own
+    first ``keep`` hits, which hold the first ``keep`` of all."""
     if workers <= 1:
-        results = [_search_worker(jobs[0])]
+        results = [_search_share(topologies, expr_text, keep, 0, 1)]
     else:
         import multiprocessing
 
+        jobs = [(n, expr_text, keep, w, workers) for w in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_search_worker, jobs)
     scanned = sum(r[0] for r in results)
@@ -648,8 +654,9 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
     if samples is not None:
         return _sampled_search(n, expr, samples, seed, limit)
 
-    scanned, hits = _run_partitioned(n, expression, limit, workers)
-    witnesses = _render_witnesses(enumerate_topologies(n), hits)
+    topologies = enumerate_topologies(n)
+    scanned, hits = _run_partitioned(topologies, n, expression, limit, workers)
+    witnesses = _render_witnesses(topologies, hits)
     return SearchReport("search", n, scanned, expression=expression,
                         witnesses=witnesses)
 

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import pytest
 
 from auratopo import LAW_NAMES, run_laws
+from auratopo.constructions import product
+from auratopo.finite import FiniteTopSpace, TopologyFamily
 from auratopo.laws import CORE, EXTENDED, LawContext, _convergence_sequences, get_law
 from auratopo.sequences import aura_limits, converges_to, transitive_criterion
 from auratopo import kernel, laws
@@ -314,6 +316,114 @@ def test_replayed_fault_outcomes_are_pinned(monkeypatch):
             ],
         ),
     }
+
+
+# Faults on the inputs of the two class memos: the product topology, keyed
+# on the factor topologies, and compactness, read on every instance.
+
+def _break_product_topology(monkeypatch):
+    # Drop the singleton {a|a} from the product topology when the left
+    # factor is the discrete two-point space.
+    real = laws.product
+
+    def broken(sx, sy):
+        p = real(sx, sy)
+        if sx.space.topology.mask_set == frozenset(range(4)):
+            opens = p.space.topology.mask_set - {1}
+            p.space = FiniteTopSpace(p.universe, TopologyFamily(p.universe, opens, validate=False))
+        return p
+
+    monkeypatch.setattr(laws, "product", broken)
+
+
+def _break_compactness(monkeypatch):
+    # Two-point spaces whose topology has three opens are flagged non-compact:
+    # this reads the ambient topology, which no source class key holds.
+    monkeypatch.setattr(
+        laws, "is_aura_compact",
+        lambda s, a=None, oracle=False: not (s.n == 2 and len(s.space.topology.mask_set) == 3),
+    )
+
+
+CLASS_MEMO_FAULTS = {
+    "product-topology-chain": _break_product_topology,
+    "continuous-image-compact": _break_compactness,
+}
+
+
+def test_class_memo_fault_outcomes_are_pinned(monkeypatch):
+    # Pinned from a run that built every pair's product and listed every
+    # source's targets.
+    opens_no_aa = OPENS_2X2.replace("{a|a},", "", 1)
+    opens_a_no_aa = OPENS_2X2_A.replace("{a|a},", "", 1)
+    sierpinski_a = "points a,b | opens {},{a},{a,b} | scopes "
+    sierpinski_b = "points a,b | opens {},{b},{a,b} | scopes "
+    got = {}
+    for name, fault in CLASS_MEMO_FAULTS.items():
+        with monkeypatch.context() as m:
+            fault(m)
+            (o,) = run_laws(names=[name], max_n=3).outcomes
+        got[name] = (o.checks, o.failed, o.failures)
+    assert got == {
+        "product-topology-chain": _pinned(
+            "product-topology-chain", 13194, 132,
+            "product scope topology escapes the product topology", [
+                _space_2x2(opens_no_aa, "a|a:{a|a} a|b:{a|b} b|a:{b|a} b|b:{b|b}"),
+                _space_2x2(opens_no_aa, "a|a:{a|a} a|b:{a|a,a|b} b|a:{b|a} b|b:{b|a,b|b}"),
+                _space_2x2(opens_a_no_aa, "a|a:{a|a} a|b:{a|a,a|b} b|a:{b|a} b|b:{b|a,b|b}"),
+                _space_2x2(opens_no_aa, "a|a:{a|a} a|b:{a|b} b|a:{a|a,b|a} b|b:{a|b,b|b}"),
+                _space_2x2(opens_no_aa, "a|a:{a|a} a|b:{a|a,a|b} b|a:{a|a,b|a} b|b:{a|a,a|b,b|a,b|b}"),
+            ],
+        ),
+        "continuous-image-compact": _pinned(
+            "continuous-image-compact", 78616, 1186,
+            "continuous onto image of a compact space flagged non-compact", [
+                sierpinski_a + "a:{a} b:{a,b}",
+                sierpinski_a + "a:{a,b} b:{a,b}",
+                sierpinski_b + "a:{a,b} b:{b}",
+                sierpinski_b + "a:{a,b} b:{a,b}",
+                sierpinski_a + "a:{a} b:{a,b}",
+            ],
+        ),
+    }
+
+
+def test_product_class_keys_hold_the_families_the_chain_reads():
+    # product-topology-chain takes the product topology from the first pair
+    # with the same factor topologies, and τ_{a×b} from the first pair with
+    # the same pair key. All pairs of two-point factors, and a seeded sample
+    # of the (2,3) and (3,2) pairs.
+    ctx = LawContext(3)
+    pairs = [(sx, sy) for sx in ctx.spaces(2) for sy in ctx.spaces(2)]
+    rng = random.Random(13)
+    for nx, ny in ((2, 3), (3, 2)):
+        pairs += [(rng.choice(ctx.spaces(nx)), rng.choice(ctx.spaces(ny))) for _ in range(250)]
+    first_topology, first_tau_a = {}, {}
+    for sx, sy in pairs:
+        p = product(sx, sy)
+        topology = p.space.topology.mask_set
+        tau_a = frozenset(p.aura_topology_masks)
+        assert first_topology.setdefault(laws._product_topology_key(sx, sy), topology) == topology
+        assert first_tau_a.setdefault(laws._pair_key(sx, sy), tau_a) == tau_a
+    assert len(pairs) == 581
+    assert len(first_topology) < len(pairs) and len(first_tau_a) < len(pairs)
+
+
+def test_law_suite_builds_one_product_per_class(monkeypatch):
+    # One product per pair key (528) and per pair of factor topologies
+    # (248), 773 distinct pairs in all; checking every pair built 6,597.
+    built = []
+    real = laws.product
+
+    def counted(sx, sy):
+        built.append((sx, sy))
+        return real(sx, sy)
+
+    monkeypatch.setattr(laws, "product", counted)
+    report = run_laws(max_n=3)
+    assert report.ok
+    assert sum(o.checks for o in report.outcomes) == 1324421
+    assert len(built) <= 773
 
 
 def test_convergence_operators_run_once_per_cycle_mask(monkeypatch):

@@ -163,6 +163,20 @@ def test_search_renders_only_the_witnesses_it_returns(monkeypatch, kwargs):
     assert len(calls) == len(report.witnesses)
 
 
+def test_single_worker_search_enumerates_the_topologies_once(monkeypatch):
+    calls = []
+    original = kernel.enumerate_preorders
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(kernel, "enumerate_preorders", counted)
+    report = search(3, "aConnected and not tauConnected", limit=5)
+    assert len(report.witnesses) == 5
+    assert calls == [3]
+
+
 def test_negative_limit_is_rejected():
     assert len(search(2, "aT0 and not aT1").witnesses) == 4
     with pytest.raises(LimitOutOfRange, match="got -1"):
