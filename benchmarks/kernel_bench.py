@@ -25,7 +25,7 @@ def _discrete4_auras():
 def bench_tau_a(auras):
     total = 0
     for scopes in auras:
-        total += len(kernel.tau_a_masks(4, scopes))
+        total += len(kernel.tau_a_masks(kernel.hull_masks(4, scopes)))
     return total
 
 
@@ -37,14 +37,14 @@ def bench_closures(auras):
     return acc
 
 
-def _size4_hulls():
-    """The hull tuple of every size-4 space (59,123 of them)."""
-    return [list(s.hull_masks) for top in enumerate_topologies(4)
+def _size4_rows():
+    """The comparability rows of every size-4 space (59,123 of them)."""
+    return [s.comparability_rows for top in enumerate_topologies(4)
             for s in enumerate_auras(top)]
 
 
-def bench_components(hulls):
-    return sum(kernel.component_count(4, h) for h in hulls)
+def bench_components(rows):
+    return sum(kernel.component_count(r) for r in rows)
 
 
 def run(name, fn, *args):
@@ -58,10 +58,10 @@ def main():
     table = [
         run("enumerate_preorders(4)", bench_preorders, 4),
         run("enumerate_preorders(5)", bench_preorders, 5),
-        run("tau_a over discrete-4 auras (4096)", bench_tau_a, auras4),
+        run("hulls and tau_a over discrete-4 auras (4096)", bench_tau_a, auras4),
         run("closures over discrete-4 auras (65536)", bench_closures, auras4),
-        run("component_count over size-4 hulls (59123)", bench_components,
-            _size4_hulls()),
+        run("component_count over size-4 rows (59123)", bench_components,
+            _size4_rows()),
     ]
 
     width = max(len(r[0]) for r in table) + 2

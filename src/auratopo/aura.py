@@ -115,7 +115,8 @@ class AuraSpace:
 
     @cached_property
     def aura_topology_masks(self) -> tuple:
-        return tuple(kernel.tau_a_masks(self.n, self.scope.masks))
+        """Every scope-open set, ascending: all unions of the hulls."""
+        return tuple(kernel.tau_a_masks(self.hull_masks))
 
     @cached_property
     def classification(self) -> "AuraClassification":
@@ -152,14 +153,14 @@ class AuraSpace:
         return f"AuraSpace({self.space!r}, scope {{{pairs}}})"
 
 
-def make_aura_space(labels, opens, scopes, validate_tau: bool = True) -> AuraSpace:
+def make_aura_space(labels, opens, scopes) -> AuraSpace:
     """Convenience builder from label lists.
 
-    ``opens`` is an iterable of label lists, ``scopes`` maps each label
-    to a label list.
+    ``opens`` is an iterable of label lists, validated as a topology;
+    ``scopes`` maps each label to a label list.
     """
     universe = PointUniverse(labels)
-    topo = TopologyFamily(universe, {universe.mask_of(o) for o in opens}, validate=validate_tau)
+    topo = TopologyFamily(universe, {universe.mask_of(o) for o in opens})
     space = FiniteTopSpace(universe, topo)
     if isinstance(scopes, Mapping):
         masks = [universe.mask_of(scopes[lab]) for lab in universe.labels]
@@ -304,18 +305,14 @@ class FiniteMap:
                 out |= 1 << i
         return out
 
-    def image_set(self, a: PointSet) -> PointSet:
-        out = 0
-        for i in mask_indices(a.mask):
-            out |= 1 << self.images[i]
-        return PointSet(self.target, out)
-
 
 def is_aura_continuous(f: FiniteMap, src: AuraSpace, dst: AuraSpace) -> bool:
-    """Preimages of scope-open sets are scope-open."""
+    """Preimages of scope-open sets are scope-open.
+
+    Tested on the hulls of the target alone: every scope-open set is a
+    union of hulls, a preimage of a union is the union of the preimages,
+    and a union of scope-open sets is scope-open.
+    """
     if f.source != src.universe or f.target != dst.universe:
         raise ValueError("map endpoints do not match the given spaces")
-    for v in dst.aura_topology_masks:
-        if not is_aura_open(src, f.preimage_mask(v)):
-            return False
-    return True
+    return all(is_aura_open(src, f.preimage_mask(h)) for h in set(dst.hull_masks))

@@ -123,9 +123,10 @@ def is_aura_path_connected(s: AuraSpace) -> bool:
 
     z steps to w when one belongs to the hull of the other, the finite
     shadow of a continuous unit-interval path; the space is path
-    connected when the fence graph has a single class.
+    connected when the fence graph, whose rows are the space's
+    comparability rows, has a single class.
     """
-    return kernel.component_count(s.n, list(s.hull_masks)) <= 1
+    return kernel.component_count(s.comparability_rows) <= 1
 
 
 def fence_path(s: AuraSpace, start: str, end: str) -> Optional[list]:

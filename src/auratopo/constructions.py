@@ -9,7 +9,6 @@ re-validation (the tests re-validate samples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -17,7 +16,6 @@ from . import kernel
 from .errors import EmptySubspace
 from .finite import (
     FiniteTopSpace,
-    PointSet,
     PointUniverse,
     TopologyFamily,
     mask_indices,
@@ -51,25 +49,8 @@ def subspace(s: AuraSpace, carrier) -> AuraSpace:
     return AuraSpace(FiniteTopSpace(sub_universe, topo), ScopeFunction(sub_universe, scopes))
 
 
-@dataclass(frozen=True)
-class ProductPoint:
-    """Pairing convention for product points."""
-
-    left: str
-    right: str
-
-    @property
-    def label(self) -> str:
-        return f"{self.left}|{self.right}"
-
-
 def _product_universe(left: PointUniverse, right: PointUniverse) -> PointUniverse:
-    labels = [
-        ProductPoint(a, b).label
-        for a in left.labels
-        for b in right.labels
-    ]
-    return PointUniverse(labels)
+    return PointUniverse([f"{a}|{b}" for a in left.labels for b in right.labels])
 
 
 def _box_mask(left_mask: int, right_mask: int, ny: int) -> int:
@@ -84,25 +65,30 @@ def _box_mask(left_mask: int, right_mask: int, ny: int) -> int:
     return out
 
 
+def _box_topology(universe: PointUniverse, left: Sequence[int], right: Sequence[int],
+                  ny: int) -> TopologyFamily:
+    """All unions of the boxes u × v, for u in ``left`` and v in ``right``.
+
+    ``left`` and ``right`` are the minimal open sets of two finite
+    topologies, per point. Every open box U × V is then the union of the
+    boxes m(x) × m(y) over its points (x, y), because m(x) ⊆ U and
+    m(y) ⊆ V, so the result is the topology that all open boxes generate.
+    """
+    boxes = [_box_mask(u, v, ny) for u in left for v in right]
+    return TopologyFamily(universe, kernel.union_closure(boxes), validate=False)
+
+
 def product(sx: AuraSpace, sy: AuraSpace) -> AuraSpace:
     """Product aura space on pairs, ordered lexicographically.
 
-    The product topology is materialized as all unions of minimal-open
-    boxes; every open box then belongs to it, in particular each scope
-    box a(x) x b(y).
+    The product topology is the box topology of the factors' minimal
+    opens, so every open box belongs to it, in particular each scope box
+    a(x) × b(y).
     """
     ny = sy.n
     universe = _product_universe(sx.universe, sy.universe)
-    min_left = sx.space.minimal_open_masks
-    min_right = sy.space.minimal_open_masks
-    boxes = [
-        _box_mask(min_left[x], min_right[y], ny)
-        for x in range(sx.n)
-        for y in range(ny)
-    ]
-    opens = set(kernel.union_closure(boxes))
-    opens.add(0)
-    topo = TopologyFamily(universe, opens, validate=False)
+    topo = _box_topology(universe, sx.space.minimal_open_masks,
+                         sy.space.minimal_open_masks, ny)
     scopes = [
         _box_mask(sx.scope.masks[x], sy.scope.masks[y], ny)
         for x in range(sx.n)
@@ -114,22 +100,12 @@ def product(sx: AuraSpace, sy: AuraSpace) -> AuraSpace:
 def product_topology_of_factors(sx: AuraSpace, sy: AuraSpace) -> TopologyFamily:
     """Topology on the product generated by scope-open boxes.
 
-    Boxes of scope-open sets are closed under intersection, so closing
-    them under union yields the topology generated by the two scope
-    topologies on the pair universe.
+    The hulls are the minimal opens of the two scope topologies, so this
+    is the box topology of the hulls: each scope-open box U × V is the
+    union of the boxes hull(x) × hull(y) over its points.
     """
-    ny = sy.n
     universe = _product_universe(sx.universe, sy.universe)
-    boxes = sorted(
-        {
-            _box_mask(u, v, ny)
-            for u in sx.aura_topology_masks
-            for v in sy.aura_topology_masks
-        }
-    )
-    opens = set(kernel.union_closure(boxes))
-    opens.add(0)
-    return TopologyFamily(universe, opens, validate=False)
+    return _box_topology(universe, sx.hull_masks, sy.hull_masks, sy.n)
 
 
 def iterated_product(spaces: Sequence[AuraSpace]) -> AuraSpace:

@@ -24,18 +24,6 @@ ORACLE_LIMIT = 4
 
 
 @dataclass(frozen=True)
-class Cover:
-    target: PointSet
-    members: tuple
-
-    def union_mask(self) -> int:
-        m = 0
-        for s in self.members:
-            m |= s.mask
-        return m
-
-
-@dataclass(frozen=True)
 class FipResult:
     fip_holds: bool
     intersection_nonempty: bool
@@ -159,11 +147,7 @@ def is_aura_lindelof(s: AuraSpace, a=None, oracle: bool = False) -> bool:
     true; since a finite subcover is countable, the oracle re-checks it
     through the compactness cover scan.
     """
-    tm = s.universe.full_mask if a is None else _as_mask(s, a)
-    if not oracle:
-        return True
-    _oracle_gate(s)
-    return _cover_subfamilies_admit_finite_subcover(s, s.aura_topology_masks, tm)
+    return is_aura_compact(s, a, oracle)
 
 
 def is_aura_limit_point_compact(s: AuraSpace, a=None) -> bool:

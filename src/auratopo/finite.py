@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 from . import kernel
 from .errors import (
-    EmptyUniverse,
     MissingEmpty,
     MissingWhole,
     NotClosedUnderIntersection,
@@ -403,18 +402,3 @@ def is_tau_connected(space: FiniteTopSpace) -> bool:
         if o != 0 and o != full and (full & ~o) in space.topology.mask_set:
             return False
     return True
-
-
-def restrict_topology(topology: TopologyFamily, carrier: PointSet) -> set:
-    """Trace of a family on a subset: masks of {U & Y}.
-
-    Returned as a plain mask set against the original universe's bit
-    positions restricted to the carrier; callers re-index as needed.
-    """
-    ym = carrier.mask
-    return {o & ym for o in topology.mask_set}
-
-
-def require_nonempty(universe: PointUniverse) -> None:
-    if universe.n == 0:
-        raise EmptyUniverse("operation needs at least one point")

@@ -46,9 +46,15 @@ def union_closure(masks):
     return sorted(seen)
 
 
-def tau_a_masks(n, auras):
-    """Every scope-open set, as ascending masks: all unions of hulls."""
-    return union_closure(hull_masks(n, auras))
+def tau_a_masks(hulls):
+    """Every scope-open set, as ascending masks: all unions of the hulls.
+
+    A union of scope-open sets is scope-open, so each union of hulls is.
+    Conversely a scope-open U holds hull(x) for each of its points x, since
+    hull(x) is the least scope-open set around x, so U is the union of those
+    hulls. The hulls come from ``hull_masks``.
+    """
+    return union_closure(hulls)
 
 
 def is_transitive(n, auras):
@@ -162,13 +168,14 @@ def flood_blocks(rows, carrier):
     return blocks
 
 
-def component_count(n, hulls):
-    """Connected pieces of the comparability graph of the hulls.
+def component_count(rows):
+    """Connected pieces of the comparability graph whose rows are given.
 
-    x and y are adjacent when one lies in the other's hull; classes of
-    the induced reachability are exactly the components of the finite
-    space whose minimal opens are the hulls. Each class is one bitmask
-    flood of the comparability rows from the least point not yet placed,
-    so the count is the number of floods it takes to place all n points.
+    The rows come from ``comparability_rows(hulls)``: x and y are adjacent
+    when one lies in the other's hull, and the classes of the induced
+    reachability are exactly the components of the finite space whose
+    minimal opens are the hulls. Each class is one bitmask flood from the
+    least point not yet placed, so the count is the number of floods it
+    takes to place all ``len(rows)`` points.
     """
-    return len(flood_blocks(comparability_rows(hulls), (1 << n) - 1))
+    return len(flood_blocks(rows, (1 << len(rows)) - 1))

@@ -30,17 +30,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from . import kernel
 from .aura import (
-    AuraClassification,
     AuraSpace,
     FiniteMap,
-    SeparationAxioms,
     aura_interior,
-    classify,
     derived_set,
     is_aura_closed,
     is_aura_continuous,
     make_aura_space,
-    separation_axioms,
 )
 from .connectivity import aura_components, is_aura_connected, is_aura_locally_connected
 from .constructions import _box_mask, product, product_topology_of_factors, subspace
@@ -72,7 +68,9 @@ class SpaceFacts:
 
     Every table is built on first use, so a space pays only for the
     tables that the laws run over it read: most product spaces, for
-    instance, never need closures, derived sets or interiors.
+    instance, never need closures, derived sets or interiors. The hulls,
+    the classification and the separation flags are read from the
+    ``AuraSpace``, which holds each of them once.
     """
 
     __slots__ = ("space", "n", "size", "full", "scopes", "__dict__")
@@ -83,10 +81,6 @@ class SpaceFacts:
         self.size = 1 << s.n
         self.full = s.universe.full_mask
         self.scopes = s.scope.masks
-
-    @cached_property
-    def hulls(self) -> tuple:
-        return self.space.hull_masks
 
     @cached_property
     def cl(self) -> list:
@@ -114,14 +108,6 @@ class SpaceFacts:
         return [a for a in range(self.size) if is_aura_closed(self.space, a)]
 
     @cached_property
-    def cls(self) -> AuraClassification:
-        return classify(self.space)
-
-    @cached_property
-    def sep(self) -> SeparationAxioms:
-        return separation_axioms(self.space)
-
-    @cached_property
     def connected(self) -> bool:
         return is_aura_connected(self.space)
 
@@ -146,6 +132,7 @@ class LawContext:
         self._facts: Dict[AuraSpace, SpaceFacts] = {}
         self._surjection_cache: Dict[tuple, bool] = {}
         self._products: Dict[tuple, AuraSpace] = {}
+        self._subspaces: Dict[tuple, AuraSpace] = {}
         self.discrete_pair = make_aura_space(
             ["0", "1"],
             [[], ["0"], ["1"], ["0", "1"]],
@@ -197,11 +184,26 @@ class LawContext:
             self._products[key] = p
         return p
 
+    def subspace_of(self, s: AuraSpace, ym: int) -> AuraSpace:
+        """``subspace(s, ym)``, built once per space and carrier mask.
+
+        The memo keeps the equal space that ``facts`` already holds, so a
+        subspace met before under another carrier is not kept twice.
+        """
+        key = (s, ym)
+        sub = self._subspaces.get(key)
+        if sub is None:
+            sub = self._subspaces[key] = self.facts(subspace(s, ym)).space
+        return sub
+
     def has_continuous_surjection(self, src: SpaceFacts, dst: SpaceFacts) -> bool:
         """Does any onto map carry src continuously to dst?
 
         Continuity only consults the two scope topologies, so results
-        are memoised per topology pair and evaluated on masks.
+        are memoised per topology pair and evaluated on masks. A map is
+        tested on the preimages of the target's hulls alone: every
+        scope-open set is a union of hulls, preimages commute with unions,
+        and τ_a is closed under unions.
         """
         if dst.n > src.n or dst.n == 0 != src.n:
             return False
@@ -210,14 +212,15 @@ class LawContext:
         if hit is not None:
             return hit
         found = False
+        hulls = set(dst.space.hull_masks)
         for images in itertools.product(range(dst.n), repeat=src.n):
             if len(set(images)) != dst.n:
                 continue
             ok = True
-            for v in dst.tau_a:
+            for h in hulls:
                 pre = 0
                 for i, img in enumerate(images):
-                    if (v >> img) & 1:
+                    if (h >> img) & 1:
                         pre |= 1 << i
                 if pre not in src.tau_a_set:
                     ok = False
@@ -500,7 +503,7 @@ def _subfamily(ctx: LawContext, t: _Tally) -> None:
         for u in f.tau_a:
             t.verify(u in ambient, lambda: f"scope-open {u:#x} is not open", s)
         for i in range(f.n):
-            h = f.hulls[i]
+            h = s.hull_masks[i]
             t.verify(h in f.tau_a_set, lambda: f"hull of point {i} is not scope-open", s)
             t.verify(bool((h >> i) & 1), lambda: f"hull of point {i} misses the point", s)
             for u in f.tau_a:
@@ -520,10 +523,10 @@ def _subfamily(ctx: LawContext, t: _Tally) -> None:
 def _transitive_base(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.all_spaces():
         f = ctx.facts(s)
-        if not f.cls.transitive:
+        if not s.classification.transitive:
             continue
         t.verify(
-            list(f.scopes) == list(f.hulls),
+            list(f.scopes) == list(s.hull_masks),
             "scopes and hulls differ on a transitive space",
             s,
         )
@@ -544,7 +547,7 @@ def _subspace_closure(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.all_spaces():
         f = ctx.facts(s)
         for ym in range(1, f.size):
-            sub = subspace(s, ym)
+            sub = ctx.subspace_of(s, ym)
             positions = list(mask_indices(ym))
             fs = ctx.facts(sub)
             for a_sub in range(1 << len(positions)):
@@ -572,7 +575,7 @@ def _subspace_tau(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.all_spaces():
         f = ctx.facts(s)
         for ym in range(1, f.size):
-            sub = subspace(s, ym)
+            sub = ctx.subspace_of(s, ym)
             positions = list(mask_indices(ym))
             pos = {p: k for k, p in enumerate(positions)}
             fs = ctx.facts(sub)
@@ -587,7 +590,7 @@ def _subspace_tau(ctx: LawContext, t: _Tally) -> None:
                 lambda: f"trace family escapes the subspace scope topology on carrier {ym:#x}",
                 s,
             )
-            if f.cls.transitive:
+            if s.classification.transitive:
                 t.verify(
                     trace == fs.tau_a_set,
                     lambda: f"transitive space has a strict trace on carrier {ym:#x}",
@@ -686,7 +689,7 @@ def _product_equality(ctx: LawContext, t: _Tally) -> None:
     for sx, sy in ctx.factor_pairs():
 
         def checks() -> None:
-            if not (ctx.facts(sx).cls.transitive and ctx.facts(sy).cls.transitive):
+            if not (sx.classification.transitive and sy.classification.transitive):
                 return
             prod = ctx.product_of(sx, sy)
             t.verify(
@@ -832,7 +835,7 @@ def _lc_open_components(ctx: LawContext, t: _Tally) -> None:
 def _transitive_lc(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.all_spaces():
         f = ctx.facts(s)
-        if not f.cls.transitive:
+        if not s.classification.transitive:
             continue
         if all(is_aura_connected(s, m) for m in f.scopes):
             t.verify(
@@ -850,7 +853,7 @@ def _transitive_lc(ctx: LawContext, t: _Tally) -> None:
 def _sym_trans_lc(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.all_spaces():
         f = ctx.facts(s)
-        if not (f.cls.transitive and f.cls.symmetric):
+        if not (s.classification.transitive and s.classification.symmetric):
             continue
         lhs = is_aura_locally_connected(s)
         rhs = all(is_aura_connected(s, m) for m in f.scopes)
@@ -931,7 +934,7 @@ def _convergence(ctx: LawContext, t: _Tally) -> None:
             seqs = _convergence_sequences(s.universe)
             table = tables[s.universe] = (seqs, _cycle_classes(seqs))
         seqs, classes = table
-        transitive = f.cls.transitive
+        transitive = s.classification.transitive
         probe = _Tally(t.law)
         weighted = 0
         for q, text, count in classes:
@@ -988,23 +991,23 @@ def _fip_law(ctx: LawContext, t: _Tally) -> None:
 )
 def _separation(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.all_spaces():
-        f = ctx.facts(s)
+        hulls, sep = s.hull_masks, s.separation
         t0 = t1 = t2 = True
-        for i in range(f.n):
-            for j in range(f.n):
+        for i in range(s.n):
+            for j in range(s.n):
                 if i == j:
                     continue
-                if (f.hulls[i] >> j) & 1 and (f.hulls[j] >> i) & 1:
+                if (hulls[i] >> j) & 1 and (hulls[j] >> i) & 1:
                     t0 = False
-                if (f.hulls[i] >> j) & 1:
+                if (hulls[i] >> j) & 1:
                     t1 = False
-                if i < j and f.hulls[i] & f.hulls[j]:
+                if i < j and hulls[i] & hulls[j]:
                     t2 = False
-        t.verify(f.sep.t0 == t0, "t0 flag disagrees with the hull definition", s)
-        t.verify(f.sep.t1 == (t1 and t0), "t1 flag disagrees with the hull definition", s)
-        t.verify(f.sep.t2 == (t2 and t1 and t0), "t2 flag disagrees with the hull definition", s)
-        t.verify(not f.sep.t2 or f.sep.t1, "t2 without t1", s)
-        t.verify(not f.sep.t1 or f.sep.t0, "t1 without t0", s)
+        t.verify(sep.t0 == t0, "t0 flag disagrees with the hull definition", s)
+        t.verify(sep.t1 == (t1 and t0), "t1 flag disagrees with the hull definition", s)
+        t.verify(sep.t2 == (t2 and t1 and t0), "t2 flag disagrees with the hull definition", s)
+        t.verify(not sep.t2 or sep.t1, "t2 without t1", s)
+        t.verify(not sep.t1 or sep.t0, "t1 without t0", s)
 
 
 @_law(
@@ -1015,7 +1018,7 @@ def _separation(ctx: LawContext, t: _Tally) -> None:
 def _t2_closed(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.all_spaces():
         f = ctx.facts(s)
-        if not f.sep.t2:
+        if not s.separation.t2:
             continue
         for a in range(f.size):
             t.verify(

@@ -157,7 +157,15 @@ def _tau_connected(s) -> bool:
 
 
 def _tau_a_equals_tau(s: AuraSpace) -> bool:
-    return set(s.aura_topology_masks) == s.space.topology.mask_set
+    """Whether τ_a = τ, compared through minimal opens.
+
+    A finite topology is the set of unions of its minimal opens, so two of
+    them are equal exactly when every point has the same minimal open in
+    both. In τ_a that is the hull of the point (τ_a is all unions of the
+    hulls, and hull(x) lies in every scope-open set around x), and in τ it
+    is m(x). So n comparisons decide it, and τ_a is never built.
+    """
+    return s.hull_masks == s.space.minimal_open_masks
 
 
 def _tau_a_indiscrete(s: AuraSpace) -> bool:
@@ -205,106 +213,46 @@ class _ScopeFacts:
       ``hull_masks``;
     - ``aConnected`` floods ``comparability_rows`` over the full mask,
       ``aLocallyConnected`` floods them inside each hull, and
-      ``aPathConnected`` counts the components of ``hull_masks``;
+      ``aPathConnected`` counts their components;
     - ``tauAIndiscrete`` compares ``aura_topology_masks`` with {∅, X}.
 
-    ``hull_masks``, ``comparability_rows`` and ``aura_topology_masks`` are
-    built from n and ``scope_masks`` alone. τ only decides which tuples
-    occur, since every scope must be τ-open. So all spaces with one scope
-    tuple give each scope-only atom the same value, and the first of them
-    decides it for the rest. The same holds for τ_a, kept as a frozenset:
-    on a later space ``tauAEqualsTau`` is one comparison of that set with
-    the space's τ.
+    ``hull_masks`` is built from n and ``scope_masks`` alone, and
+    ``comparability_rows`` and ``aura_topology_masks`` from the hulls. τ
+    only decides which tuples occur, since every scope must be τ-open. So
+    all spaces with one scope tuple give each scope-only atom the same
+    value, and the first of them decides it for the rest. The entry also
+    keeps the tuple's hulls: on every space ``tauAEqualsTau`` is their
+    comparison with the space's minimal opens (``_tau_a_equals_tau``).
 
-    The grid scans build the first space of each tuple as a validated
-    ``AuraSpace`` and decide on it every atom the scan reads
-    (``_first_of_tuple``). A later space of the tuple is only its topology
-    and its tuple: it is valid because its tuple is drawn from checked
-    choices (``_checked_choices``), and its values are those of the entry,
-    so it needs no space of its own. A search also keeps in ``verdicts``
-    its predicate's outcome per value of the two topology atoms, since
-    nothing else enters it.
+    An entry is made on the first grid space (``space``, ``picks``) of its
+    tuple. That space is built and validated, and it decides through
+    ``ATOMS`` each of ``atoms`` but ``tauConnected``, which reads τ alone
+    and is decided once per topology. Its ``tauAEqualsTau`` holds for that
+    space only, so the scans take that atom from ``hulls`` on every space.
+    A later space of the tuple is only its topology and its tuple: it is
+    valid because its tuple is drawn from checked choices
+    (``_checked_choices``), and its values are those of the entry, so it
+    builds nothing. A search also keeps in ``verdicts`` its predicate's
+    outcome per value of the two topology atoms, since nothing else enters
+    it.
 
     A memo holds one entry per tuple met (64 at n = 3, 4,096 at n = 4),
-    made of bools, frozensets of ints and small dicts of bools, so no space
-    is kept alive.
+    made of bools, tuples of ints and small dicts of bools, so no space is
+    kept alive.
     """
 
-    __slots__ = ("values", "vector", "tau_a", "verdicts")
+    __slots__ = ("values", "hulls", "vector", "verdicts")
 
-    def __init__(self):
-        self.values: dict = {}  # scope-only atom -> value, filled lazily
-        self.vector: Optional[tuple] = None  # all of them, in SCOPE_ATOMS order
-        self.tau_a: Optional[frozenset] = None  # the scope-open masks
+    def __init__(self, space: FiniteTopSpace, picks: Tuple[int, ...], atoms: Tuple[str, ...]):
+        s = AuraSpace(space, ScopeFunction(space.universe, picks))
+        self.values = {a: ATOMS[a](s) for a in atoms if a != "tauConnected"}
+        self.hulls = s.hull_masks
+        self.vector: Optional[tuple] = None  # the SCOPE_ATOMS values, in order
         self.verdicts: dict = {}  # (tauConnected, tauAEqualsTau) -> hit values
 
 
 # A scan's memo of what each scope tuple decides.
 ScopeMemo = Dict[Tuple[int, ...], _ScopeFacts]
-
-
-class _Valuation:
-    """Lazy atom values on one space, read through a scan's memo.
-
-    A scope-only atom is looked up in the memo entry of the space's scope
-    tuple, and ``tauAEqualsTau`` compares the entry's τ_a with the space's
-    τ. A value missing from the entry is decided by ``ATOMS[atom]`` on this
-    space and stored, so each atom runs once per scope tuple; the grid scans
-    use a valuation only on the first space of each tuple
-    (``_first_of_tuple``). ``tauConnected`` is kept for this space alone.
-    Without a memo from the caller a valuation decides every atom on its
-    own space.
-    """
-
-    __slots__ = ("space", "facts", "topo")
-
-    def __init__(self, space: AuraSpace, memo: Optional[ScopeMemo] = None):
-        self.space = space
-        if memo is None:
-            memo = {}
-        facts = memo.get(space.scope_masks)
-        if facts is None:
-            facts = memo[space.scope_masks] = _ScopeFacts()
-        self.facts = facts
-        self.topo: dict = {}  # tauConnected, once decided
-
-    def get(self, atom: str) -> bool:
-        if atom == "tauConnected":
-            values = self.topo
-        elif atom == "tauAEqualsTau":
-            return self._tau_a_equals_tau()
-        else:
-            values = self.facts.values
-        value = values.get(atom)
-        if value is None:
-            value = values[atom] = ATOMS[atom](self.space)
-        return value
-
-    def _tau_a_equals_tau(self) -> bool:
-        s = self.space
-        facts = self.facts
-        if facts.tau_a is not None:
-            return facts.tau_a == s.space.topology.mask_set
-        value = ATOMS["tauAEqualsTau"](s)
-        facts.tau_a = frozenset(s.aura_topology_masks)
-        return value
-
-
-def _first_of_tuple(space: FiniteTopSpace, picks: Tuple[int, ...], memo: ScopeMemo,
-                    atoms: Tuple[str, ...]) -> _ScopeFacts:
-    """The memo entry of a scope tuple met for the first time, on the grid
-    space (``space``, ``picks``).
-
-    That space is built and validated, and it decides each of ``atoms`` but
-    ``tauConnected``, which reads τ alone and is decided on the topology.
-    So the entry holds every value that a later space of the tuple needs,
-    and a later space builds nothing.
-    """
-    valuation = _Valuation(AuraSpace(space, ScopeFunction(space.universe, picks)), memo)
-    for atom in atoms:
-        if atom != "tauConnected":
-            valuation.get(atom)
-    return valuation.facts
 
 
 _UNSEEN = object()
@@ -316,14 +264,17 @@ def _hit_values(expr: PredicateExpr, space: FiniteTopSpace, picks: Tuple[int, ..
     if the predicate holds there, else None.
 
     ``tau_connected`` is the topology's ``tauConnected``, or None when the
-    predicate does not read it. Every other atom comes from the tuple's memo
-    entry (``_first_of_tuple``), and ``tauAEqualsTau`` from comparing its
-    τ_a with τ. So the outcome depends only on the entry and on the two
-    topology atoms, and it is kept in the entry under their values: a later
-    space with the same pair evaluates nothing.
+    predicate does not read it. ``tauAEqualsTau``, when read, compares the
+    tuple's hulls with τ's minimal opens, and every other atom comes from
+    the tuple's memo entry (``_ScopeFacts``). So the outcome depends only on
+    the entry and on the two topology atoms, and it is kept in the entry
+    under their values: a later space with the same pair evaluates nothing.
     """
-    facts = memo.get(picks) or _first_of_tuple(space, picks, memo, expr.atoms)
-    tau_a_equals_tau = None if facts.tau_a is None else facts.tau_a == space.topology.mask_set
+    facts = memo.get(picks)
+    if facts is None:
+        facts = memo[picks] = _ScopeFacts(space, picks, expr.atoms)
+    tau_a_equals_tau = (facts.hulls == space.minimal_open_masks
+                        if "tauAEqualsTau" in expr.atoms else None)
     key = (tau_connected, tau_a_equals_tau)
     hit = facts.verdicts.get(key, _UNSEEN)
     if hit is _UNSEEN:
@@ -343,13 +294,13 @@ class PredicateExpr:
         self.atoms = atoms
         self._fn = fn
 
-    def evaluate(self, valuation) -> bool:
-        """The predicate on a valuation: anything whose ``get(atom)`` gives
-        the atom's value, such as a ``_Valuation`` or a dict."""
+    def evaluate(self, valuation: dict) -> bool:
+        """The predicate on a valuation, a dict from each atom it reads to
+        the atom's value."""
         return self._fn(valuation)
 
     def holds_on(self, space: AuraSpace) -> bool:
-        return self.evaluate(_Valuation(space))
+        return self.evaluate({a: ATOMS[a](space) for a in self.atoms})
 
 
 _TOKEN = re.compile(r"\s*(\(|\)|&{1,2}|\|{1,2}|!|\w+)")
@@ -550,7 +501,7 @@ def _scan_topology(space: FiniteTopSpace, topo_index: int, expr: PredicateExpr,
     function: it takes its entry i from list i of ``_checked_choices``,
     whose every candidate passed the test ``AuraSpace`` makes of entry i
     (open, and containing point i). Only the first space of each scope
-    tuple is built, and it decides the tuple's atoms (``_first_of_tuple``);
+    tuple is built, and it decides the tuple's atoms (``_ScopeFacts``);
     ``tauConnected`` is decided once for the topology (``_hit_values``).
 
     Hits are appended to ``found`` while it holds fewer than ``keep`` (all
@@ -694,10 +645,6 @@ def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
 # ---------------------------------------------------------------------------
 # implication matrix
 
-# What the first space of each scope tuple decides for the matrix.
-_MATRIX_DECIDED = SCOPE_ATOMS + ("tauAEqualsTau",)
-
-
 def _matrix_worker(args) -> Tuple[int, dict]:
     """First witness of every failed implication p => q in this worker's
     share of the grid.
@@ -712,10 +659,10 @@ def _matrix_worker(args) -> Tuple[int, dict]:
     space is read through the worker's scope memo. The twelve scope-only
     atoms read nothing but the scope tuple (the proof is in
     ``_ScopeFacts``), so the first space of each distinct tuple is built and
-    decides them, with τ_a (``_first_of_tuple``; 4,096 of the 59,123 spaces
+    decides them, and keeps the tuple's hulls (4,096 of the 59,123 spaces
     at size 4); ``tauConnected`` runs once per topology, and
-    ``tauAEqualsTau`` compares the tuple's memoised τ_a with each space's
-    τ. A witness is built again from its tuple to be rendered.
+    ``tauAEqualsTau`` compares the memoised hulls with each space's minimal
+    opens. A witness is built again from its tuple to be rendered.
 
     The pairs a space makes false depend only on its valuation, and every
     pair of a valuation met before was recorded then, at an earlier space.
@@ -734,15 +681,15 @@ def _matrix_worker(args) -> Tuple[int, dict]:
     seen = set()
     for ti in range(worker, len(topologies), workers):
         space = topologies[ti]
-        tau = space.topology.mask_set
+        minimal = space.minimal_open_masks
         tau_connected = ATOMS["tauConnected"](space)
         for aura_index, picks in enumerate(itertools.product(*_checked_choices(space))):
             scanned += 1
             facts = memo.get(picks)
             if facts is None:
-                facts = _first_of_tuple(space, picks, memo, _MATRIX_DECIDED)
+                facts = memo[picks] = _ScopeFacts(space, picks, ATOM_NAMES)
                 facts.vector = tuple(facts.values[a] for a in SCOPE_ATOMS)
-            tau_a_equals_tau = facts.tau_a == tau
+            tau_a_equals_tau = facts.hulls == minimal
             key = (facts.vector, tau_connected, tau_a_equals_tau)
             if key in seen:
                 continue

@@ -1,4 +1,7 @@
+import itertools
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -27,6 +30,8 @@ from auratopo import (
     make_aura_space,
     separation_axioms,
 )
+from auratopo.connectivity import is_aura_path_connected
+from auratopo.kernel import _pykernel
 from helpers import all_small_spaces, grid_and_random_spaces, rand_space
 from oracles import (
     brute_closure,
@@ -216,6 +221,49 @@ def test_continuity_matches_preimage_scan():
                 assert is_aura_continuous(f, src, dst) == brute_is_continuous(
                     images, src.n, src.scope_masks, dst.n, dst.scope_masks
                 )
+
+
+def test_continuity_matches_the_tau_a_preimage_definition_on_every_small_map():
+    # is_aura_continuous tests the preimages of the target's hulls only; the
+    # oracle tests the preimage of every scope-open set.
+    spaces = list(all_small_spaces(2))
+    maps = 0
+    for src in spaces:
+        for dst in spaces:
+            for images in itertools.product(range(dst.n), repeat=src.n):
+                f = FiniteMap(src.universe, dst.universe, images)
+                assert is_aura_continuous(f, src, dst) == brute_is_continuous(
+                    images, src.n, src.scope_masks, dst.n, dst.scope_masks
+                )
+                maps += 1
+    # 11 maps from the empty space, 1 + 9 · 2 from the point, 9 · (1 + 9 · 4)
+    # from the two-point spaces.
+    assert maps == 363
+
+
+def test_each_space_builds_its_hulls_and_rows_once(monkeypatch):
+    # τ_a is the union closure of the held hulls, and path connectedness
+    # floods the held comparability rows: neither builds them again. The
+    # kernel functions are rebound in every module that binds them, so a
+    # call from inside the kernel is counted too.
+    counts = Counter()
+    for name in ("hull_masks", "comparability_rows"):
+        original = getattr(_pykernel, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("auratopo") \
+                    and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    spaces = list(grid_and_random_spaces(33, 40))
+    for s in spaces:
+        assert s.hull_masks and s.aura_topology_masks or s.n == 0
+        assert len(s.comparability_rows) == s.n
+        assert is_aura_path_connected(s) in (True, False)
+    assert counts == {"hull_masks": len(spaces), "comparability_rows": len(spaces)}
 
 
 def test_continuity_rejects_mismatched_endpoints():

@@ -110,30 +110,49 @@ def test_product_closure_is_the_box_of_closures():
         assert aura_closure(p, box).mask == cbox
 
 
+def _brute_box_closure(a, b):
+    """All unions of the boxes u × v of every scope-open u and v."""
+    boxes = set()
+    for u in brute_tau_a(a.n, list(a.scope.masks)):
+        for v in brute_tau_a(b.n, list(b.scope.masks)):
+            box = 0
+            for i in range(a.n):
+                if (u >> i) & 1:
+                    box |= v << (i * b.n)
+            boxes.add(box)
+    closed = set(boxes)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in itertools.combinations(sorted(closed), 2):
+            if x | y not in closed:
+                closed.add(x | y)
+                changed = True
+    closed.add(0)
+    return closed
+
+
 def test_product_topology_of_factors_matches_brute_boxes():
     rng = random.Random(62)
     for _ in range(25):
         a = rand_space(rng, rng.randrange(1, 4))
         b = rand_space(rng, rng.randrange(1, 4))
-        fam = product_topology_of_factors(a, b)
-        boxes = set()
-        for u in brute_tau_a(a.n, list(a.scope.masks)):
-            for v in brute_tau_a(b.n, list(b.scope.masks)):
-                box = 0
-                for i in range(a.n):
-                    if (u >> i) & 1:
-                        box |= v << (i * b.n)
-                boxes.add(box)
-        closed = set(boxes)
-        changed = True
-        while changed:
-            changed = False
-            for x, y in itertools.combinations(sorted(closed), 2):
-                if x | y not in closed:
-                    closed.add(x | y)
-                    changed = True
-        closed.add(0)
-        assert fam.mask_set == closed
+        assert product_topology_of_factors(a, b).mask_set == _brute_box_closure(a, b)
+
+
+def test_hull_boxes_generate_every_scope_open_box():
+    # product_topology_of_factors closes the hull boxes only. Every pair of
+    # spaces on at most two points (the 81 two-point pairs among them), and a
+    # seeded sample of the (2, 3) and (3, 2) pairs of the law suite.
+    by_size = {n: [s for s in all_small_spaces(3) if s.n == n] for n in range(4)}
+    small = by_size[0] + by_size[1] + by_size[2]
+    pairs = [(a, b) for a in small for b in small]
+    rng = random.Random(64)
+    for nx, ny in ((2, 3), (3, 2)):
+        pairs += [(rng.choice(by_size[nx]), rng.choice(by_size[ny])) for _ in range(60)]
+    for a, b in pairs:
+        assert product_topology_of_factors(a, b).mask_set == _brute_box_closure(a, b)
+    assert len(pairs) == 11 * 11 + 120
 
 
 def test_product_scope_topology_sits_between_boxes_and_ambient():

@@ -108,7 +108,7 @@ def test_scan_valuations_match_the_validated_spaces(n):
     assert [(w.topology_index, w.aura_index) for w in report.witnesses] == \
         [(ti, ai) for ti, ai, _ in spaces]
     for w, (_, _, s) in zip(report.witnesses, spaces):
-        expected = {a: search_module._Valuation(s).get(a) for a in ATOM_NAMES}
+        expected = {a: ATOMS[a](s) for a in ATOM_NAMES}
         assert w.valuation == expected
         assert w.valuation == {a: parse_predicate(a).holds_on(s) for a in ATOM_NAMES}
         assert w.descriptor == space_descriptor(s)

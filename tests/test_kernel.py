@@ -45,7 +45,7 @@ def test_hulls_and_tau_a_match_the_brute_definitions():
         expected_tau = brute_tau_a(n, scopes)
         expected_hulls = [brute_hull(n, scopes, x) for x in range(n)]
         assert list(kernel.hull_masks(n, scopes)) == expected_hulls
-        assert list(kernel.tau_a_masks(n, scopes)) == expected_tau
+        assert list(kernel.tau_a_masks(expected_hulls)) == expected_tau
 
 
 def test_union_closure_equals_subset_scan():
@@ -114,8 +114,9 @@ def test_component_count_matches_the_component_partition():
                                           for _ in range(40)]
     for s in spaces:
         expected = len(brute_components(s.n, s.scope_masks))
-        assert kernel.component_count(s.n, list(s.hull_masks)) == expected
+        rows = kernel.comparability_rows(s.hull_masks)
+        assert kernel.component_count(rows) == expected
 
 
 def test_empty_space_has_no_components():
-    assert kernel.component_count(0, []) == 0
+    assert kernel.component_count([]) == 0

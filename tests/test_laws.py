@@ -426,6 +426,23 @@ def test_law_suite_builds_one_product_per_class(monkeypatch):
     assert len(built) <= 773
 
 
+def test_law_suite_builds_each_subspace_once(monkeypatch):
+    # The two subspace laws share one subspace per space and nonempty
+    # carrier: 0 + 1 + 9·3 + 362·7 = 2,562 of them.
+    built = []
+    real = laws.subspace
+
+    def counted(s, carrier):
+        built.append((s, carrier))
+        return real(s, carrier)
+
+    monkeypatch.setattr(laws, "subspace", counted)
+    report = run_laws(max_n=3)
+    assert report.ok
+    assert sum(o.checks for o in report.outcomes) == 1324421
+    assert len(built) <= 2562
+
+
 def test_convergence_operators_run_once_per_cycle_mask(monkeypatch):
     # Each space runs the operators on one sequence per nonempty cycle mask
     # and point: 1·1 on the one-point space, 2·3 on each of the nine

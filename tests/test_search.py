@@ -318,10 +318,11 @@ def _topologies_differ(x, y):
     (nx, scopes_x, _), (ny, scopes_y, _) = x, y
     box = search_module._box_mask
     prod_scopes = [box(u, v, ny) for u in scopes_x for v in scopes_y]
-    tau_x = kernel.tau_a_masks(nx, list(scopes_x))
-    tau_y = kernel.tau_a_masks(ny, list(scopes_y))
+    tau_x = kernel.tau_a_masks(kernel.hull_masks(nx, scopes_x))
+    tau_y = kernel.tau_a_masks(kernel.hull_masks(ny, scopes_y))
     boxes = [box(u, v, ny) for u in tau_x for v in tau_y if u and v]
-    return set(kernel.tau_a_masks(nx * ny, prod_scopes)) != set(kernel.union_closure(boxes)) | {0}
+    tau_prod = kernel.tau_a_masks(kernel.hull_masks(nx * ny, prod_scopes))
+    return set(tau_prod) != set(kernel.union_closure(boxes)) | {0}
 
 
 @pytest.fixture
@@ -429,12 +430,18 @@ def test_scope_only_atoms_read_nothing_but_the_scope_tuple():
 
 
 def test_memoised_tau_a_equals_tau_matches_the_definition():
+    expr = parse_predicate("tauAEqualsTau")
     memo = {}
-    for s in all_small_spaces(3):
+    spaces = list(all_small_spaces(3))
+    for s in spaces:
         expected = frozenset(brute_tau_a(s.n, s.scope_masks)) == s.space.topology.mask_set
         assert ATOMS["tauAEqualsTau"](s) == expected
-        # Read through a memo that later spaces of the same scope tuple share.
-        assert search_module._Valuation(s, memo).get("tauAEqualsTau") == expected
+        assert expr.holds_on(s) == expected
+        # Read as the scans read it, through a memo that later spaces of the
+        # same scope tuple share.
+        hit = search_module._hit_values(expr, s.space, s.scope_masks, memo, None)
+        assert (hit is not None) == expected
+    assert len(memo) < len(spaces)
 
 
 def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
