@@ -7,6 +7,9 @@ n masks, one per point, with bit i set in entry i.
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+
 BACKEND = "python"
 
 
@@ -89,6 +92,29 @@ def aura_closure_mask(n, auras, a):
             out |= bit
         bit <<= 1
     return out
+
+
+@lru_cache(maxsize=None)
+def relabelings(n):
+    """Every permutation σ of the n labels, as ``(source, table)`` pairs.
+
+    ``source[y]`` is the label that σ sends to y, and ``table[m]`` is the
+    image σ(m) of each mask m < 2**n. A scope tuple ``a`` relabelled by σ,
+    the tuple whose entry σ(x) is σ(a[x]), is therefore
+    ``tuple(table[a[x]] for x in source)``. The identity comes first. The
+    n! pairs are computed once per size.
+    """
+    out = []
+    for sigma in itertools.permutations(range(n)):
+        source = [0] * n
+        for x, y in enumerate(sigma):
+            source[y] = x
+        table = [0]
+        for i in range(n):
+            image = 1 << sigma[i]
+            table += [m | image for m in table]
+        out.append((tuple(source), tuple(table)))
+    return tuple(out)
 
 
 def enumerate_preorders(n):

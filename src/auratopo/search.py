@@ -236,9 +236,25 @@ class _ScopeFacts:
     outcome per value of the two topology atoms, since nothing else enters
     it.
 
-    A memo holds one entry per tuple met (64 at n = 3, 4,096 at n = 4),
-    made of bools, tuples of ints and small dicts of bools, so no space is
-    kept alive.
+    The scope-only atoms also agree on relabelled tuples. For a
+    permutation σ of the n labels, the tuple σ·a has entry σ(x) equal to
+    σ(a(x)), so σ is an isomorphism from (X, a) to (X, σ·a): y ∈ a(x)
+    exactly when σy ∈ (σ·a)(σx). Each scope-only atom is defined from n
+    and that relation alone (the hulls, the comparability rows and τ_a are
+    built from it), so it takes the same value on both tuples. The hull is
+    the least fixed point of the relation, so hull_{σ·a}(σx) = σ(hull_a(x)).
+    A full grid holds every tuple of an orbit (σ·a is admitted by the
+    relabelled topology σ(τ), which is in the grid too), so on a miss the
+    full-grid scans fill the whole orbit (``_fill_orbit``): each σ·a gets
+    an entry that shares this one's ``values``, ``vector`` and
+    ``verdicts`` (``relabelled``) and holds its own hulls, so
+    ``tauAEqualsTau`` still compares each space's own hulls with its
+    minimal opens.
+
+    A memo holds one entry per tuple met or relabelled: 64 tuples in 16
+    orbits at n = 3, and 4,096 in 218 at n = 4 (the unlabeled digraphs,
+    OEIS A000273). It is made of bools, tuples of ints and small dicts of
+    bools, so no space is kept alive.
     """
 
     __slots__ = ("values", "hulls", "vector", "verdicts")
@@ -250,29 +266,57 @@ class _ScopeFacts:
         self.vector: Optional[tuple] = None  # the SCOPE_ATOMS values, in order
         self.verdicts: dict = {}  # (tauConnected, tauAEqualsTau) -> hit values
 
+    def relabelled(self, hulls: Tuple[int, ...]) -> "_ScopeFacts":
+        """The entry of a relabelled tuple: these values, vector and
+        verdicts, with the relabelled tuple's own hulls."""
+        twin = object.__new__(_ScopeFacts)
+        twin.values, twin.vector, twin.verdicts = self.values, self.vector, self.verdicts
+        twin.hulls = hulls
+        return twin
+
 
 # A scan's memo of what each scope tuple decides.
 ScopeMemo = Dict[Tuple[int, ...], _ScopeFacts]
+
+
+def _fill_orbit(memo: ScopeMemo, picks: Tuple[int, ...], facts: _ScopeFacts) -> None:
+    """Enter every relabelling of the tuple ``picks``, whose entry ``facts``
+    was just decided, into the memo (see ``_ScopeFacts``).
+
+    Only the full-grid scans call this: they meet every tuple of an orbit,
+    while a sampled scan meets few, and relabelling n! tuples for each one
+    it meets costs more than deciding that one.
+    """
+    hulls = facts.hulls
+    for source, table in kernel.relabelings(len(picks)):
+        image = tuple([table[picks[x]] for x in source])
+        if image not in memo:
+            memo[image] = facts.relabelled(tuple([table[hulls[x]] for x in source]))
 
 
 _UNSEEN = object()
 
 
 def _hit_values(expr: PredicateExpr, space: FiniteTopSpace, picks: Tuple[int, ...],
-                memo: ScopeMemo, tau_connected: Optional[bool]) -> Optional[dict]:
+                memo: ScopeMemo, tau_connected: Optional[bool],
+                orbit: bool = False) -> Optional[dict]:
     """The predicate's atom values on the grid space (``space``, ``picks``)
     if the predicate holds there, else None.
 
     ``tau_connected`` is the topology's ``tauConnected``, or None when the
     predicate does not read it. ``tauAEqualsTau``, when read, compares the
     tuple's hulls with τ's minimal opens, and every other atom comes from
-    the tuple's memo entry (``_ScopeFacts``). So the outcome depends only on
-    the entry and on the two topology atoms, and it is kept in the entry
-    under their values: a later space with the same pair evaluates nothing.
+    the tuple's memo entry (``_ScopeFacts``), which a miss decides and,
+    with ``orbit``, enters for every relabelling of the tuple
+    (``_fill_orbit``). So the outcome depends only on the entry and on the
+    two topology atoms, and it is kept in the entry under their values: a
+    later space with the same pair evaluates nothing.
     """
     facts = memo.get(picks)
     if facts is None:
         facts = memo[picks] = _ScopeFacts(space, picks, expr.atoms)
+        if orbit:
+            _fill_orbit(memo, picks, facts)
     tau_a_equals_tau = (facts.hulls == space.minimal_open_masks
                         if "tauAEqualsTau" in expr.atoms else None)
     key = (tau_connected, tau_a_equals_tau)
@@ -500,9 +544,11 @@ def _scan_topology(space: FiniteTopSpace, topo_index: int, expr: PredicateExpr,
     so a tuple's position is its ``aura_index``. Each tuple is a valid scope
     function: it takes its entry i from list i of ``_checked_choices``,
     whose every candidate passed the test ``AuraSpace`` makes of entry i
-    (open, and containing point i). Only the first space of each scope
-    tuple is built, and it decides the tuple's atoms (``_ScopeFacts``);
-    ``tauConnected`` is decided once for the topology (``_hit_values``).
+    (open, and containing point i). Only the first space of each
+    relabelling class of scope tuples is built, and it decides the atoms of
+    every tuple in the class (``_ScopeFacts``, 218 classes of the 4,096
+    tuples at n = 4); ``tauConnected`` is decided once for the topology
+    (``_hit_values``).
 
     Hits are appended to ``found`` while it holds fewer than ``keep`` (all
     of them if ``keep`` is None): the grid is visited in ascending order, so
@@ -512,7 +558,7 @@ def _scan_topology(space: FiniteTopSpace, topo_index: int, expr: PredicateExpr,
     scanned = 0
     for aura_index, picks in enumerate(itertools.product(*_checked_choices(space))):
         scanned += 1
-        vals = _hit_values(expr, space, picks, memo, tau_connected)
+        vals = _hit_values(expr, space, picks, memo, tau_connected, orbit=True)
         if vals is not None and (keep is None or len(found) < keep):
             found.append((topo_index, aura_index, picks, vals))
     return scanned
@@ -614,7 +660,9 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
 
 def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
                     limit: Optional[int]) -> SearchReport:
-    """Scan ``samples`` seeded random grid spaces, read as in ``_scan_topology``."""
+    """Scan ``samples`` seeded random grid spaces, read as in ``_scan_topology``
+    but with one memo entry per tuple met and no relabelled ones (see
+    ``_fill_orbit``)."""
     rng = random.Random(seed)
     topologies = enumerate_topologies(n)
     memo: ScopeMemo = {}
@@ -657,12 +705,14 @@ def _matrix_worker(args) -> Tuple[int, dict]:
     every tuple is valid because each candidate it is drawn from passed
     ``_checked_choices``, which checks what ``AuraSpace`` checks. Every
     space is read through the worker's scope memo. The twelve scope-only
-    atoms read nothing but the scope tuple (the proof is in
-    ``_ScopeFacts``), so the first space of each distinct tuple is built and
-    decides them, and keeps the tuple's hulls (4,096 of the 59,123 spaces
-    at size 4); ``tauConnected`` runs once per topology, and
-    ``tauAEqualsTau`` compares the memoised hulls with each space's minimal
-    opens. A witness is built again from its tuple to be rendered.
+    atoms read nothing but the scope tuple, and agree on tuples that differ
+    by a relabelling of the points (the proofs are in ``_ScopeFacts``). So
+    the first space of each relabelling class is built and decides them
+    for the whole class, and each tuple of the class keeps its own hulls:
+    at size 4, 218 of the 59,123 spaces are built for the 4,096 distinct
+    tuples. ``tauConnected`` runs once per topology, and ``tauAEqualsTau``
+    compares the memoised hulls with each space's minimal opens. A witness
+    is built again from its own tuple to be rendered.
 
     The pairs a space makes false depend only on its valuation, and every
     pair of a valuation met before was recorded then, at an earlier space.
@@ -689,6 +739,7 @@ def _matrix_worker(args) -> Tuple[int, dict]:
             if facts is None:
                 facts = memo[picks] = _ScopeFacts(space, picks, ATOM_NAMES)
                 facts.vector = tuple(facts.values[a] for a in SCOPE_ATOMS)
+                _fill_orbit(memo, picks, facts)
             tau_a_equals_tau = facts.hulls == minimal
             key = (facts.vector, tau_connected, tau_a_equals_tau)
             if key in seen:

@@ -200,3 +200,20 @@ def test_every_grid_reader_follows_the_fiber_choices(monkeypatch):
     assert pool == [(n, s.scope_masks, s.hull_masks) for n in (2, 3)
                     for top in enumerate_topologies(n) for s in enumerate_auras(top)]
     assert len(pool) == 371
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--json"],
+    ["search", "--where", "aConnected and not tauConnected or tauAEqualsTau and not aT0",
+     "--limit", "25"],
+])
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_two_workers_print_the_bytes_of_one(capsys, argv, n):
+    # Each pool worker fills its own memo one relabelling class at a time
+    # from its own share of the topologies; the report must not show it.
+    outputs = []
+    for workers in ("1", "2"):
+        assert main([argv[0], "--size", n, "--workers", workers, *argv[1:]]) in (0, 1)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") > 10

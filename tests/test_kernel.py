@@ -13,7 +13,7 @@ from oracles import brute_closure, brute_components, brute_hull, brute_tau_a
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC = ("hull_masks", "union_closure", "tau_a_masks", "is_transitive", "is_symmetric",
-          "aura_closure_mask", "enumerate_preorders", "component_count")
+          "aura_closure_mask", "enumerate_preorders", "component_count", "relabelings")
 
 
 def _rand_scopes(rng, n):
@@ -104,6 +104,24 @@ def test_preorders_really_are_reflexive_and_transitive():
             for y in range(3):
                 if (rows[x] >> y) & 1:
                     assert not rows[y] & ~rows[x]
+
+
+def test_relabelings_match_the_set_definition():
+    # Every permutation once, identity first, and each table entry the
+    # image of its mask's point set, built with sets and no bit tricks.
+    for n in range(5):
+        pairs = kernel.relabelings(n)
+        sigmas = []
+        for source, table in pairs:
+            assert sorted(source) == list(range(n))
+            sigma = {x: y for y, x in enumerate(source)}
+            sigmas.append(tuple(sigma[x] for x in range(n)))
+            assert len(table) == 1 << n
+            for m in range(1 << n):
+                points = {i for i in range(n) if (m >> i) & 1}
+                assert table[m] == sum(1 << sigma[i] for i in points), (n, source, m)
+        assert sigmas == list(itertools.permutations(range(n)))
+        assert kernel.relabelings(n) is pairs
 
 
 def test_component_count_matches_the_component_partition():

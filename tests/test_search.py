@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -7,8 +8,10 @@ import pytest
 
 from auratopo import (
     ATOM_NAMES,
+    AuraSpace,
     LimitOutOfRange,
     SamplesOutOfRange,
+    ScopeFunction,
     SizeOutOfRange,
     UnknownAtom,
     WorkersOutOfRange,
@@ -445,9 +448,12 @@ def test_memoised_tau_a_equals_tau_matches_the_definition():
 
 
 def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
+    # Once per relabelling class of scope tuples (see _ScopeFacts): the 64
+    # tuples at n = 3 fall into 16 classes, the 4,096 at n = 4 into 218.
     tuples = len({s.scope_masks for s in all_small_spaces(3) if s.n == 3})
     topologies = len(enumerate_topologies(3))
     assert (tuples, topologies) == (64, 29)
+    classes = 16
 
     calls = Counter()
     for atom, fn in list(ATOMS.items()):
@@ -458,15 +464,131 @@ def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
     report = implication_matrix(3, workers=1)
     assert report.spaces_scanned == 362
     for atom in SCOPE_ATOMS:
-        assert calls[atom] == tuples, atom
+        assert calls[atom] == classes, atom
     assert calls["tauConnected"] == topologies
-    assert calls["tauAEqualsTau"] <= tuples
+    assert calls["tauAEqualsTau"] <= classes
 
     calls.clear()
     search(3, "tauAEqualsTau and not aConnected or tauConnected and not aT0")
-    assert 0 < max(calls[a] for a in SCOPE_ATOMS) <= tuples
+    assert 0 < max(calls[a] for a in SCOPE_ATOMS) <= classes
     assert 0 < calls["tauConnected"] <= topologies
-    assert 0 < calls["tauAEqualsTau"] <= tuples
+    assert 0 < calls["tauAEqualsTau"] <= classes
+
+    calls.clear()
+    scanned, _ = search_module._matrix_worker((4, 0, 1))
+    assert scanned == 59123
+    for atom in SCOPE_ATOMS:
+        assert calls[atom] == 218, atom
+    assert calls["tauConnected"] == 355
+
+
+def _relabelling_faults(atoms, max_n):
+    """Every (tuple, source, what) at which a scope-only atom or a hull
+    differs between a scope tuple on at most ``max_n`` points, under the
+    discrete topology, and one of its n! relabellings; and the number of
+    relabelling classes per size."""
+    faults, classes = [], []
+    for n in range(max_n + 1):
+        # Under the discrete topology every reflexive tuple is valid.
+        space = next(t for t in enumerate_topologies(n) if len(t.topology.mask_set) == 1 << n)
+        choices = [[m for m in range(1 << n) if (m >> x) & 1] for x in range(n)]
+        decided = {}
+        for picks in itertools.product(*choices):
+            s = AuraSpace(space, ScopeFunction(space.universe, picks))
+            decided[picks] = ({a: atoms[a](s) for a in SCOPE_ATOMS}, s.hull_masks)
+        canonical = set()
+        for picks, (values, hulls) in decided.items():
+            images = []
+            for source, table in kernel.relabelings(n):
+                image = tuple(table[picks[x]] for x in source)
+                images.append(image)
+                image_values, image_hulls = decided[image]
+                for a in SCOPE_ATOMS:
+                    if image_values[a] != values[a]:
+                        faults.append((picks, source, a))
+                if image_hulls != tuple(table[hulls[x]] for x in source):
+                    faults.append((picks, source, "hulls"))
+            canonical.add(min(images))
+        classes.append(len(canonical))
+    return faults, classes
+
+
+def test_scope_atoms_and_hulls_are_invariant_under_relabelling():
+    # The premise of the orbit fill: every scope-only atom takes one value
+    # on a relabelling class, and the hulls move with the labels. Under the
+    # discrete topology every reflexive tuple occurs (4,096 at n = 4).
+    faults, classes = _relabelling_faults(ATOMS, 4)
+    assert faults == []
+    assert classes == [1, 1, 3, 16, 218]  # unlabeled digraphs, OEIS A000273
+    # The check has teeth: an atom that reads a label is caught.
+    leaky = dict(ATOMS, aT0=lambda s: s.separation.t0 or s.scope_masks[0] == 1)
+    faults, _ = _relabelling_faults(leaky, 3)
+    assert faults and {what for _, _, what in faults} == {"aT0"}
+
+
+def test_orbit_filled_memo_equals_a_per_tuple_memo(monkeypatch):
+    # The memo that each full-grid scan fills one relabelling class at a
+    # time holds, for every tuple, what deciding that tuple on its own
+    # first grid space gives. tauAEqualsTau is left out of the values: it
+    # holds for the deciding space only, and the scans read it from the
+    # hulls on every space.
+    memos = []
+    fill = search_module._fill_orbit
+
+    def capture(memo, picks, facts):
+        if not memos or memos[-1] is not memo:
+            memos.append(memo)
+        fill(memo, picks, facts)
+
+    monkeypatch.setattr(search_module, "_fill_orbit", capture)
+    # Never true, and it reads every atom, so the search decides them all.
+    never = "transitive and not transitive and " + " and ".join(ATOM_NAMES)
+    for n in range(5):
+        plain = {}
+        for space in enumerate_topologies(n):
+            for picks in itertools.product(*search_module._checked_choices(space)):
+                if picks not in plain:
+                    plain[picks] = search_module._ScopeFacts(space, picks, ATOM_NAMES)
+        assert len(plain) == 1 << (n * n - n)
+        memos.clear()
+        search_module._matrix_worker((n, 0, 1))
+        assert search(n, never, limit=0).spaces_scanned > 0
+        assert len(memos) == 2
+        for memo in memos:
+            assert memo.keys() == plain.keys()
+            assert len({id(f.values) for f in memo.values()}) == [1, 1, 3, 16, 218][n]
+            for picks, want in plain.items():
+                got = memo[picks]
+                assert got.hulls == want.hulls, picks
+                assert {a: got.values[a] for a in SCOPE_ATOMS} == \
+                    {a: want.values[a] for a in SCOPE_ATOMS}, picks
+        for picks, want in plain.items():
+            assert memos[0][picks].vector == tuple(want.values[a] for a in SCOPE_ATOMS)
+
+
+def test_sampled_search_fills_no_orbits(monkeypatch):
+    met, memos, built = set(), [], Counter()
+    hit_values = search_module._hit_values
+    scope_facts = search_module._ScopeFacts
+
+    def recording(expr, space, picks, memo, tau_connected, *rest, **kw):
+        met.add(picks)
+        if not memos or memos[-1] is not memo:
+            memos.append(memo)
+        return hit_values(expr, space, picks, memo, tau_connected, *rest, **kw)
+
+    class Counted(scope_facts):
+        def __init__(self, space, picks, atoms):
+            built[picks] += 1
+            super().__init__(space, picks, atoms)
+
+    monkeypatch.setattr(search_module, "_hit_values", recording)
+    monkeypatch.setattr(search_module, "_ScopeFacts", Counted)
+    search(4, "aT0 and not tauConnected", samples=300, seed=5)
+    assert len(memos) == 1
+    assert 0 < len(met) < 300
+    assert set(memos[0]) == met
+    assert built == Counter(dict.fromkeys(met, 1))
 
 
 def _brute_hits(n, expression):
