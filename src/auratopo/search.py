@@ -2,8 +2,16 @@
 
 Spaces are enumerated as labeled topologies (via their specialization
 preorders) times the full fiber of scope functions over each topology.
-Searches and the implication matrix scan that grid in a fixed canonical
-order, so reports are byte-stable regardless of worker count.
+``search`` and ``implication_matrix`` read that grid through one walk,
+``_walk``: a worker's share of the topologies, in grid order, as one
+valuation key per space. Only the first space of each relabelling class
+of scope tuples is built (``_decide``), and one valuation-key memo
+(``_scan``) evaluates the predicate, or picks the matrix's first space of
+each valuation, once per key. The shares run in one process or in a pool
+(``_run_shares``) and merge in grid order, so reports are byte-stable
+regardless of worker count. A sampled search draws its spaces with
+``_sample`` and reads them the same way. Each space a report keeps is
+rendered once (``_render_witnesses``).
 """
 
 from __future__ import annotations
@@ -194,17 +202,27 @@ ATOM_NAMES = tuple(ATOMS)
 
 
 # The two atoms that read the ambient topology; the other twelve read only
-# the scope tuple (see ``_ScopeFacts``).
+# the scope tuple (see ``_decide``).
 TOPOLOGY_ATOMS = ("tauConnected", "tauAEqualsTau")
 SCOPE_ATOMS = tuple(a for a in ATOM_NAMES if a not in TOPOLOGY_ATOMS)
 
+# A scan's memo: scope tuple -> (values, hulls), the tuple's values of the
+# scope-only atoms the scan reads, in ``SCOPE_ATOMS`` order, and its hulls.
+ScopeMemo = Dict[Tuple[int, ...], Tuple[tuple, Tuple[int, ...]]]
 
-class _ScopeFacts:
-    """What one scope tuple decides by itself, kept in a worker's memo.
 
-    A space of the grid is its topology τ plus its scope tuple, on the
-    canonical labels of its size n, which is the tuple's length. None of
-    the twelve ``SCOPE_ATOMS`` reads τ:
+def _decide(memo: ScopeMemo, space: FiniteTopSpace, picks: Tuple[int, ...],
+            atoms: Tuple[str, ...], orbit: bool = True) -> Tuple[tuple, Tuple[int, ...]]:
+    """Decide the scope tuple ``picks`` on its first grid space, over
+    ``space``, and enter it in the memo; return its entry (values, hulls).
+
+    ``atoms`` are scope-only atoms in ``SCOPE_ATOMS`` order, and ``values``
+    holds theirs in that order. The space is built and validated, and it
+    decides each of them through ``ATOMS``.
+
+    None of the twelve ``SCOPE_ATOMS`` reads τ. A space of the grid is its
+    topology τ plus its scope tuple, on the canonical labels of its size n,
+    which is the tuple's length, and:
 
     - ``transitive``, ``symmetric``, ``trivial`` and ``discrete``
       (``classify``) and ``clIdempotent`` read ``scope_masks`` and n (the
@@ -220,21 +238,10 @@ class _ScopeFacts:
     ``comparability_rows`` and ``aura_topology_masks`` from the hulls. τ
     only decides which tuples occur, since every scope must be τ-open. So
     all spaces with one scope tuple give each scope-only atom the same
-    value, and the first of them decides it for the rest. The entry also
-    keeps the tuple's hulls: on every space ``tauAEqualsTau`` is their
-    comparison with the space's minimal opens (``_tau_a_equals_tau``).
-
-    An entry is made on the first grid space (``space``, ``picks``) of its
-    tuple. That space is built and validated, and it decides through
-    ``ATOMS`` each of ``atoms`` but ``tauConnected``, which reads τ alone
-    and is decided once per topology. Its ``tauAEqualsTau`` holds for that
-    space only, so the scans take that atom from ``hulls`` on every space.
-    A later space of the tuple is only its topology and its tuple: it is
-    valid because its tuple is drawn from checked choices
-    (``_checked_choices``), and its values are those of the entry, so it
-    builds nothing. A search also keeps in ``verdicts`` its predicate's
-    outcome per value of the two topology atoms, since nothing else enters
-    it.
+    value, and the first of them decides it for the rest, which build
+    nothing. The two topology atoms are left to the scans: ``tauConnected``
+    reads τ alone, and ``tauAEqualsTau`` is the comparison of the entry's
+    hulls with each space's minimal opens (``_tau_a_equals_tau``).
 
     The scope-only atoms also agree on relabelled tuples. For a
     permutation σ of the n labels, the tuple σ·a has entry σ(x) equal to
@@ -243,90 +250,28 @@ class _ScopeFacts:
     and that relation alone (the hulls, the comparability rows and τ_a are
     built from it), so it takes the same value on both tuples. The hull is
     the least fixed point of the relation, so hull_{σ·a}(σx) = σ(hull_a(x)).
-    A full grid holds every tuple of an orbit (σ·a is admitted by the
-    relabelled topology σ(τ), which is in the grid too), so on a miss the
-    full-grid scans fill the whole orbit (``_fill_orbit``): each σ·a gets
-    an entry that shares this one's ``values``, ``vector`` and
-    ``verdicts`` (``relabelled``) and holds its own hulls, so
-    ``tauAEqualsTau`` still compares each space's own hulls with its
-    minimal opens.
+    A full grid holds every tuple of a class (σ·a is admitted by the
+    relabelled topology σ(τ), which is in the grid too), so with ``orbit``
+    every relabelling σ·a not yet in the memo is entered as well, with this
+    tuple's ``values`` and its own relabelled hulls. A sampled scan meets
+    few tuples of each class, and relabelling n! tuples for each one it
+    meets costs more than deciding that one, so it enters only the tuple.
 
-    A memo holds one entry per tuple met or relabelled: 64 tuples in 16
-    orbits at n = 3, and 4,096 in 218 at n = 4 (the unlabeled digraphs,
-    OEIS A000273). It is made of bools, tuples of ints and small dicts of
-    bools, so no space is kept alive.
+    A full-grid memo holds one entry per tuple: 64 tuples in 16 classes at
+    n = 3, and 4,096 in 218 at n = 4 (the unlabeled digraphs, OEIS
+    A000273). Its entries are tuples of bools and ints, so no space is kept
+    alive.
     """
-
-    __slots__ = ("values", "hulls", "vector", "verdicts")
-
-    def __init__(self, space: FiniteTopSpace, picks: Tuple[int, ...], atoms: Tuple[str, ...]):
-        s = AuraSpace(space, ScopeFunction(space.universe, picks))
-        self.values = {a: ATOMS[a](s) for a in atoms if a != "tauConnected"}
-        self.hulls = s.hull_masks
-        self.vector: Optional[tuple] = None  # the SCOPE_ATOMS values, in order
-        self.verdicts: dict = {}  # (tauConnected, tauAEqualsTau) -> hit values
-
-    def relabelled(self, hulls: Tuple[int, ...]) -> "_ScopeFacts":
-        """The entry of a relabelled tuple: these values, vector and
-        verdicts, with the relabelled tuple's own hulls."""
-        twin = object.__new__(_ScopeFacts)
-        twin.values, twin.vector, twin.verdicts = self.values, self.vector, self.verdicts
-        twin.hulls = hulls
-        return twin
-
-
-# A scan's memo of what each scope tuple decides.
-ScopeMemo = Dict[Tuple[int, ...], _ScopeFacts]
-
-
-def _fill_orbit(memo: ScopeMemo, picks: Tuple[int, ...], facts: _ScopeFacts) -> None:
-    """Enter every relabelling of the tuple ``picks``, whose entry ``facts``
-    was just decided, into the memo (see ``_ScopeFacts``).
-
-    Only the full-grid scans call this: they meet every tuple of an orbit,
-    while a sampled scan meets few, and relabelling n! tuples for each one
-    it meets costs more than deciding that one.
-    """
-    hulls = facts.hulls
-    for source, table in kernel.relabelings(len(picks)):
-        image = tuple([table[picks[x]] for x in source])
-        if image not in memo:
-            memo[image] = facts.relabelled(tuple([table[hulls[x]] for x in source]))
-
-
-_UNSEEN = object()
-
-
-def _hit_values(expr: PredicateExpr, space: FiniteTopSpace, picks: Tuple[int, ...],
-                memo: ScopeMemo, tau_connected: Optional[bool],
-                orbit: bool = False) -> Optional[dict]:
-    """The predicate's atom values on the grid space (``space``, ``picks``)
-    if the predicate holds there, else None.
-
-    ``tau_connected`` is the topology's ``tauConnected``, or None when the
-    predicate does not read it. ``tauAEqualsTau``, when read, compares the
-    tuple's hulls with τ's minimal opens, and every other atom comes from
-    the tuple's memo entry (``_ScopeFacts``), which a miss decides and,
-    with ``orbit``, enters for every relabelling of the tuple
-    (``_fill_orbit``). So the outcome depends only on the entry and on the
-    two topology atoms, and it is kept in the entry under their values: a
-    later space with the same pair evaluates nothing.
-    """
-    facts = memo.get(picks)
-    if facts is None:
-        facts = memo[picks] = _ScopeFacts(space, picks, expr.atoms)
-        if orbit:
-            _fill_orbit(memo, picks, facts)
-    tau_a_equals_tau = (facts.hulls == space.minimal_open_masks
-                        if "tauAEqualsTau" in expr.atoms else None)
-    key = (tau_connected, tau_a_equals_tau)
-    hit = facts.verdicts.get(key, _UNSEEN)
-    if hit is _UNSEEN:
-        values = dict(facts.values, tauConnected=tau_connected,
-                      tauAEqualsTau=tau_a_equals_tau)
-        hit = {a: values[a] for a in expr.atoms} if expr.evaluate(values) else None
-        facts.verdicts[key] = hit
-    return hit
+    s = AuraSpace(space, ScopeFunction(space.universe, picks))
+    values = tuple([ATOMS[a](s) for a in atoms])
+    hulls = s.hull_masks
+    memo[picks] = entry = (values, hulls)
+    if orbit:
+        for source, table in kernel.relabelings(len(picks)):
+            image = tuple([table[picks[x]] for x in source])
+            if image not in memo:
+                memo[image] = (values, tuple([table[hulls[x]] for x in source]))
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -525,61 +470,143 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 # scanning
 
-# One space that satisfies the predicate: (topology_index, aura_index,
-# scope_masks, valuation). Workers pickle these back; only the hits a report
-# keeps are rendered into witnesses.
+# One hit of a scan: (topology_index, aura_index, scope_masks, valuation).
+# Workers pickle these back; only the hits a report keeps are rendered.
 Hit = Tuple[int, int, Tuple[int, ...], dict]
 
 
-def _tau_connected_if_read(expr: PredicateExpr, space: FiniteTopSpace) -> Optional[bool]:
-    """``tauConnected`` of the topology, decided once, if the predicate reads it."""
-    return ATOMS["tauConnected"](space) if "tauConnected" in expr.atoms else None
+def _scope_atoms(atoms: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The scope-only atoms among ``atoms``, in ``SCOPE_ATOMS`` order."""
+    return tuple(a for a in SCOPE_ATOMS if a in atoms)
 
 
-def _scan_topology(space: FiniteTopSpace, topo_index: int, expr: PredicateExpr,
-                   memo: ScopeMemo, found: List[Hit], keep: Optional[int]) -> int:
-    """Scan one topology's grid for the predicate; return the spaces scanned.
+def _tau_connected_if_read(atoms: Tuple[str, ...], space: FiniteTopSpace) -> Optional[bool]:
+    """``tauConnected`` of the topology, decided once, if ``atoms`` holds it."""
+    return ATOMS["tauConnected"](space) if "tauConnected" in atoms else None
 
-    The grid is walked as plain scope tuples, in ``enumerate_auras`` order,
-    so a tuple's position is its ``aura_index``. Each tuple is a valid scope
-    function: it takes its entry i from list i of ``_checked_choices``,
-    whose every candidate passed the test ``AuraSpace`` makes of entry i
-    (open, and containing point i). Only the first space of each
-    relabelling class of scope tuples is built, and it decides the atoms of
-    every tuple in the class (``_ScopeFacts``, 218 classes of the 4,096
-    tuples at n = 4); ``tauConnected`` is decided once for the topology
-    (``_hit_values``).
 
-    Hits are appended to ``found`` while it holds fewer than ``keep`` (all
-    of them if ``keep`` is None): the grid is visited in ascending order, so
-    these are the first ones.
+def _walk(topologies: List[FiniteTopSpace], worker: int, workers: int,
+          atoms: Tuple[str, ...]):
+    """Every space of one worker's share of the grid, in grid order, as
+    (topology index, aura index, scope tuple, valuation key).
+
+    The share is every ``workers``-th topology from index ``worker``. Each
+    topology's grid is walked as plain scope tuples in ``enumerate_auras``
+    order, so a tuple's position is its aura index. Each tuple is a valid
+    scope function: it takes its entry i from list i of
+    ``_checked_choices``, whose every candidate passed the test
+    ``AuraSpace`` makes of entry i (open, and containing point i). So no
+    space is built to validate it.
+
+    The share comes out in ascending (topology index, aura index) order, so
+    the first k spaces of a share with some property are its least ones.
+    The shares split the grid, so the first k of the whole grid lie among
+    the shares' first k, and sorting those by position and cutting at k
+    gives them (``_run_shares``). With k = 1 and the property "has this
+    valuation", this also gives the first space of each valuation, from
+    which ``implication_matrix`` takes its first witnesses.
+
+    The key is (scope-atom values, tauConnected, tauAEqualsTau) over
+    ``atoms``, the atoms the caller reads; an atom it does not read is None
+    or left out of the values. The values come from the share's memo, so
+    only the first space of each relabelling class of scope tuples is
+    built (``_decide``: 218 of the 59,123 spaces at n = 4). ``tauConnected``
+    is decided once per topology, and ``tauAEqualsTau`` compares the
+    tuple's hulls with the topology's minimal opens on every space
+    (``_tau_a_equals_tau``). The key holds the values of ``atoms`` in a
+    fixed arrangement, so two spaces share a key exactly when they agree
+    on every atom of ``atoms`` (``_valuation`` reads it back).
     """
-    tau_connected = _tau_connected_if_read(expr, space)
-    scanned = 0
-    for aura_index, picks in enumerate(itertools.product(*_checked_choices(space))):
-        scanned += 1
-        vals = _hit_values(expr, space, picks, memo, tau_connected, orbit=True)
-        if vals is not None and (keep is None or len(found) < keep):
-            found.append((topo_index, aura_index, picks, vals))
-    return scanned
-
-
-def _search_share(topologies: List[FiniteTopSpace], expr_text: str, keep: Optional[int],
-                  worker: int, workers: int) -> Tuple[int, List[Hit]]:
-    """Spaces scanned, and the first ``keep`` hits, of one worker's share."""
-    expr = parse_predicate(expr_text)
+    scope = _scope_atoms(atoms)
+    equals_read = "tauAEqualsTau" in atoms
     memo: ScopeMemo = {}
-    scanned = 0
-    found: List[Hit] = []
     for ti in range(worker, len(topologies), workers):
-        scanned += _scan_topology(topologies[ti], ti, expr, memo, found, keep)
-    return scanned, found
+        space = topologies[ti]
+        minimal = space.minimal_open_masks
+        tau_connected = _tau_connected_if_read(atoms, space)
+        for aura_index, picks in enumerate(itertools.product(*_checked_choices(space))):
+            values, hulls = memo.get(picks) or _decide(memo, space, picks, scope)
+            yield ti, aura_index, picks, (values, tau_connected,
+                                          hulls == minimal if equals_read else None)
 
 
-def _search_worker(args) -> Tuple[int, List[Hit]]:
-    """``_search_share`` in a pool worker, which enumerates its own topologies."""
-    n, expr_text, keep, worker, workers = args
-    return _search_share(enumerate_topologies(n), expr_text, keep, worker, workers)
+def _sample(topologies: List[FiniteTopSpace], atoms: Tuple[str, ...], samples: int,
+            seed: int):
+    """``samples`` seeded random grid spaces, drawn with replacement, as
+    ``_walk`` yields them. The memo enters only the tuples met (see
+    ``_decide``)."""
+    rng = random.Random(seed)
+    scope = _scope_atoms(atoms)
+    equals_read = "tauAEqualsTau" in atoms
+    memo: ScopeMemo = {}
+    grids: dict = {}  # topology index -> (checked choices, tauConnected)
+    for _ in range(samples):
+        ti = rng.randrange(len(topologies))
+        space = topologies[ti]
+        grid = grids.get(ti)
+        if grid is None:
+            grid = grids[ti] = (_checked_choices(space), _tau_connected_if_read(atoms, space))
+        choices, tau_connected = grid
+        digits = [rng.randrange(len(c)) for c in choices]
+        picks = tuple(c[d] for c, d in zip(choices, digits))
+        values, hulls = memo.get(picks) or _decide(memo, space, picks, scope, orbit=False)
+        # Mixed-radix position of the picks in enumerate_auras order, where
+        # the last point's choice varies fastest.
+        aura_index = 0
+        for c, d in zip(choices, digits):
+            aura_index = aura_index * len(c) + d
+        yield ti, aura_index, picks, (values, tau_connected,
+                                      hulls == space.minimal_open_masks if equals_read else None)
+
+
+def _valuation(atoms: Tuple[str, ...], key: tuple) -> dict:
+    """The valuation a ``_walk`` key over ``atoms`` stands for, in their order."""
+    values, tau_connected, tau_a_equals_tau = key
+    known = dict(zip(_scope_atoms(atoms), values),
+                 tauConnected=tau_connected, tauAEqualsTau=tau_a_equals_tau)
+    return {a: known[a] for a in atoms}
+
+
+def _scan(spaces, atoms: Tuple[str, ...], expr: Optional[PredicateExpr],
+          keep: Optional[int]) -> Tuple[int, List[Hit]]:
+    """Spaces scanned, and the hits among ``spaces`` in their order, for
+    spaces as ``_walk`` yields them over ``atoms``.
+
+    With a predicate ``expr``, a hit is a space where it holds, and the
+    first ``keep`` hits are kept (all of them if None). Without one, a hit
+    is the first space of each valuation (see ``implication_matrix``). A
+    space's valuation is fixed by its key, so the valuation memo decides
+    each key once: it holds the key's valuation if its spaces are hits,
+    else None, and a later space of the key evaluates nothing.
+    """
+    valuations: dict = {}
+    scanned = 0
+    hits: List[Hit] = []
+    for ti, aura_index, picks, key in spaces:
+        scanned += 1
+        if key in valuations:
+            if expr is None:
+                continue
+            hit = valuations[key]
+        else:
+            values = _valuation(atoms, key)
+            hit = valuations[key] = values if expr is None or expr.evaluate(values) else None
+        if hit is not None and (keep is None or len(hits) < keep):
+            hits.append((ti, aura_index, picks, hit))
+    return scanned, hits
+
+
+def _share(n: int, worker: int, workers: int, expression: Optional[str],
+           keep: Optional[int], topologies: Optional[List[FiniteTopSpace]] = None
+           ) -> Tuple[int, List[Hit]]:
+    """``_scan`` of one worker's share of the size-n grid, for the predicate
+    ``expression``, or for the matrix if it is None. ``topologies`` is
+    ``enumerate_topologies(n)``, which a pool worker enumerates itself."""
+    if topologies is None:
+        topologies = enumerate_topologies(n)
+    expr = None if expression is None else parse_predicate(expression)
+    atoms = ATOM_NAMES if expr is None else expr.atoms
+    return _scan(_walk(topologies, worker, workers, atoms), atoms, expr, keep)
 
 
 def _check_workers(workers: int) -> None:
@@ -587,36 +614,38 @@ def _check_workers(workers: int) -> None:
         raise WorkersOutOfRange(f"workers must be at least 1, got {workers}")
 
 
-def _run_partitioned(topologies: List[FiniteTopSpace], n: int, expr_text: str,
-                     keep: Optional[int], workers: int) -> Tuple[int, List[Hit]]:
-    """Spaces scanned, and the first ``keep`` hits in grid order.
+def _run_shares(topologies: List[FiniteTopSpace], n: int, workers: int,
+                expression: Optional[str], keep: Optional[int]) -> Tuple[int, List[Hit]]:
+    """Spaces scanned, and the first ``keep`` hits in grid order (all of
+    them if None), of ``workers`` shares of the size-n grid (``_share``).
 
-    ``topologies`` is ``enumerate_topologies(n)``; one worker scans it in
-    place, and pool workers enumerate their own. Each worker keeps its own
-    first ``keep`` hits, which hold the first ``keep`` of all."""
+    One worker scans ``topologies`` in place, and pool workers enumerate
+    their own. The merge is the one ``_walk`` proves right."""
     if workers <= 1:
-        results = [_search_share(topologies, expr_text, keep, 0, 1)]
+        results = [_share(n, 0, 1, expression, keep, topologies)]
     else:
         import multiprocessing
 
-        jobs = [(n, expr_text, keep, w, workers) for w in range(workers)]
+        jobs = [(n, w, workers, expression, keep) for w in range(workers)]
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_search_worker, jobs)
-    scanned = sum(r[0] for r in results)
-    hits = [h for r in results for h in r[1]]
-    hits.sort(key=lambda h: (h[0], h[1]))
-    return scanned, hits[:keep]
+            results = pool.starmap(_share, jobs)
+    hits = sorted((h for r in results for h in r[1]), key=lambda h: (h[0], h[1]))
+    return sum(r[0] for r in results), hits[:keep]
 
 
 def _render_witnesses(topologies: List[FiniteTopSpace], hits: List[Hit]) -> List[Witness]:
-    """Rebuild each hit's space and render its descriptor and document.
-    Hits of one scope tuple share their values, so each witness gets a copy."""
+    """One witness per hit, in order. Each distinct space is built again
+    from its tuple and rendered once, and each witness gets its own copy of
+    its valuation, since hits of one key share theirs."""
+    shown: dict = {}  # (topology index, aura index) -> (descriptor, document)
     witnesses = []
-    for ti, aura_index, scope_masks, vals in hits:
-        space = topologies[ti]
-        s = AuraSpace(space, ScopeFunction(space.universe, scope_masks))
-        witnesses.append(Witness(ti, aura_index, space_descriptor(s), _space_json(s),
-                                 dict(vals)))
+    for ti, aura_index, scope_masks, valuation in hits:
+        view = shown.get((ti, aura_index))
+        if view is None:
+            space = topologies[ti]
+            s = AuraSpace(space, ScopeFunction(space.universe, scope_masks))
+            view = shown[(ti, aura_index)] = (space_descriptor(s), _space_json(s))
+        witnesses.append(Witness(ti, aura_index, *view, dict(valuation)))
     return witnesses
 
 
@@ -648,118 +677,19 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
         raise SamplesOutOfRange(f"samples must be a nonnegative count, got {samples}")
     _check_workers(workers)
 
-    if samples is not None:
-        return _sampled_search(n, expr, samples, seed, limit)
-
     topologies = enumerate_topologies(n)
-    scanned, hits = _run_partitioned(topologies, n, expression, limit, workers)
-    witnesses = _render_witnesses(topologies, hits)
+    if samples is None:
+        scanned, hits = _run_shares(topologies, n, workers, expression, limit)
+    else:
+        scanned, hits = _scan(_sample(topologies, expr.atoms, samples, seed),
+                              expr.atoms, expr, limit)
     return SearchReport("search", n, scanned, expression=expression,
-                        witnesses=witnesses)
-
-
-def _sampled_search(n: int, expr: PredicateExpr, samples: int, seed: int,
-                    limit: Optional[int]) -> SearchReport:
-    """Scan ``samples`` seeded random grid spaces, read as in ``_scan_topology``
-    but with one memo entry per tuple met and no relabelled ones (see
-    ``_fill_orbit``)."""
-    rng = random.Random(seed)
-    topologies = enumerate_topologies(n)
-    memo: ScopeMemo = {}
-    grids: dict = {}  # topology index -> (checked choices, tauConnected)
-    hits: List[Hit] = []
-    for k in range(samples):
-        ti = rng.randrange(len(topologies))
-        space = topologies[ti]
-        grid = grids.get(ti)
-        if grid is None:
-            grid = grids[ti] = (_checked_choices(space), _tau_connected_if_read(expr, space))
-        choices, tau_connected = grid
-        digits = [rng.randrange(len(c)) for c in choices]
-        picks = tuple(c[d] for c, d in zip(choices, digits))
-        vals = _hit_values(expr, space, picks, memo, tau_connected)
-        if vals is not None:
-            # Mixed-radix position of the picks in enumerate_auras order,
-            # where the last point's choice varies fastest.
-            aura_index = 0
-            for c, d in zip(choices, digits):
-                aura_index = aura_index * len(c) + d
-            hits.append((ti, aura_index, picks, vals))
-    return SearchReport("search", n, samples, expression=expr.text,
-                        witnesses=_render_witnesses(topologies, hits[:limit]),
-                        seed=seed, samples=samples)
+                        witnesses=_render_witnesses(topologies, hits),
+                        seed=None if samples is None else seed, samples=samples)
 
 
 # ---------------------------------------------------------------------------
 # implication matrix
-
-def _matrix_worker(args) -> Tuple[int, dict]:
-    """First witness of every failed implication p => q in this worker's
-    share of the grid.
-
-    The worker visits its spaces in ascending (topology_index, aura_index)
-    order, so the first space that makes p true and q false is already the
-    least one: a pair is recorded only while it is absent.
-
-    The grid is walked as plain scope tuples, as in ``_scan_topology``:
-    every tuple is valid because each candidate it is drawn from passed
-    ``_checked_choices``, which checks what ``AuraSpace`` checks. Every
-    space is read through the worker's scope memo. The twelve scope-only
-    atoms read nothing but the scope tuple, and agree on tuples that differ
-    by a relabelling of the points (the proofs are in ``_ScopeFacts``). So
-    the first space of each relabelling class is built and decides them
-    for the whole class, and each tuple of the class keeps its own hulls:
-    at size 4, 218 of the 59,123 spaces are built for the 4,096 distinct
-    tuples. ``tauConnected`` runs once per topology, and ``tauAEqualsTau``
-    compares the memoised hulls with each space's minimal opens. A witness
-    is built again from its own tuple to be rendered.
-
-    The pairs a space makes false depend only on its valuation, and every
-    pair of a valuation met before was recorded then, at an earlier space.
-    So only the first space of each distinct valuation runs the pair loop
-    (27 of the 59,123 spaces at size 4). The valuation is keyed as the
-    scope-only values in ``SCOPE_ATOMS`` order (one tuple per scope tuple,
-    kept in the memo) plus the two topology atoms: the same fourteen values
-    in a fixed arrangement, so two spaces share a key exactly when they
-    share a valuation.
-    """
-    n, worker, workers = args
-    topologies = enumerate_topologies(n)
-    memo: ScopeMemo = {}
-    scanned = 0
-    first: dict = {}
-    seen = set()
-    for ti in range(worker, len(topologies), workers):
-        space = topologies[ti]
-        minimal = space.minimal_open_masks
-        tau_connected = ATOMS["tauConnected"](space)
-        for aura_index, picks in enumerate(itertools.product(*_checked_choices(space))):
-            scanned += 1
-            facts = memo.get(picks)
-            if facts is None:
-                facts = memo[picks] = _ScopeFacts(space, picks, ATOM_NAMES)
-                facts.vector = tuple(facts.values[a] for a in SCOPE_ATOMS)
-                _fill_orbit(memo, picks, facts)
-            tau_a_equals_tau = facts.hulls == minimal
-            key = (facts.vector, tau_connected, tau_a_equals_tau)
-            if key in seen:
-                continue
-            seen.add(key)
-            values = dict(facts.values, tauConnected=tau_connected,
-                          tauAEqualsTau=tau_a_equals_tau)
-            holds = [a for a in ATOM_NAMES if values[a]]
-            fails = [a for a in ATOM_NAMES if not values[a]]
-            wit = None
-            for p in holds:
-                for q in fails:
-                    if (p, q) not in first:
-                        if wit is None:
-                            s = AuraSpace(space, ScopeFunction(space.universe, picks))
-                            wit = Witness(ti, aura_index, space_descriptor(s),
-                                          _space_json(s), {})
-                        first[(p, q)] = (ti, aura_index, wit)
-    return scanned, first
-
 
 # A product-scan factor: (n, scope masks, hull masks).
 Factor = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
@@ -769,7 +699,7 @@ _FACTOR_SIZES = (2, 3)
 
 def _product_pair_pool() -> List[Factor]:
     """Every 2- and 3-point space as a factor, in grid order. The scope
-    tuples are valid for the reason given in ``_scan_topology``, so no
+    tuples are valid for the reason given in ``_walk``, so no
     space is built; the hulls come straight from the kernel."""
     pool = []
     for n in _FACTOR_SIZES:
@@ -839,41 +769,32 @@ def product_strictness_scan() -> str:
 
 
 def implication_matrix(n: int, workers: int = 1) -> SearchReport:
-    """First-witness matrix for every ordered atom pair at the given size."""
+    """First-witness matrix for every ordered atom pair at the given size.
+
+    The pairs p => q that a space makes fail depend only on its valuation,
+    so only the first space of each valuation is read (``_scan`` without a
+    predicate, merged as ``_walk`` describes): 27 of the 59,123 spaces at
+    size 4. Read in grid order, the first of them that makes p true and q
+    false is the first such space of the grid, and it is the pair's
+    witness. Each witness space is rendered once, however many pairs it
+    fails.
+    """
     if n < 0 or n > MAX_FULL_SIZE:
         raise SizeOutOfRange(f"matrix supports sizes 0..{MAX_FULL_SIZE}, got {n}")
     _check_workers(workers)
-    jobs = [(n, w, workers) for w in range(workers)]
-    if workers <= 1:
-        results = [_matrix_worker(jobs[0])]
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_matrix_worker, jobs)
-
-    scanned = sum(r[0] for r in results)
-    merged: dict = {}
-    for _, first in results:
-        for key, entry in first.items():
-            prev = merged.get(key)
-            if prev is None or entry[:2] < prev[:2]:
-                merged[key] = entry
-
-    implications = {}
-    for p in ATOM_NAMES:
-        for q in ATOM_NAMES:
-            if p == q:
-                continue
-            entry = merged.get((p, q))
-            if entry is None:
-                implications[(p, q)] = None
-            else:
-                _, _, wit = entry
-                witness = Witness(wit.topology_index, wit.aura_index,
-                                  wit.descriptor, wit.document,
-                                  {p: True, q: False})
-                implications[(p, q)] = witness
-
+    topologies = enumerate_topologies(n)
+    scanned, firsts = _run_shares(topologies, n, workers, None, None)
+    first: dict = {}
+    for ti, aura_index, picks, values in firsts:
+        for p in ATOM_NAMES:
+            if values[p]:
+                for q in ATOM_NAMES:
+                    if not values[q]:
+                        first.setdefault((p, q), (ti, aura_index, picks))
+    failed = [(p, q) for p in ATOM_NAMES for q in ATOM_NAMES if (p, q) in first]
+    witnesses = _render_witnesses(topologies, [first[(p, q)] + ({p: True, q: False},)
+                                               for p, q in failed])
+    implications = {(p, q): None for p in ATOM_NAMES for q in ATOM_NAMES if p != q}
+    implications.update(zip(failed, witnesses))
     return SearchReport("matrix", n, scanned, implications=implications,
                         product_scan=product_strictness_scan())

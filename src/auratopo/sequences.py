@@ -13,9 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import EmptyUniverse
+from .errors import EmptyUniverse, SizeOutOfRange
 from .finite import PointSet, PointUniverse
 from .aura import AuraSpace
+
+# The sequential-compactness oracle tries (1 + n + n²)(n + n² + n³)
+# sequences, 11,094 at 6 points; it refuses larger universes.
+ORACLE_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -144,12 +148,15 @@ def is_aura_sequentially_compact(s: AuraSpace, oracle: bool = False) -> bool:
     Constant true on finite universes by pigeonhole. The oracle
     re-derives it over all sequences with prefix up to 2 and cycle up
     to 3 by checking the produced witness really is a limit of the
-    selected constant subsequence.
+    selected constant subsequence; past ``ORACLE_LIMIT`` points it raises
+    ``SizeOutOfRange`` before trying any.
     """
     if s.n == 0:
         return True
     if not oracle:
         return True
+    if s.n > ORACLE_LIMIT:
+        raise SizeOutOfRange(f"oracle mode enumerates sequences only up to {ORACLE_LIMIT} points")
     from itertools import product as iproduct
 
     points = range(s.n)

@@ -38,6 +38,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("auratopo.
     (["validate", str(SIERPINSKI)], LAB),
     (["matrix", "--size", "0"], ("laws", "verification", "symbolic", "documents", "fixtures")),
     (["search", "--size", "2", "--where", "aConnected"], LAB + ("documents",)),
+    (["convergence", str(SIERPINSKI), "--seq", ";a"],
+     ("laws", "verification", "symbolic", "covering", "genopen", "fixtures")),
 ])
 def test_commands_import_only_their_layers(argv, skipped):
     code, loaded = json.loads(_python(LOADED_AFTER, *argv))

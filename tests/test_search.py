@@ -440,16 +440,23 @@ def test_memoised_tau_a_equals_tau_matches_the_definition():
         expected = frozenset(brute_tau_a(s.n, s.scope_masks)) == s.space.topology.mask_set
         assert ATOMS["tauAEqualsTau"](s) == expected
         assert expr.holds_on(s) == expected
-        # Read as the scans read it, through a memo that later spaces of the
-        # same scope tuple share.
-        hit = search_module._hit_values(expr, s.space, s.scope_masks, memo, None)
-        assert (hit is not None) == expected
+        # Read as the scans read it: the hulls of the tuple's memo entry,
+        # which later spaces of the tuple and of its relabellings share,
+        # against each space's own minimal opens.
+        _, hulls = memo.get(s.scope_masks) or search_module._decide(
+            memo, s.space, s.scope_masks, ())
+        assert (hulls == s.space.minimal_open_masks) == expected
     assert len(memo) < len(spaces)
+    # The walk's key carries the same verdict, space by space in grid order.
+    walked = [key for n in range(4) for *_, key in
+              search_module._walk(enumerate_topologies(n), 0, 1, expr.atoms)]
+    assert walked == [((), None, ATOMS["tauAEqualsTau"](s)) for s in spaces]
 
 
 def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
-    # Once per relabelling class of scope tuples (see _ScopeFacts): the 64
+    # Once per relabelling class of scope tuples (see _decide): the 64
     # tuples at n = 3 fall into 16 classes, the 4,096 at n = 4 into 218.
+    # tauAEqualsTau is never evaluated: the scans read it from the hulls.
     tuples = len({s.scope_masks for s in all_small_spaces(3) if s.n == 3})
     topologies = len(enumerate_topologies(3))
     assert (tuples, topologies) == (64, 29)
@@ -466,20 +473,22 @@ def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
     for atom in SCOPE_ATOMS:
         assert calls[atom] == classes, atom
     assert calls["tauConnected"] == topologies
-    assert calls["tauAEqualsTau"] <= classes
+    assert calls["tauAEqualsTau"] == 0
 
     calls.clear()
     search(3, "tauAEqualsTau and not aConnected or tauConnected and not aT0")
     assert 0 < max(calls[a] for a in SCOPE_ATOMS) <= classes
     assert 0 < calls["tauConnected"] <= topologies
-    assert 0 < calls["tauAEqualsTau"] <= classes
+    assert calls["tauAEqualsTau"] == 0
 
     calls.clear()
-    scanned, _ = search_module._matrix_worker((4, 0, 1))
+    scanned, firsts = search_module._share(4, 0, 1, None, None)
     assert scanned == 59123
+    assert len(firsts) == 27  # distinct valuations
     for atom in SCOPE_ATOMS:
         assert calls[atom] == 218, atom
     assert calls["tauConnected"] == 355
+    assert calls["tauAEqualsTau"] == 0
 
 
 def _relabelling_faults(atoms, max_n):
@@ -529,18 +538,16 @@ def test_scope_atoms_and_hulls_are_invariant_under_relabelling():
 def test_orbit_filled_memo_equals_a_per_tuple_memo(monkeypatch):
     # The memo that each full-grid scan fills one relabelling class at a
     # time holds, for every tuple, what deciding that tuple on its own
-    # first grid space gives. tauAEqualsTau is left out of the values: it
-    # holds for the deciding space only, and the scans read it from the
-    # hulls on every space.
+    # first grid space gives: the scope-only values and the hulls.
     memos = []
-    fill = search_module._fill_orbit
+    decide = search_module._decide
 
-    def capture(memo, picks, facts):
+    def capture(memo, *args, **kwargs):
         if not memos or memos[-1] is not memo:
             memos.append(memo)
-        fill(memo, picks, facts)
+        return decide(memo, *args, **kwargs)
 
-    monkeypatch.setattr(search_module, "_fill_orbit", capture)
+    monkeypatch.setattr(search_module, "_decide", capture)
     # Never true, and it reads every atom, so the search decides them all.
     never = "transitive and not transitive and " + " and ".join(ATOM_NAMES)
     for n in range(5):
@@ -548,47 +555,47 @@ def test_orbit_filled_memo_equals_a_per_tuple_memo(monkeypatch):
         for space in enumerate_topologies(n):
             for picks in itertools.product(*search_module._checked_choices(space)):
                 if picks not in plain:
-                    plain[picks] = search_module._ScopeFacts(space, picks, ATOM_NAMES)
+                    decide(plain, space, picks, SCOPE_ATOMS, orbit=False)
         assert len(plain) == 1 << (n * n - n)
         memos.clear()
-        search_module._matrix_worker((n, 0, 1))
+        implication_matrix(n)
         assert search(n, never, limit=0).spaces_scanned > 0
         assert len(memos) == 2
         for memo in memos:
-            assert memo.keys() == plain.keys()
-            assert len({id(f.values) for f in memo.values()}) == [1, 1, 3, 16, 218][n]
-            for picks, want in plain.items():
-                got = memo[picks]
-                assert got.hulls == want.hulls, picks
-                assert {a: got.values[a] for a in SCOPE_ATOMS} == \
-                    {a: want.values[a] for a in SCOPE_ATOMS}, picks
-        for picks, want in plain.items():
-            assert memos[0][picks].vector == tuple(want.values[a] for a in SCOPE_ATOMS)
+            assert memo == plain
+            assert len({id(values) for values, _ in memo.values()}) == [1, 1, 3, 16, 218][n]
 
 
 def test_sampled_search_fills_no_orbits(monkeypatch):
-    met, memos, built = set(), [], Counter()
-    hit_values = search_module._hit_values
-    scope_facts = search_module._ScopeFacts
+    met, memos, decided, relabelled = set(), [], Counter(), []
+    sample = search_module._sample
+    decide = search_module._decide
+    relabelings = kernel.relabelings
 
-    def recording(expr, space, picks, memo, tau_connected, *rest, **kw):
-        met.add(picks)
+    def meeting(*args):
+        for item in sample(*args):
+            met.add(item[2])
+            yield item
+
+    def recording(memo, space, picks, *args, **kwargs):
         if not memos or memos[-1] is not memo:
             memos.append(memo)
-        return hit_values(expr, space, picks, memo, tau_connected, *rest, **kw)
+        decided[picks] += 1
+        return decide(memo, space, picks, *args, **kwargs)
 
-    class Counted(scope_facts):
-        def __init__(self, space, picks, atoms):
-            built[picks] += 1
-            super().__init__(space, picks, atoms)
+    def counted(n):
+        relabelled.append(n)
+        return relabelings(n)
 
-    monkeypatch.setattr(search_module, "_hit_values", recording)
-    monkeypatch.setattr(search_module, "_ScopeFacts", Counted)
+    monkeypatch.setattr(search_module, "_sample", meeting)
+    monkeypatch.setattr(search_module, "_decide", recording)
+    monkeypatch.setattr(kernel, "relabelings", counted)
     search(4, "aT0 and not tauConnected", samples=300, seed=5)
     assert len(memos) == 1
     assert 0 < len(met) < 300
     assert set(memos[0]) == met
-    assert built == Counter(dict.fromkeys(met, 1))
+    assert decided == Counter(dict.fromkeys(met, 1))
+    assert relabelled == []
 
 
 def _brute_hits(n, expression):

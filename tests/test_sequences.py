@@ -11,8 +11,9 @@ from auratopo import (
     load_fixture,
     parse_sequence,
 )
-from auratopo.sequences import transitive_criterion
-from auratopo.errors import EmptyUniverse
+from auratopo import sequences
+from auratopo.sequences import ORACLE_LIMIT, transitive_criterion
+from auratopo.errors import EmptyUniverse, SizeOutOfRange
 from auratopo.aura import classify, make_aura_space
 from helpers import all_small_spaces, rand_space
 from oracles import brute_limits
@@ -157,3 +158,22 @@ def test_sequential_compactness_is_automatic_and_oracle_checked():
     for s in all_small_spaces(2):
         assert is_aura_sequentially_compact(s)
         assert is_aura_sequentially_compact(s, oracle=True)
+
+
+def _discrete(n):
+    points = [f"p{i}" for i in range(n)]
+    opens = [[p for i, p in enumerate(points) if m >> i & 1] for m in range(1 << n)]
+    return make_aura_space(points, opens, {p: [p] for p in points})
+
+
+def test_sequential_compactness_oracle_has_a_size_budget(monkeypatch):
+    assert is_aura_sequentially_compact(_discrete(ORACLE_LIMIT), oracle=True)
+    big = _discrete(ORACLE_LIMIT + 1)
+    assert is_aura_sequentially_compact(big)
+
+    def scanned(*args):
+        raise AssertionError("the oracle scan ran past its budget")
+
+    monkeypatch.setattr(sequences, "find_convergent_subsequence", scanned)
+    with pytest.raises(SizeOutOfRange, match=f"up to {ORACLE_LIMIT} points"):
+        is_aura_sequentially_compact(big, oracle=True)
