@@ -5,6 +5,8 @@ search lab over all small spaces, and a pinned verification suite.
 """
 
 import importlib
+import sys
+import types
 
 # The public names, by the submodule that defines them. A name is imported
 # from its submodule when first read (PEP 562 ``__getattr__``), so a command
@@ -91,7 +93,13 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
-# Bound now, not on first read: the name ``search`` is the function, and a
-# later first import of the submodule ``auratopo.search`` would bind the
-# module to it instead.
-from .search import search  # noqa: E402
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # The import system binds a submodule on its package once it is
+        # loaded; the name ``search`` stays the function.
+        if name == "search" and isinstance(value, types.ModuleType):
+            value = value.search
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

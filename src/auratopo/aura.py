@@ -9,7 +9,7 @@ materialized here through minimal hulls rather than a powerset scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -54,19 +54,9 @@ class ScopeFunction:
         return hash((self.universe.labels, self.masks))
 
 
-@dataclass(frozen=True)
-class AuraClassification:
-    transitive: bool
-    symmetric: bool
-    trivial: bool
-    discrete: bool
+AuraClassification = namedtuple("AuraClassification", "transitive symmetric trivial discrete")
 
-
-@dataclass(frozen=True)
-class SeparationAxioms:
-    t0: bool
-    t1: bool
-    t2: bool
+SeparationAxioms = namedtuple("SeparationAxioms", "t0 t1 t2")
 
 
 class AuraSpace:

@@ -8,10 +8,21 @@ Exit codes: 0 for success (including a search that found witnesses),
 1 for a failed verification or an empty search, 2 for input errors.
 
 Each subcommand imports the layers it uses inside its ``cmd_*`` function,
-so a process compiles and runs only those. Only ``verify-paper`` loads the
-law suite and the fixtures, only ``symbolic`` the symbolic models, and
-only ``convergence`` and ``verify-paper`` the sequences; ``search``,
-``matrix`` and ``enumerate`` load no document layer.
+so a process compiles and runs only those. Every command loads ``cli``,
+``aura``, ``finite``, ``errors`` and ``kernel``, and then:
+
+- ``validate``, ``tau-a``, ``closure``, ``interior``, ``derived``: ``documents``;
+- ``analyze``, ``components``: ``documents`` and ``connectivity``;
+- ``subspace``, ``product``: ``documents`` and ``constructions``;
+- ``convergence``: ``documents`` and ``sequences``;
+- ``search``, ``matrix``, ``enumerate``: ``search``, ``connectivity`` and
+  ``constructions``;
+- ``symbolic``: ``symbolic``;
+- ``verify-paper``: ``verification``, ``laws``, ``fixtures`` and every
+  layer they use.
+
+Only ``sequences`` and the lab layers of ``symbolic`` and ``verify-paper``
+import ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -104,7 +115,7 @@ def cmd_analyze(args) -> int:
     s = doc.space
     cls = classify(s)
     sep = separation_axioms(s)
-    tau_a = _family_masks(s.aura_topology_masks)
+    tau_a = s.aura_topology_masks
     blocks = aura_components(s).blocks
     name = doc.name if doc.name else args.file
     scope_conn = is_aura_connected(s)
@@ -130,7 +141,7 @@ def cmd_analyze(args) -> int:
             "separation": {"t0": sep.t0, "t1": sep.t1, "t2": sep.t2},
         }
         if s.n <= 6:
-            out["scopeTopology"] = [_set_labels(s, m) for m in tau_a]
+            out["scopeTopology"] = [_set_labels(s, m) for m in _family_masks(tau_a)]
         _print_json(out)
         return 0
     lines = [
@@ -157,9 +168,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_tau_a(args) -> int:
     s = _document(args).space
-    masks = _family_masks(s.aura_topology_masks)
+    masks = s.aura_topology_masks
     if args.json:
-        _print_json({"count": len(masks), "sets": [_set_labels(s, m) for m in masks]})
+        sets = [_set_labels(s, m) for m in _family_masks(masks)]
+        _print_json({"count": len(masks), "sets": sets})
     else:
         _print([f"scope topology: {len(masks)} sets", _family_text(s, masks)])
     return 0

@@ -13,7 +13,7 @@ scope-open carriers and on the whole universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from . import kernel
@@ -25,13 +25,10 @@ NOTION_AURA = "aura"
 NOTION_TAU = "tau_a"
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(namedtuple("Separation", "u v notion")):
     """Two nonempty disjoint relatively open parts covering the carrier."""
 
-    u: PointSet
-    v: PointSet
-    notion: str
+    __slots__ = ()
 
 
 def _check_notion(notion: str) -> None:
@@ -87,10 +84,7 @@ def is_aura_connected(s: AuraSpace, a=None, notion: str = NOTION_AURA) -> bool:
     return flood(_carrier_rows(s, am, notion), am & -am, am) == am
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
-    space: AuraSpace
-    blocks: tuple
+ComponentPartition = namedtuple("ComponentPartition", "space blocks")
 
 
 def aura_components(s: AuraSpace) -> ComponentPartition:

@@ -9,7 +9,7 @@ serializer is canonical, so parse/serialize round-trips are byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .aura import AuraSpace, make_aura_space, space_document
@@ -20,12 +20,10 @@ __all__ = ["SpaceDocument", "parse_document", "parse_space", "serialize_space", 
 _FIELDS = ("points", "opens", "aura", "name")
 
 
-@dataclass
-class SpaceDocument:
+class SpaceDocument(namedtuple("SpaceDocument", "space name", defaults=(None,))):
     """A parsed and validated document: the space plus its optional name."""
 
-    space: AuraSpace
-    name: Optional[str] = None
+    __slots__ = ()
 
 
 def _require_label_list(value, where: str) -> list:

@@ -20,8 +20,7 @@ import itertools
 import random
 import re
 import string
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import kernel
@@ -385,13 +384,8 @@ def _space_json(s: AuraSpace) -> dict:
     return space_document(s)
 
 
-@dataclass
-class Witness:
-    topology_index: int
-    aura_index: int
-    descriptor: str
-    document: dict
-    valuation: dict
+class Witness(namedtuple("Witness", "topology_index aura_index descriptor document valuation")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -402,17 +396,14 @@ class Witness:
         }
 
 
-@dataclass
-class SearchReport:
-    command: str
-    size: int
-    spaces_scanned: int
-    expression: Optional[str] = None
-    witnesses: List[Witness] = field(default_factory=list)
-    implications: Optional[dict] = None
-    product_scan: Optional[str] = None
-    seed: Optional[int] = None
-    samples: Optional[int] = None
+class SearchReport(namedtuple("SearchReport", "command size spaces_scanned expression witnesses "
+                              "implications product_scan seed samples", defaults=(None,) * 6)):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        # Each report gets its own empty witness list by default.
+        report = super().__new__(cls, *args, **kwargs)
+        return report if report.witnesses is not None else report._replace(witnesses=[])
 
     def found(self) -> bool:
         return bool(self.witnesses)

@@ -25,13 +25,23 @@ def _python(code: str, *argv: str) -> str:
     return proc.stdout
 
 
+# Prints the exit code and the modules the command added to those the
+# interpreter had loaded at start-up.
 LOADED_AFTER = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
+import contextlib, io, json
 from auratopo import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("auratopo."))]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
+
+
+def _loaded_after(argv):
+    code, loaded = json.loads(_python(LOADED_AFTER, *argv))
+    assert code == 0
+    return loaded
 
 
 @pytest.mark.parametrize("argv, skipped", [
@@ -42,10 +52,28 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("auratopo.
      ("laws", "verification", "symbolic", "covering", "genopen", "fixtures")),
 ])
 def test_commands_import_only_their_layers(argv, skipped):
-    code, loaded = json.loads(_python(LOADED_AFTER, *argv))
-    assert code == 0
+    loaded = [m for m in _loaded_after(argv) if m.startswith("auratopo.")]
     assert "auratopo.cli" in loaded
     assert [m for m in loaded if m[len("auratopo."):] in skipped] == []
+
+
+# ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+DOCUMENT_BUDGET = ("auratopo.search", "dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["validate", str(SIERPINSKI)], DOCUMENT_BUDGET),
+    (["analyze", str(SIERPINSKI)], DOCUMENT_BUDGET),
+    (["tau-a", str(SIERPINSKI)], DOCUMENT_BUDGET),
+    (["subspace", str(SIERPINSKI), "--points", "a"], DOCUMENT_BUDGET),
+    (["product", str(SIERPINSKI), str(SIERPINSKI)], DOCUMENT_BUDGET),
+    (["search", "--size", "2", "--where", "aConnected"], ("dataclasses",)),
+    (["matrix", "--size", "0"], ("dataclasses",)),
+])
+def test_commands_stay_within_their_module_budget(argv, absent):
+    loaded = _loaded_after(argv)
+    assert "auratopo.cli" in loaded
+    assert [m for m in absent if m in loaded] == []
 
 
 SYMBOLIC_HELP = """\
@@ -83,7 +111,8 @@ print(json.dumps([help_text.getvalue(), loaded, cli.MODEL_NAMES == symbolic.MODE
     assert same
 
 
-@pytest.mark.parametrize("first", ["import auratopo", "import auratopo.search"])
+@pytest.mark.parametrize("first", ["import auratopo", "import auratopo.search",
+                                   "import auratopo.laws"])
 def test_package_search_is_the_function(first):
     out = _python(f"""
 {first}
