@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import kernel
 from .kernel import comparability_rows
@@ -179,14 +179,18 @@ def aura_closure(s: AuraSpace, a) -> PointSet:
     return PointSet(s.universe, kernel.aura_closure_mask(s.n, s.scope.masks, am))
 
 
-def aura_interior(s: AuraSpace, a) -> PointSet:
-    """Points of A whose whole scope stays inside A."""
-    am = _as_mask(s, a)
+def _interior_mask(s: AuraSpace, am: int) -> int:
+    """Mask of the points of ``am`` whose whole scope stays inside ``am``."""
     out = 0
     for i, m in enumerate(s.scope.masks):
         if (am >> i) & 1 and not m & ~am:
             out |= 1 << i
-    return PointSet(s.universe, out)
+    return out
+
+
+def aura_interior(s: AuraSpace, a) -> PointSet:
+    """Points of A whose whole scope stays inside A."""
+    return PointSet(s.universe, _interior_mask(s, _as_mask(s, a)))
 
 
 def derived_set(s: AuraSpace, a) -> PointSet:

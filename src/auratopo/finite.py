@@ -147,9 +147,6 @@ class PointSet:
     def __invert__(self) -> "PointSet":
         return PointSet(self.universe, self.universe.full_mask & ~self.mask)
 
-    def issubset(self, other) -> bool:
-        return not self.mask & ~self._coerce(other)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PointSet)

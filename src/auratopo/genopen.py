@@ -13,7 +13,7 @@ from enum import Enum
 from . import kernel
 from .errors import UniverseTooLarge
 from .finite import PointSet
-from .aura import AuraSpace, _as_mask
+from .aura import AuraSpace, _as_mask, _interior_mask as _int
 
 FAMILY_SCAN_LIMIT = 20
 
@@ -27,14 +27,6 @@ class GeneralizedClass(str, Enum):
 
 def _cl(s: AuraSpace, m: int) -> int:
     return kernel.aura_closure_mask(s.n, s.scope.masks, m)
-
-
-def _int(s: AuraSpace, m: int) -> int:
-    out = 0
-    for i, sm in enumerate(s.scope.masks):
-        if (m >> i) & 1 and not sm & ~m:
-            out |= 1 << i
-    return out
 
 
 def is_generalized_open(s: AuraSpace, a, cls: GeneralizedClass) -> bool:

@@ -11,6 +11,11 @@ kernel module attribute on purpose: patching ``kernel.aura_closure_mask``
 must make the closure laws fail loudly, which the test suite uses to
 prove the laws are live.
 
+Most laws state one instance. A space law (``_space_law``) is a
+statement about one space and a pair law (``_pair_law``) one about a
+factor pair; the driver owns the loop over the grid and, for pair laws,
+the replay described next.
+
 Laws whose instances repeat one verdict many times (the convergence
 criterion, the product laws, the cover scan) run through class replay
 (``_Replay``): each class of instances that read the same inputs is
@@ -51,7 +56,7 @@ from .errors import SizeOutOfRange
 from .finite import PointSet, PointUniverse, family_key, mask_indices
 from .genopen import GeneralizedClass, generalized_family
 from .search import enumerate_auras, enumerate_topologies, space_descriptor
-from .sequences import EvPSequence, converges_to, transitive_criterion
+from .sequences import EvPSequence, converges_to, short_sequences, transitive_criterion
 
 MAX_LAW_SIZE = 3
 MAX_WITNESSES = 5
@@ -395,6 +400,36 @@ def _law(name: str, tier: str, description: str):
     return wrap
 
 
+def _space_law(name: str, tier: str, description: str):
+    """Register ``fn(ctx, t, s, f)``, a statement about one space, as a
+    law over every space of the grid, in grid order, with ``f`` the
+    space's shared fact tables."""
+    def wrap(fn):
+        def run(ctx: LawContext, t: _Tally) -> None:
+            for s in ctx.all_spaces():
+                fn(ctx, t, s, ctx.facts(s))
+        _law(name, tier, description)(run)
+        return fn
+    return wrap
+
+
+def _pair_law(name: str, tier: str, description: str):
+    """Register ``fn(ctx, t, sx, sy)``, a statement about one factor pair,
+    as a law over ``ctx.factor_pairs()``, replayed under ``_pair_key``.
+
+    The replay is sound only if ``fn`` reads nothing of the pair but
+    scope data; each pair law argues so in its docstring.
+    """
+    def wrap(fn):
+        def run(ctx: LawContext, t: _Tally) -> None:
+            replay = _Replay(t)
+            for sx, sy in ctx.factor_pairs():
+                replay.run(_pair_key(sx, sy), lambda: fn(ctx, t, sx, sy))
+        _law(name, tier, description)(run)
+        return fn
+    return wrap
+
+
 @_law(
     "cech-closure-axioms",
     CORE,
@@ -430,200 +465,180 @@ def _cech_axioms(ctx: LawContext, t: _Tally) -> None:
         )
 
 
-@_law(
+@_space_law(
     "closure-interior-duality",
     CORE,
     "interior is the complement of the closure of the complement",
 )
-def _duality(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        for a in range(f.size):
-            t.verify(
-                f.itr[a] == f.full & ~f.cl[f.full & ~a],
-                lambda: f"duality breaks on {a:#x}",
-                s,
-            )
+def _duality(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    for a in range(f.size):
+        t.verify(
+            f.itr[a] == f.full & ~f.cl[f.full & ~a],
+            lambda: f"duality breaks on {a:#x}",
+            s,
+        )
 
 
-@_law(
+@_space_law(
     "derived-closure-decomposition",
     CORE,
     "closure of a set is the set joined with its derived set",
 )
-def _derived_closure(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        for a in range(f.size):
-            t.verify(
-                f.cl[a] == a | f.d[a],
-                lambda: f"closure of {a:#x} is not the union with its derived set",
-                s,
-            )
+def _derived_closure(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    for a in range(f.size):
+        t.verify(
+            f.cl[a] == a | f.d[a],
+            lambda: f"closure of {a:#x} is not the union with its derived set",
+            s,
+        )
 
 
-@_law(
+@_space_law(
     "derived-set-laws",
     CORE,
     "derived set is grounded, monotone, additive, and detects closedness",
 )
-def _derived_laws(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        t.verify(f.d[0] == 0, "derived set of the empty set is nonempty", s)
-        for a in range(f.size):
+def _derived_laws(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    t.verify(f.d[0] == 0, "derived set of the empty set is nonempty", s)
+    for a in range(f.size):
+        t.verify(
+            is_aura_closed(s, a) == (not f.d[a] & ~a),
+            lambda: f"closed flag disagrees with derived containment on {a:#x}",
+            s,
+        )
+        for b in range(f.size):
             t.verify(
-                is_aura_closed(s, a) == (not f.d[a] & ~a),
-                lambda: f"closed flag disagrees with derived containment on {a:#x}",
+                f.d[a | b] == f.d[a] | f.d[b],
+                lambda: f"derived set not additive on {a:#x}, {b:#x}",
                 s,
             )
-            for b in range(f.size):
+            if not a & ~b:
                 t.verify(
-                    f.d[a | b] == f.d[a] | f.d[b],
-                    lambda: f"derived set not additive on {a:#x}, {b:#x}",
+                    not f.d[a] & ~f.d[b],
+                    lambda: f"derived set not monotone on {a:#x} inside {b:#x}",
                     s,
                 )
-                if not a & ~b:
-                    t.verify(
-                        not f.d[a] & ~f.d[b],
-                        lambda: f"derived set not monotone on {a:#x} inside {b:#x}",
-                        s,
-                    )
 
 
-@_law(
+@_space_law(
     "scope-topology-subfamily",
     CORE,
     "scope-open sets are open, and hulls are the minimal scope-open neighbourhoods",
 )
-def _subfamily(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        ambient = s.space.topology.mask_set
+def _subfamily(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    ambient = s.space.topology.mask_set
+    for u in f.tau_a:
+        t.verify(u in ambient, lambda: f"scope-open {u:#x} is not open", s)
+    for i in range(f.n):
+        h = s.hull_masks[i]
+        t.verify(h in f.tau_a_set, lambda: f"hull of point {i} is not scope-open", s)
+        t.verify(bool((h >> i) & 1), lambda: f"hull of point {i} misses the point", s)
         for u in f.tau_a:
-            t.verify(u in ambient, lambda: f"scope-open {u:#x} is not open", s)
-        for i in range(f.n):
-            h = s.hull_masks[i]
-            t.verify(h in f.tau_a_set, lambda: f"hull of point {i} is not scope-open", s)
-            t.verify(bool((h >> i) & 1), lambda: f"hull of point {i} misses the point", s)
-            for u in f.tau_a:
-                if (u >> i) & 1:
-                    t.verify(
-                        not h & ~u,
-                        lambda: f"hull of point {i} exceeds a scope-open set containing it",
-                        s,
-                    )
+            if (u >> i) & 1:
+                t.verify(
+                    not h & ~u,
+                    lambda: f"hull of point {i} exceeds a scope-open set containing it",
+                    s,
+                )
 
 
-@_law(
+@_space_law(
     "transitive-scope-base-idempotent",
     CORE,
     "on transitive spaces scopes equal hulls and the closure is idempotent",
 )
-def _transitive_base(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        if not s.classification.transitive:
-            continue
+def _transitive_base(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    if not s.classification.transitive:
+        return
+    t.verify(
+        list(f.scopes) == list(s.hull_masks),
+        "scopes and hulls differ on a transitive space",
+        s,
+    )
+    for a in range(f.size):
         t.verify(
-            list(f.scopes) == list(s.hull_masks),
-            "scopes and hulls differ on a transitive space",
+            f.cl[f.cl[a]] == f.cl[a],
+            lambda: f"closure not idempotent on {a:#x} despite transitivity",
             s,
         )
-        for a in range(f.size):
-            t.verify(
-                f.cl[f.cl[a]] == f.cl[a],
-                lambda: f"closure not idempotent on {a:#x} despite transitivity",
-                s,
-            )
 
 
-@_law(
+@_space_law(
     "subspace-closure-trace",
     CORE,
     "subspace closure is the ambient closure cut to the carrier",
 )
-def _subspace_closure(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        for ym in range(1, f.size):
-            sub = ctx.subspace_of(s, ym)
-            positions = list(mask_indices(ym))
-            fs = ctx.facts(sub)
-            for a_sub in range(1 << len(positions)):
-                a_orig = 0
-                for k, p in enumerate(positions):
-                    if (a_sub >> k) & 1:
-                        a_orig |= 1 << p
-                expect = 0
-                for k, p in enumerate(positions):
-                    if (f.cl[a_orig] >> p) & 1:
-                        expect |= 1 << k
-                t.verify(
-                    fs.cl[a_sub] == expect,
-                    lambda: f"subspace closure of {a_sub:#x} in carrier {ym:#x} is not the trace",
-                    s,
-                )
+def _subspace_closure(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    for ym in range(1, f.size):
+        sub = ctx.subspace_of(s, ym)
+        positions = list(mask_indices(ym))
+        fs = ctx.facts(sub)
+        for a_sub in range(1 << len(positions)):
+            a_orig = 0
+            for k, p in enumerate(positions):
+                if (a_sub >> k) & 1:
+                    a_orig |= 1 << p
+            expect = 0
+            for k, p in enumerate(positions):
+                if (f.cl[a_orig] >> p) & 1:
+                    expect |= 1 << k
+            t.verify(
+                fs.cl[a_sub] == expect,
+                lambda: f"subspace closure of {a_sub:#x} in carrier {ym:#x} is not the trace",
+                s,
+            )
 
 
-@_law(
+@_space_law(
     "subspace-topology-inclusion",
     CORE,
     "traces of scope-open sets are scope-open in the subspace, with equality when transitive",
 )
-def _subspace_tau(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        for ym in range(1, f.size):
-            sub = ctx.subspace_of(s, ym)
-            positions = list(mask_indices(ym))
-            pos = {p: k for k, p in enumerate(positions)}
-            fs = ctx.facts(sub)
-            trace = set()
-            for u in f.tau_a:
-                m = 0
-                for p in mask_indices(u & ym):
-                    m |= 1 << pos[p]
-                trace.add(m)
+def _subspace_tau(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    for ym in range(1, f.size):
+        sub = ctx.subspace_of(s, ym)
+        positions = list(mask_indices(ym))
+        pos = {p: k for k, p in enumerate(positions)}
+        fs = ctx.facts(sub)
+        trace = set()
+        for u in f.tau_a:
+            m = 0
+            for p in mask_indices(u & ym):
+                m |= 1 << pos[p]
+            trace.add(m)
+        t.verify(
+            trace <= fs.tau_a_set,
+            lambda: f"trace family escapes the subspace scope topology on carrier {ym:#x}",
+            s,
+        )
+        if s.classification.transitive:
             t.verify(
-                trace <= fs.tau_a_set,
-                lambda: f"trace family escapes the subspace scope topology on carrier {ym:#x}",
+                trace == fs.tau_a_set,
+                lambda: f"transitive space has a strict trace on carrier {ym:#x}",
                 s,
             )
-            if s.classification.transitive:
-                t.verify(
-                    trace == fs.tau_a_set,
-                    lambda: f"transitive space has a strict trace on carrier {ym:#x}",
-                    s,
-                )
 
 
-@_law(
+@_pair_law(
     "product-closure-box",
     CORE,
     "closure of a box is the box of the closures",
 )
-def _product_closure(ctx: LawContext, t: _Tally) -> None:
+def _product_closure(ctx: LawContext, t: _Tally, sx: AuraSpace, sy: AuraSpace) -> None:
     """Replayed per factor pair under ``_pair_key``: the product closure
     and both factor closures are functions of the scopes."""
-    replay = _Replay(t)
-    for sx, sy in ctx.factor_pairs():
-
-        def checks() -> None:
-            fx, fy = ctx.facts(sx), ctx.facts(sy)
-            prod = ctx.product_of(sx, sy)
-            fp = ctx.facts(prod)
-            for a in range(fx.size):
-                for b in range(fy.size):
-                    got = fp.cl[_box_mask(a, b, fy.n)]
-                    want = _box_mask(fx.cl[a], fy.cl[b], fy.n)
-                    t.verify(
-                        got == want,
-                        lambda: f"box closure mismatch on {a:#x} x {b:#x}",
-                        prod,
-                    )
-
-        replay.run(_pair_key(sx, sy), checks)
+    fx, fy = ctx.facts(sx), ctx.facts(sy)
+    prod = ctx.product_of(sx, sy)
+    fp = ctx.facts(prod)
+    for a in range(fx.size):
+        for b in range(fy.size):
+            got = fp.cl[_box_mask(a, b, fy.n)]
+            want = _box_mask(fx.cl[a], fy.cl[b], fy.n)
+            t.verify(
+                got == want,
+                lambda: f"box closure mismatch on {a:#x} x {b:#x}",
+                prod,
+            )
 
 
 @_law(
@@ -677,62 +692,54 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
         )
 
 
-@_law(
+@_pair_law(
     "product-transitive-equality",
     CORE,
     "with transitive factors the box-generated family is the whole product scope topology",
 )
-def _product_equality(ctx: LawContext, t: _Tally) -> None:
+def _product_equality(ctx: LawContext, t: _Tally, sx: AuraSpace, sy: AuraSpace) -> None:
     """Replayed under ``_pair_key``: transitivity, the box family and the
     product τ_a are functions of the scopes."""
-    replay = _Replay(t)
-    for sx, sy in ctx.factor_pairs():
-
-        def checks() -> None:
-            if not (sx.classification.transitive and sy.classification.transitive):
-                return
-            prod = ctx.product_of(sx, sy)
-            t.verify(
-                product_topology_of_factors(sx, sy).mask_set == ctx.facts(prod).tau_a_set,
-                "transitive factors produced a strictly larger product scope topology",
-                prod,
-            )
-
-        replay.run(_pair_key(sx, sy), checks)
+    if not (sx.classification.transitive and sy.classification.transitive):
+        return
+    prod = ctx.product_of(sx, sy)
+    t.verify(
+        product_topology_of_factors(sx, sy).mask_set == ctx.facts(prod).tau_a_set,
+        "transitive factors produced a strictly larger product scope topology",
+        prod,
+    )
 
 
-@_law(
+@_space_law(
     "connected-characterizations",
     CORE,
     "no separation, no proper clopen set, and no onto two-point discrete map agree",
 )
-def _characterizations(ctx: LawContext, t: _Tally) -> None:
+def _characterizations(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
     two = ctx.discrete_pair
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        clopen_free = True
-        for a in range(1, f.full):
-            if a in f.tau_a_set and is_aura_closed(s, a):
-                clopen_free = False
-                break
-        t.verify(
-            f.connected == clopen_free,
-            "separation verdict disagrees with the proper clopen scan",
-            s,
-        )
-        splittable = False
-        for images in itertools.product((0, 1), repeat=f.n):
-            if len(set(images)) < 2:
-                continue
-            m = FiniteMap(s.universe, two.universe, images)
-            if is_aura_continuous(m, s, two):
-                splittable = True
-                break
-        t.verify(
-            f.connected == (not splittable),
-            "two-point discrete maps disagree with the separation verdict",
-            s,
-        )
+    clopen_free = True
+    for a in range(1, f.full):
+        if a in f.tau_a_set and is_aura_closed(s, a):
+            clopen_free = False
+            break
+    t.verify(
+        f.connected == clopen_free,
+        "separation verdict disagrees with the proper clopen scan",
+        s,
+    )
+    splittable = False
+    for images in itertools.product((0, 1), repeat=f.n):
+        if len(set(images)) < 2:
+            continue
+        m = FiniteMap(s.universe, two.universe, images)
+        if is_aura_continuous(m, s, two):
+            splittable = True
+            break
+    t.verify(
+        f.connected == (not splittable),
+        "two-point discrete maps disagree with the separation verdict",
+        s,
+    )
 
 
 @_law(
@@ -756,112 +763,102 @@ def _image_connected(ctx: LawContext, t: _Tally) -> None:
             )
 
 
-@_law(
+@_space_law(
     "connected-union-common-point",
     CORE,
     "unions of connected subsets through a common point are connected",
 )
-def _union_common(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        conn = [a for a in f.conn_masks if a]
-        for a, b in itertools.combinations(conn, 2):
-            if a & b:
+def _union_common(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    conn = [a for a in f.conn_masks if a]
+    for a, b in itertools.combinations(conn, 2):
+        if a & b:
+            t.verify(
+                is_aura_connected(s, a | b),
+                lambda: f"union {a | b:#x} of overlapping connected sets is disconnected",
+                s,
+            )
+    if f.n >= 3:
+        for a, b, c in itertools.combinations(conn, 3):
+            if a & b & c:
                 t.verify(
-                    is_aura_connected(s, a | b),
-                    lambda: f"union {a | b:#x} of overlapping connected sets is disconnected",
+                    is_aura_connected(s, a | b | c),
+                    lambda: f"union {a | b | c:#x} of three connected sets through a common point is disconnected",
                     s,
                 )
-        if f.n >= 3:
-            for a, b, c in itertools.combinations(conn, 3):
-                if a & b & c:
-                    t.verify(
-                        is_aura_connected(s, a | b | c),
-                        lambda: f"union {a | b | c:#x} of three connected sets through a common point is disconnected",
-                        s,
-                    )
 
 
-@_law(
+@_space_law(
     "component-properties",
     CORE,
     "components are connected, maximal, closed, and partition the space",
 )
-def _components(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        union = 0
-        for b in f.blocks:
-            t.verify(is_aura_connected(s, b.mask), lambda: f"component {b.mask:#x} is disconnected", s)
-            t.verify(is_aura_closed(s, b.mask), lambda: f"component {b.mask:#x} is not closed", s)
-            t.verify(not union & b.mask, "components overlap", s)
-            union |= b.mask
-        t.verify(union == f.full, "components miss part of the space", s)
-        block_masks = [b.mask for b in f.blocks]
-        for c in f.conn_masks:
-            if not c:
-                continue
-            inside = sum(1 for bm in block_masks if not c & ~bm)
-            t.verify(
-                inside == 1,
-                lambda: f"connected set {c:#x} is not inside exactly one component",
-                s,
-            )
+def _components(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    union = 0
+    for b in f.blocks:
+        t.verify(is_aura_connected(s, b.mask), lambda: f"component {b.mask:#x} is disconnected", s)
+        t.verify(is_aura_closed(s, b.mask), lambda: f"component {b.mask:#x} is not closed", s)
+        t.verify(not union & b.mask, "components overlap", s)
+        union |= b.mask
+    t.verify(union == f.full, "components miss part of the space", s)
+    block_masks = [b.mask for b in f.blocks]
+    for c in f.conn_masks:
+        if not c:
+            continue
+        inside = sum(1 for bm in block_masks if not c & ~bm)
+        t.verify(
+            inside == 1,
+            lambda: f"connected set {c:#x} is not inside exactly one component",
+            s,
+        )
 
 
-@_law(
+@_space_law(
     "locally-connected-open-components",
     CORE,
     "in a locally connected space every component is scope-open",
 )
-def _lc_open_components(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        if not is_aura_locally_connected(s):
-            continue
-        for b in f.blocks:
-            t.verify(
-                b.mask in f.tau_a_set,
-                lambda: f"component {b.mask:#x} of a locally connected space is not scope-open",
-                s,
-            )
+def _lc_open_components(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    if not is_aura_locally_connected(s):
+        return
+    for b in f.blocks:
+        t.verify(
+            b.mask in f.tau_a_set,
+            lambda: f"component {b.mask:#x} of a locally connected space is not scope-open",
+            s,
+        )
 
 
-@_law(
+@_space_law(
     "transitive-local-connectivity",
     CORE,
     "a transitive space with connected scopes is locally connected",
 )
-def _transitive_lc(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        if not s.classification.transitive:
-            continue
-        if all(is_aura_connected(s, m) for m in f.scopes):
-            t.verify(
-                is_aura_locally_connected(s),
-                "transitive space with connected scopes is not locally connected",
-                s,
-            )
+def _transitive_lc(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    if not s.classification.transitive:
+        return
+    if all(is_aura_connected(s, m) for m in f.scopes):
+        t.verify(
+            is_aura_locally_connected(s),
+            "transitive space with connected scopes is not locally connected",
+            s,
+        )
 
 
-@_law(
+@_space_law(
     "symmetric-transitive-local-connectivity",
     CORE,
     "with symmetry and transitivity, local connectedness means every scope is connected",
 )
-def _sym_trans_lc(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        if not (s.classification.transitive and s.classification.symmetric):
-            continue
-        lhs = is_aura_locally_connected(s)
-        rhs = all(is_aura_connected(s, m) for m in f.scopes)
-        t.verify(
-            lhs == rhs,
-            "local connectedness and scope connectedness split on a symmetric transitive space",
-            s,
-        )
+def _sym_trans_lc(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    if not (s.classification.transitive and s.classification.symmetric):
+        return
+    lhs = is_aura_locally_connected(s)
+    rhs = all(is_aura_connected(s, m) for m in f.scopes)
+    t.verify(
+        lhs == rhs,
+        "local connectedness and scope connectedness split on a symmetric transitive space",
+        s,
+    )
 
 
 def _convergence_sequences(universe: PointUniverse) -> list:
@@ -870,15 +867,7 @@ def _convergence_sequences(universe: PointUniverse) -> list:
     The text is rendered once here, since it is read only by failure
     messages.
     """
-    points = range(universe.n)
-    prefixes = [()] + [(i,) for i in points] + list(itertools.product(points, repeat=2))
-    cycles = [c for r in (1, 2, 3) for c in itertools.product(points, repeat=r)]
-    out = []
-    for pfx in prefixes:
-        for cyc in cycles:
-            q = EvPSequence(universe, pfx, cyc)
-            out.append((q, q.text()))
-    return out
+    return [(q, q.text()) for q in short_sequences(universe)]
 
 
 def _cycle_classes(table: list) -> list:
@@ -948,105 +937,98 @@ def _convergence(ctx: LawContext, t: _Tally) -> None:
             t.checks += weighted
 
 
-@_law(
+@_space_law(
     "fip-compactness-equivalence",
     CORE,
     "the finite intersection property shortcut matches the literal sub-list scan and compactness",
 )
-def _fip_law(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        t.verify(is_aura_compact(s), "finite space flagged non-compact", s)
-        closed = f.closed_masks
-        for size in range(0, min(4, len(closed)) + 1):
-            for combo in itertools.combinations(closed, size):
-                res = fip(s, [PointSet(s.universe, m) for m in combo])
-                literal = True
-                for r in range(len(combo) + 1):
-                    for sub in itertools.combinations(combo, r):
-                        inter = f.full
-                        for m in sub:
-                            inter &= m
-                        if inter == 0:
-                            literal = False
-                            break
-                    if not literal:
+def _fip_law(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    t.verify(is_aura_compact(s), "finite space flagged non-compact", s)
+    closed = f.closed_masks
+    for size in range(0, min(4, len(closed)) + 1):
+        for combo in itertools.combinations(closed, size):
+            res = fip(s, [PointSet(s.universe, m) for m in combo])
+            literal = True
+            for r in range(len(combo) + 1):
+                for sub in itertools.combinations(combo, r):
+                    inter = f.full
+                    for m in sub:
+                        inter &= m
+                    if inter == 0:
+                        literal = False
                         break
-                t.verify(
-                    res.fip_holds == literal,
-                    lambda: f"shortcut disagrees with the literal scan on family {list(combo)}",
-                    s,
-                )
-                t.verify(
-                    res.fip_holds == res.intersection_nonempty,
-                    lambda: f"family {list(combo)} has the property but an empty total intersection",
-                    s,
-                )
-
-
-@_law(
-    "separation-axiom-chain",
-    CORE,
-    "hull-based separation axioms match their definitions and chain downwards",
-)
-def _separation(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        hulls, sep = s.hull_masks, s.separation
-        t0 = t1 = t2 = True
-        for i in range(s.n):
-            for j in range(s.n):
-                if i == j:
-                    continue
-                if (hulls[i] >> j) & 1 and (hulls[j] >> i) & 1:
-                    t0 = False
-                if (hulls[i] >> j) & 1:
-                    t1 = False
-                if i < j and hulls[i] & hulls[j]:
-                    t2 = False
-        t.verify(sep.t0 == t0, "t0 flag disagrees with the hull definition", s)
-        t.verify(sep.t1 == (t1 and t0), "t1 flag disagrees with the hull definition", s)
-        t.verify(sep.t2 == (t2 and t1 and t0), "t2 flag disagrees with the hull definition", s)
-        t.verify(not sep.t2 or sep.t1, "t2 without t1", s)
-        t.verify(not sep.t1 or sep.t0, "t1 without t0", s)
-
-
-@_law(
-    "t2-closed-subsets",
-    CORE,
-    "in a finite t2 space every subset is scope-closed",
-)
-def _t2_closed(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        if not s.separation.t2:
-            continue
-        for a in range(f.size):
+                if not literal:
+                    break
             t.verify(
-                is_aura_closed(s, a),
-                lambda: f"subset {a:#x} of a t2 space is not closed",
+                res.fip_holds == literal,
+                lambda: f"shortcut disagrees with the literal scan on family {list(combo)}",
+                s,
+            )
+            t.verify(
+                res.fip_holds == res.intersection_nonempty,
+                lambda: f"family {list(combo)} has the property but an empty total intersection",
                 s,
             )
 
 
-@_law(
+@_space_law(
+    "separation-axiom-chain",
+    CORE,
+    "hull-based separation axioms match their definitions and chain downwards",
+)
+def _separation(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    hulls, sep = s.hull_masks, s.separation
+    t0 = t1 = t2 = True
+    for i in range(s.n):
+        for j in range(s.n):
+            if i == j:
+                continue
+            if (hulls[i] >> j) & 1 and (hulls[j] >> i) & 1:
+                t0 = False
+            if (hulls[i] >> j) & 1:
+                t1 = False
+            if i < j and hulls[i] & hulls[j]:
+                t2 = False
+    t.verify(sep.t0 == t0, "t0 flag disagrees with the hull definition", s)
+    t.verify(sep.t1 == (t1 and t0), "t1 flag disagrees with the hull definition", s)
+    t.verify(sep.t2 == (t2 and t1 and t0), "t2 flag disagrees with the hull definition", s)
+    t.verify(not sep.t2 or sep.t1, "t2 without t1", s)
+    t.verify(not sep.t1 or sep.t0, "t1 without t0", s)
+
+
+@_space_law(
+    "t2-closed-subsets",
+    CORE,
+    "in a finite t2 space every subset is scope-closed",
+)
+def _t2_closed(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    if not s.separation.t2:
+        return
+    for a in range(f.size):
+        t.verify(
+            is_aura_closed(s, a),
+            lambda: f"subset {a:#x} of a t2 space is not closed",
+            s,
+        )
+
+
+@_space_law(
     "generalized-open-hierarchy",
     CORE,
     "scope-open implies alpha, alpha implies semi and pre, and their union sits inside beta",
 )
-def _hierarchy(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        fams = {
-            cls: {ps.mask for ps in generalized_family(s, cls)}
-            for cls in GeneralizedClass
-        }
-        alpha = fams[GeneralizedClass.ALPHA]
-        semi = fams[GeneralizedClass.SEMI]
-        pre = fams[GeneralizedClass.PRE]
-        beta = fams[GeneralizedClass.BETA]
-        t.verify(f.tau_a_set <= alpha, "a scope-open set is not alpha-open", s)
-        t.verify(alpha <= semi & pre, "an alpha-open set is not both semi- and pre-open", s)
-        t.verify(semi | pre <= beta, "a semi- or pre-open set is not beta-open", s)
+def _hierarchy(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    fams = {
+        cls: {ps.mask for ps in generalized_family(s, cls)}
+        for cls in GeneralizedClass
+    }
+    alpha = fams[GeneralizedClass.ALPHA]
+    semi = fams[GeneralizedClass.SEMI]
+    pre = fams[GeneralizedClass.PRE]
+    beta = fams[GeneralizedClass.BETA]
+    t.verify(f.tau_a_set <= alpha, "a scope-open set is not alpha-open", s)
+    t.verify(alpha <= semi & pre, "an alpha-open set is not both semi- and pre-open", s)
+    t.verify(semi | pre <= beta, "a semi- or pre-open set is not beta-open", s)
 
 
 @_law(
@@ -1071,18 +1053,17 @@ def _compact_chain(ctx: LawContext, t: _Tally) -> None:
         replay.run((s.n, s.aura_topology_masks), checks)
 
 
-@_law(
+@_space_law(
     "compact-implies-limit-finite",
     CORE,
     "compact finite spaces are limit point compact, vacuously",
 )
-def _compact_limit(ctx: LawContext, t: _Tally) -> None:
-    for s in ctx.all_spaces():
-        t.verify(
-            not is_aura_compact(s) or is_aura_limit_point_compact(s),
-            "compact space flagged not limit point compact",
-            s,
-        )
+def _compact_limit(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    t.verify(
+        not is_aura_compact(s) or is_aura_limit_point_compact(s),
+        "compact space flagged not limit point compact",
+        s,
+    )
 
 
 @_law(
@@ -1119,62 +1100,50 @@ def _image_compact(ctx: LawContext, t: _Tally) -> None:
             )
 
 
-@_law(
+@_pair_law(
     "projection-continuity",
     EXTENDED,
     "projections are continuous and onto, and pull compactness and connectedness back to the factors",
 )
-def _projections(ctx: LawContext, t: _Tally) -> None:
+def _projections(ctx: LawContext, t: _Tally, sx: AuraSpace, sy: AuraSpace) -> None:
     """Replayed under ``_pair_key``: the projections are fixed by the two
     sizes, and continuity, connectedness and compactness read only the
     scope topologies of the product and the factors."""
-    replay = _Replay(t)
-    for sx, sy in ctx.factor_pairs():
-
-        def checks() -> None:
-            prod = ctx.product_of(sx, sy)
-            nx, ny = sx.n, sy.n
-            left = FiniteMap(prod.universe, sx.universe, [k // ny for k in range(nx * ny)])
-            right = FiniteMap(prod.universe, sy.universe, [k % ny for k in range(nx * ny)])
-            t.verify(is_aura_continuous(left, prod, sx), "left projection is not continuous", prod)
-            t.verify(is_aura_continuous(right, prod, sy), "right projection is not continuous", prod)
-            t.verify(left.is_surjective() and right.is_surjective(), "projection is not onto", prod)
-            if ctx.facts(prod).connected:
-                t.verify(
-                    ctx.facts(sx).connected and ctx.facts(sy).connected,
-                    "connected product with a disconnected factor",
-                    prod,
-                )
-            if is_aura_compact(prod):
-                t.verify(
-                    is_aura_compact(sx) and is_aura_compact(sy),
-                    "compact product with a non-compact factor",
-                    prod,
-                )
-
-        replay.run(_pair_key(sx, sy), checks)
+    prod = ctx.product_of(sx, sy)
+    nx, ny = sx.n, sy.n
+    left = FiniteMap(prod.universe, sx.universe, [k // ny for k in range(nx * ny)])
+    right = FiniteMap(prod.universe, sy.universe, [k % ny for k in range(nx * ny)])
+    t.verify(is_aura_continuous(left, prod, sx), "left projection is not continuous", prod)
+    t.verify(is_aura_continuous(right, prod, sy), "right projection is not continuous", prod)
+    t.verify(left.is_surjective() and right.is_surjective(), "projection is not onto", prod)
+    if ctx.facts(prod).connected:
+        t.verify(
+            ctx.facts(sx).connected and ctx.facts(sy).connected,
+            "connected product with a disconnected factor",
+            prod,
+        )
+    if is_aura_compact(prod):
+        t.verify(
+            is_aura_compact(sx) and is_aura_compact(sy),
+            "compact product with a non-compact factor",
+            prod,
+        )
 
 
-@_law(
+@_pair_law(
     "product-connected-factors",
     EXTENDED,
     "a product of nonempty spaces is connected exactly when both factors are",
 )
-def _product_connected(ctx: LawContext, t: _Tally) -> None:
+def _product_connected(ctx: LawContext, t: _Tally, sx: AuraSpace, sy: AuraSpace) -> None:
     """Replayed under ``_pair_key``: connectedness reads only the hulls."""
-    replay = _Replay(t)
-    for sx, sy in ctx.factor_pairs():
-
-        def checks() -> None:
-            fx, fy = ctx.facts(sx), ctx.facts(sy)
-            prod = ctx.product_of(sx, sy)
-            t.verify(
-                ctx.facts(prod).connected == (fx.connected and fy.connected),
-                "product connectedness disagrees with the factors",
-                prod,
-            )
-
-        replay.run(_pair_key(sx, sy), checks)
+    fx, fy = ctx.facts(sx), ctx.facts(sy)
+    prod = ctx.product_of(sx, sy)
+    t.verify(
+        ctx.facts(prod).connected == (fx.connected and fy.connected),
+        "product connectedness disagrees with the factors",
+        prod,
+    )
 
 
 LAW_NAMES = tuple(law.name for law in LAWS)

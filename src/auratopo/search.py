@@ -647,7 +647,8 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
 
     Size 5 needs either ``samples`` (seeded random scan) or ``allow_large``
     (full scan; the fiber count is in the millions).  The whole grid is
-    always scanned so reports do not depend on worker count.  ``limit``
+    always scanned so reports do not depend on worker count; a sampled
+    scan runs in one process whatever ``workers`` says.  ``limit``
     keeps the first witnesses in grid (or sample) order, and only those are
     rendered; a negative limit raises ``LimitOutOfRange``, a negative
     sample count ``SamplesOutOfRange`` and fewer than one worker

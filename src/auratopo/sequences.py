@@ -10,8 +10,9 @@ criterion the law suite checks both ways.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import EmptyUniverse, SizeOutOfRange
 from .finite import PointSet, PointUniverse
@@ -60,6 +61,18 @@ class EvPSequence:
         p = ",".join(self.universe.labels[i] for i in self.prefix)
         c = ",".join(self.universe.labels[i] for i in self.cycle)
         return f"{p};{c}"
+
+
+def short_sequences(universe: PointUniverse) -> Iterator[EvPSequence]:
+    """Every sequence with a prefix of length 0 to 2 and a cycle of length
+    1 to 3: prefixes in the outer loop, each by length, then in
+    lexicographic order, and cycles likewise."""
+    points = range(universe.n)
+    cycles = [c for r in (1, 2, 3) for c in itertools.product(points, repeat=r)]
+    for r in (0, 1, 2):
+        for prefix in itertools.product(points, repeat=r):
+            for cycle in cycles:
+                yield EvPSequence(universe, prefix, cycle)
 
 
 def parse_sequence(universe: PointUniverse, text: str) -> EvPSequence:
@@ -157,20 +170,13 @@ def is_aura_sequentially_compact(s: AuraSpace, oracle: bool = False) -> bool:
         return True
     if s.n > ORACLE_LIMIT:
         raise SizeOutOfRange(f"oracle mode enumerates sequences only up to {ORACLE_LIMIT} points")
-    from itertools import product as iproduct
-
-    points = range(s.n)
-    prefixes = [()] + [(p,) for p in points] + list(iproduct(points, repeat=2))
-    cycles = [c for r in (1, 2, 3) for c in iproduct(points, repeat=r)]
-    for prefix in prefixes:
-        for cycle in cycles:
-            q = EvPSequence(s.universe, tuple(prefix), tuple(cycle))
-            w = find_convergent_subsequence(s, q)
-            i = s.universe.index(w.point)
-            for k in range(3):
-                if q.value_at(w.rule.index(k)) != i:
-                    return False
-            constant = EvPSequence(s.universe, (), (i,))
-            if not converges_to(s, constant, w.point):
+    for q in short_sequences(s.universe):
+        w = find_convergent_subsequence(s, q)
+        i = s.universe.index(w.point)
+        for k in range(3):
+            if q.value_at(w.rule.index(k)) != i:
                 return False
+        constant = EvPSequence(s.universe, (), (i,))
+        if not converges_to(s, constant, w.point):
+            return False
     return True

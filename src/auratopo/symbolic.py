@@ -66,10 +66,6 @@ class SymbolicSet:
         return cls(frozenset(elements))
 
     @classmethod
-    def from_iterable(cls, elements: Iterable[int]) -> "SymbolicSet":
-        return cls(frozenset(elements))
-
-    @classmethod
     def tail_from(cls, start: int) -> "SymbolicSet":
         return cls(frozenset(), start)
 
@@ -90,9 +86,6 @@ class SymbolicSet:
 
     def is_all(self) -> bool:
         return self.tail == 1
-
-    def is_finite(self) -> bool:
-        return self.tail is None
 
     def min_element(self) -> Optional[int]:
         if self.finite:
@@ -179,15 +172,6 @@ class Verdict:
         if self.imported:
             out["imported"] = True
         return out
-
-
-REPORT_KEYS = (
-    "aCompact",
-    "countablyACompact",
-    "aLindelof",
-    "aLimitPointCompact",
-    "aSequentiallyCompact",
-)
 
 
 @dataclass(frozen=True)

@@ -177,3 +177,11 @@ def test_sequential_compactness_oracle_has_a_size_budget(monkeypatch):
     monkeypatch.setattr(sequences, "find_convergent_subsequence", scanned)
     with pytest.raises(SizeOutOfRange, match=f"up to {ORACLE_LIMIT} points"):
         is_aura_sequentially_compact(big, oracle=True)
+
+
+def test_short_sequences_list_every_prefix_and_cycle_once_in_order():
+    seqs = list(sequences.short_sequences(_discrete(2).universe))
+    assert len(set(seqs)) == len(seqs) == (1 + 2 + 4) * (2 + 4 + 8)
+    assert [q.text() for q in seqs[:3]] == [";p0", ";p1", ";p0,p0"]
+    assert seqs[14].text() == "p0;p0"
+    assert seqs[-1].text() == "p1,p1;p1,p1,p1"

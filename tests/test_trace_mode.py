@@ -4,10 +4,11 @@
 ``MUST_FIRE`` counters stays at zero, or when a layer that the matrix
 enters only through its atoms (``LAYER_ATOMS``) is entered a different
 number of times than those atoms run. These tests run ``perfbench/tracer.py``
-in fresh processes on small versions of the ``scan`` and ``matrix``
-commands and apply the same two checks, with the tables imported from
-``run.py``, so a change to the scans that hides a layer from the tracer
-fails here first.
+in fresh processes on small versions of the ``laws``, ``scan`` and
+``matrix`` commands and apply the same two checks, with the tables
+imported from ``run.py``, so a change to the scans or to the law
+registry that hides a layer from the tracer (which wraps each entry of
+``laws.LAWS`` and ``SpaceFacts.__init__``) fails here first.
 """
 
 import importlib.util
@@ -51,6 +52,7 @@ def _traced(tmp_path, *argv):
     ("matrix", ["matrix", "--size", "3"]),
     ("scan", ["search", "--size", "3", "--where", "aConnected and not tauConnected",
               "--limit", "5"]),
+    ("laws", ["verify-paper", "--max-size", "2"]),
 ])
 def test_traced_counters_fire(run_module, tmp_path, workload, argv):
     doc = _traced(tmp_path, *argv)
