@@ -22,7 +22,6 @@ from .finite import (
     PointUniverse,
     TopologyFamily,
     _as_mask,
-    family_key,
     mask_indices,
     sorted_labels,
 )
@@ -167,7 +166,7 @@ def space_document(s: AuraSpace) -> dict:
     return {
         "points": list(universe.labels),
         "opens": [sorted_labels(universe, m)
-                  for m in sorted(s.space.topology.mask_set, key=family_key)],
+                  for m in s.space.topology.ordered_masks],
         "aura": {lab: sorted_labels(universe, m)
                  for lab, m in zip(universe.labels, s.scope_masks)},
     }

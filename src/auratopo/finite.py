@@ -8,7 +8,7 @@ lexicographically on the sorted index lists of their members.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_
 from typing import Iterable, Sequence
 
@@ -88,8 +88,10 @@ def mask_indices(mask: int):
         mask ^= low
 
 
+@lru_cache(maxsize=None)
 def family_key(mask: int):
-    """Canonical sort key of one family member."""
+    """Canonical sort key of one family member. Cached: enumeration and
+    rendering sort the same few masks many times over."""
     indices = tuple(mask_indices(mask))
     return (len(indices), indices)
 

@@ -17,6 +17,7 @@ from ._pykernel import (  # noqa: F401
     hull_masks,
     is_symmetric,
     is_transitive,
+    packed_hulls,
     relabelings,
     tau_a_masks,
     union_closure,

@@ -37,6 +37,53 @@ def hull_masks(n, auras):
     return out
 
 
+def packed_hulls(n, rows, lsb):
+    """``hull_masks`` of many n-point reflexive relations at once.
+
+    The relations sit side by side in lanes of n bits: lane j of
+    ``rows[i]`` (bits j*n .. j*n + n - 1) is the scope of point i in
+    relation j, and ``lsb`` has bit j*n set for every lane j. Returns the
+    rows with lane j of row i the hull of point i in relation j.
+
+    This is Warshall's closure with one relation per lane. Pivot k does
+    ``rows[i] |= rows[k] & sel`` for every i, where
+    ``sel = ((rows[i] >> k) & lsb) * (2**n - 1)``.
+
+    The OR stays inside its lanes. Since k < n, bit j*n of
+    ``(rows[i] >> k) & lsb`` is bit j*n + k of row i, the flag "point k
+    is in row i of lane j", and every other bit is 0. Multiplying by
+    2**n - 1 turns each set flag into n ones at bits j*n .. j*n + n - 1.
+    Those ranges are disjoint, so nothing carries and ``sel`` is all ones
+    on exactly the lanes where row i holds k. Then ``rows[k] & sel`` is
+    row k of those lanes and zero elsewhere, and the OR adds to lane j
+    of row i only lane j of row k.
+
+    The result is each lane's hull. Say, per lane, that a path from i to y
+    is a sequence of steps each from a point to a member of its scope,
+    and that its intermediates are the points strictly between its ends.
+    Invariant: after pivot k, row i holds exactly the y that i reaches by
+    a path whose intermediates are all <= k. Before pivot 0 that is the
+    scope of i (paths of one step). Pivot k leaves row k as it is, since
+    ``rows[k] & sel`` lies inside row k, so every row i is joined with row
+    k as it stood after pivot k - 1. A shortest path whose intermediates
+    are <= k passes k at most once; if it does, its parts before and
+    after k have intermediates < k, so k was in row i and y in row k, and
+    pivot k adds y to row i. Conversely, each y it adds joins a path from
+    i to k and one from k to y, both with intermediates < k, into a path
+    with intermediates <= k. After pivot n - 1 every path is allowed, so
+    row i is the set reached from i in one or more steps: the least set
+    that holds scope(i) and the scope of each of its members, which is
+    how ``hull_masks`` defines hull(i).
+    """
+    rows = list(rows)
+    spread = (1 << n) - 1
+    for k in range(n):
+        pivot = rows[k]
+        for i in range(n):
+            rows[i] |= pivot & (((rows[i] >> k) & lsb) * spread)
+    return rows
+
+
 def union_closure(masks):
     """All unions of sub-collections of ``masks``, the empty union included.
 

@@ -45,7 +45,6 @@ from .finite import (
     PointSet,
     PointUniverse,
     TopologyFamily,
-    family_key,
     is_tau_connected,
 )
 
@@ -95,7 +94,7 @@ def _fiber_choices(space: FiniteTopSpace) -> List[List[int]]:
     point's choice varying fastest. Every enumeration, count, scan and
     ``aura_index`` reads the grid from here.
     """
-    opens = sorted(space.topology.mask_set, key=family_key)
+    opens = space.topology.ordered_masks
     return [[m for m in opens if (m >> i) & 1] for i in range(space.universe.n)]
 
 
@@ -370,7 +369,7 @@ def space_descriptor(s: AuraSpace) -> str:
     universe = s.universe
     opens = ",".join(
         PointSet(universe, m).text()
-        for m in sorted(s.space.topology.mask_set, key=family_key)
+        for m in s.space.topology.ordered_masks
     )
     scopes = " ".join(
         f"{lab}:{PointSet(universe, m).text()}"
@@ -701,16 +700,44 @@ def _product_pair_pool() -> List[Factor]:
     return pool
 
 
-def _factors_differ(x: Factor, y: Factor, boxes: List[List[int]]) -> bool:
-    """Whether the product scope topology of two factors differs from the
-    closure of their open boxes, compared through minimal opens (see
-    ``product_strictness_scan``). ``boxes[u][v]`` is ``_box_mask(u, v, ny)``
-    for y's ``ny`` points."""
-    nx, scopes_x, hulls_x = x
-    ny, scopes_y, hulls_y = y
-    prod_scopes = [boxes[u][v] for u in scopes_x for v in scopes_y]
-    box_hulls = [boxes[u][v] for u in hulls_x for v in hulls_y]
-    return kernel.hull_masks(nx * ny, prod_scopes) != box_hulls
+# The ``count`` right-hand factors of one size ny, laid side by side for
+# left-hand factors of nx points: lane j, of nx * ny bits, stands for the
+# j-th factor, and ``lsb`` has bit 0 of every lane set.
+# ``scope_boxes[u][v]`` holds in each lane the box u × (the factor's scope
+# of point v), for every left mask u, and ``hull_boxes[u][v]`` the box
+# u × (the factor's hull of point v).
+_Lanes = namedtuple("_Lanes", "ny count lsb scope_boxes hull_boxes")
+
+
+def _pack_lanes(nx: int, ny: int, ys: List[Factor], boxes: List[List[int]]) -> _Lanes:
+    """Lay the ny-point factors ``ys`` out in lanes for nx-point left
+    factors. ``boxes[u][w]`` is ``_box_mask(u, w, ny)``."""
+    width = nx * ny
+    shifts = [j * width for j in range(len(ys))]
+
+    def packed(field):
+        return [[sum(boxes[u][y[field][v]] << s for y, s in zip(ys, shifts))
+                 for v in range(ny)] for u in range(1 << nx)]
+
+    return _Lanes(ny, len(ys), sum(1 << s for s in shifts), packed(1), packed(2))
+
+
+def _differing_lanes(x: Factor, lanes: _Lanes) -> List[bool]:
+    """Per lane, whether the product scope topology of x and the lane's
+    factor differs from the closure of their open boxes, compared through
+    minimal opens (see ``product_strictness_scan``). One ``packed_hulls``
+    call closes the product scopes of every lane, and each lane's product
+    hulls are XORed with the boxes hull(x) × hull(y) they should equal."""
+    _, scopes_x, hulls_x = x
+    points = range(lanes.ny)
+    rows = [lanes.scope_boxes[u][v] for u in scopes_x for v in points]
+    wanted = [lanes.hull_boxes[u][v] for u in hulls_x for v in points]
+    width = len(scopes_x) * lanes.ny
+    diff = 0
+    for got, want in zip(kernel.packed_hulls(width, rows, lanes.lsb), wanted):
+        diff |= got ^ want
+    lane = (1 << width) - 1
+    return [bool((diff >> (j * width)) & lane) for j in range(lanes.count)]
 
 
 _PRODUCT_SCAN_CACHE: Optional[str] = None
@@ -736,20 +763,31 @@ def product_strictness_scan() -> str:
     Each distinct ordered pair (x, y) is therefore decided once and counts
     for the c_x * c_y pool pairs it stands for, where c is the tuple's
     multiplicity; the totals, and so the message, are those of the full
-    len(pool) ** 2 scan.
+    len(pool) ** 2 scan. The product hulls are closed from the product
+    scopes, never read off hull(x) × hull(y): for each distinct x and each
+    size of y, one ``_differing_lanes`` call decides x against every
+    distinct y of that size, one lane per y, so the 68 ** 2 pairs take 136
+    calls.
     """
     global _PRODUCT_SCAN_CACHE
     if _PRODUCT_SCAN_CACHE is not None:
         return _PRODUCT_SCAN_CACHE
     pool = _product_pair_pool()
-    # Every box the scan forms, built once and looked up per pair.
+    # Every box the scan forms, built once and looked up to pack the lanes.
     width = 1 << max(_FACTOR_SIZES)
     boxes = {ny: [[_box_mask(u, v, ny) for v in range(1 << ny)] for u in range(width)]
              for ny in _FACTOR_SIZES}
     pairs = len(pool) ** 2
-    counts = Counter(pool).items()
-    strict = sum(cx * cy for x, cx in counts for y, cy in counts
-                 if _factors_differ(x, y, boxes[y[0]]))
+    counts = Counter(pool)
+    strict = 0
+    for ny in _FACTOR_SIZES:
+        ys = [y for y in counts if y[0] == ny]
+        for nx in _FACTOR_SIZES:
+            lanes = _pack_lanes(nx, ny, ys, boxes[ny])
+            for x in counts:
+                if x[0] == nx:
+                    strict += counts[x] * sum(counts[y] for y, differs
+                                              in zip(ys, _differing_lanes(x, lanes)) if differs)
     if strict:
         msg = (f"product scope topology differs from the box closure on "
                f"{strict} of {pairs} factor pairs")

@@ -13,7 +13,8 @@ from oracles import brute_closure, brute_components, brute_hull, brute_tau_a
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC = ("hull_masks", "union_closure", "tau_a_masks", "is_transitive", "is_symmetric",
-          "aura_closure_mask", "enumerate_preorders", "component_count", "relabelings")
+          "aura_closure_mask", "enumerate_preorders", "component_count", "relabelings",
+          "packed_hulls")
 
 
 def _rand_scopes(rng, n):
@@ -46,6 +47,27 @@ def test_hulls_and_tau_a_match_the_brute_definitions():
         expected_hulls = [brute_hull(n, scopes, x) for x in range(n)]
         assert list(kernel.hull_masks(n, scopes)) == expected_hulls
         assert list(kernel.tau_a_masks(expected_hulls)) == expected_tau
+
+
+def test_packed_hulls_match_the_brute_hull_lane_by_lane():
+    # Lane j of row i is the scope of point i in relation j. Identity and
+    # full lanes sit among random ones, so a carry or a shift that crossed
+    # into a neighbouring lane would change its hulls.
+    rng = random.Random(95)
+    for n in range(1, 10):
+        full = (1 << n) - 1
+        for lanes in (1, 2, 64):
+            relations = [_rand_scopes(rng, n) for _ in range(lanes)]
+            relations[0] = [1 << x for x in range(n)]
+            relations[-1] = [full] * n
+            rows = [sum(r[i] << (j * n) for j, r in enumerate(relations)) for i in range(n)]
+            lsb = sum(1 << (j * n) for j in range(lanes))
+            hulls = kernel.packed_hulls(n, rows, lsb)
+            assert len(hulls) == n
+            for j, scopes in enumerate(relations):
+                got = [(h >> (j * n)) & full for h in hulls]
+                assert got == [brute_hull(n, scopes, x) for x in range(n)], (n, lanes, j)
+            assert all(h >> (lanes * n) == 0 for h in hulls)
 
 
 def test_union_closure_equals_subset_scan():

@@ -336,13 +336,23 @@ def small_product_scan(monkeypatch):
     return pool
 
 
+def _lane_groups(pool):
+    """Every left-hand factor of the pool with the lanes it is decided
+    against: one group per factor size, every factor of that size a lane."""
+    for ny in (2, 3):
+        ys = [y for y in pool if y[0] == ny]
+        boxes = [[search_module._box_mask(u, v, ny) for v in range(1 << ny)] for u in range(8)]
+        for nx in (2, 3):
+            lanes = search_module._pack_lanes(nx, ny, ys, boxes)
+            for x in pool:
+                if x[0] == nx:
+                    yield x, ys, lanes
+
+
 def test_product_scan_hull_verdict_matches_the_topology_comparison(small_product_scan):
     pool = small_product_scan
-    boxes = {ny: [[search_module._box_mask(u, v, ny) for v in range(1 << ny)]
-                  for u in range(8)] for ny in (2, 3)}
-    for x in pool:
-        for y in pool:
-            assert search_module._factors_differ(x, y, boxes[y[0]]) == _topologies_differ(x, y)
+    for x, ys, lanes in _lane_groups(pool):
+        assert search_module._differing_lanes(x, lanes) == [_topologies_differ(x, y) for y in ys]
     assert search_module.product_strictness_scan() == (
         "product scope topology equals the box closure on all "
         f"{len(pool) ** 2} ordered pairs of 2- and 3-point factors"
@@ -377,35 +387,61 @@ def test_product_scan_reports_a_broken_box(small_product_scan, monkeypatch):
 
 def test_product_scan_decides_each_distinct_factor_pair_once(monkeypatch):
     pool = _small_factor_pool() * 2
-    calls = []
-    differ = search_module._factors_differ
+    packed = []
+    pack, differing = search_module._pack_lanes, search_module._differing_lanes
+    pairs = []
 
-    def counted(x, y, boxes):
-        calls.append((x, y))
-        return differ(x, y, boxes)
+    def recorded(nx, ny, ys, boxes):
+        lanes = pack(nx, ny, ys, boxes)
+        packed.append((lanes, list(ys)))
+        return lanes
 
-    monkeypatch.setattr(search_module, "_factors_differ", counted)
+    def counted(x, lanes):
+        ys = next(ys for packed_lanes, ys in packed if packed_lanes is lanes)
+        verdicts = differing(x, lanes)
+        assert len(verdicts) == len(ys)
+        pairs.extend((x, y) for y in ys)
+        return verdicts
+
+    monkeypatch.setattr(search_module, "_pack_lanes", recorded)
+    monkeypatch.setattr(search_module, "_differing_lanes", counted)
     monkeypatch.setattr(search_module, "_product_pair_pool", lambda: pool)
     monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
-    distinct = len(set(pool))
-    assert distinct <= len(pool) // 2
+    distinct = set(pool)
+    assert len(distinct) <= len(pool) // 2
     assert search_module.product_strictness_scan() == (
         "product scope topology equals the box closure on all "
         f"{len(pool) ** 2} ordered pairs of 2- and 3-point factors"
     )
-    assert len(calls) == distinct ** 2
+    # Each distinct ordered pair fills exactly one lane.
+    assert Counter(pairs) == {(x, y): 1 for x in distinct for y in distinct}
 
     # The strict pairs are weighted by multiplicity, as in a scan of every pair.
     broken = [(n, scopes, scopes) for n, scopes, _ in pool]
     intact = sum(1 for _, scopes, hulls in pool if scopes == hulls)
-    calls.clear()
+    pairs.clear()
     monkeypatch.setattr(search_module, "_product_pair_pool", lambda: broken)
     monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
     assert search_module.product_strictness_scan() == (
         "product scope topology differs from the box closure on "
         f"{len(pool) ** 2 - intact ** 2} of {len(pool) ** 2} factor pairs"
     )
-    assert len(calls) == len(set(broken)) ** 2
+    assert len(pairs) == len(set(broken)) ** 2
+
+
+def test_product_scan_counts_broken_hulls_on_the_full_pool(monkeypatch):
+    # With every factor's hulls replaced by its scopes, the 68 ** 2 distinct
+    # pairs of the full pool give this count; it was measured with a
+    # separate hull_masks closure per pair.
+    pool = search_module._product_pair_pool()
+    assert len(pool) == 371
+    monkeypatch.setattr(search_module, "_product_pair_pool",
+                        lambda: [(n, scopes, scopes) for n, scopes, _ in pool])
+    monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
+    assert search_module.product_strictness_scan() == (
+        "product scope topology differs from the box closure on "
+        "97240 of 137641 factor pairs"
+    )
 
 
 def _split_scope_verdicts(atoms):
