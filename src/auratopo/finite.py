@@ -49,9 +49,6 @@ class PointUniverse:
         except KeyError:
             raise KeyError(f"no point labelled {label!r}") from None
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -121,33 +118,8 @@ class PointSet:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
     def __contains__(self, label: str) -> bool:
         return bool(self.mask >> self.universe.index(label) & 1)
-
-    def __iter__(self):
-        return iter(self.labels())
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, PointSet):
-            if other.universe != self.universe:
-                raise ValueError("point sets live in different universes")
-            return other.mask
-        raise TypeError(f"expected PointSet, got {type(other).__name__}")
-
-    def __or__(self, other) -> "PointSet":
-        return PointSet(self.universe, self.mask | self._coerce(other))
-
-    def __and__(self, other) -> "PointSet":
-        return PointSet(self.universe, self.mask & self._coerce(other))
-
-    def __sub__(self, other) -> "PointSet":
-        return PointSet(self.universe, self.mask & ~self._coerce(other))
-
-    def __invert__(self) -> "PointSet":
-        return PointSet(self.universe, self.universe.full_mask & ~self.mask)
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,14 +233,6 @@ class TopologyFamily:
 
     def __len__(self) -> int:
         return len(self.mask_set)
-
-    def __iter__(self):
-        return iter(self.members())
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, PointSet):
-            return item.universe == self.universe and item.mask in self.mask_set
-        return item in self.mask_set
 
     def __eq__(self, other) -> bool:
         return (

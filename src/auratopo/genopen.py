@@ -12,7 +12,7 @@ from enum import Enum
 
 from . import kernel
 from .errors import UniverseTooLarge
-from .finite import PointSet
+from .finite import PointSet, family_key
 from .aura import AuraSpace, _as_mask, _interior_mask as _int
 
 FAMILY_SCAN_LIMIT = 20
@@ -57,10 +57,5 @@ def generalized_family(s: AuraSpace, cls: GeneralizedClass) -> tuple:
     """
     if s.n > FAMILY_SCAN_LIMIT:
         raise UniverseTooLarge(f"family scan gated at {FAMILY_SCAN_LIMIT} points")
-    out = [
-        PointSet(s.universe, m)
-        for m in range(s.universe.full_mask + 1)
-        if is_generalized_open(s, m, cls)
-    ]
-    out.sort(key=lambda ps: (len(ps), ps.indices()))
-    return tuple(out)
+    members = [m for m in range(s.universe.full_mask + 1) if is_generalized_open(s, m, cls)]
+    return tuple(PointSet(s.universe, m) for m in sorted(members, key=family_key))

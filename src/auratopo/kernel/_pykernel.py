@@ -10,7 +10,15 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from ..errors import UniverseTooLarge
+
 BACKEND = "python"
+
+# The most sets a union closure may hold: the 2**20 subsets of a 20-point
+# universe, the scale of ``genopen.FAMILY_SCAN_LIMIT``. Every family the
+# package builds by closure (topologies, box families, τ_a listings) stays
+# far below it; past it the closure raises instead of exhausting memory.
+MAX_FAMILY = 1 << 20
 
 
 def hull_masks(n, auras):
@@ -88,11 +96,16 @@ def union_closure(masks):
     """All unions of sub-collections of ``masks``, the empty union included.
 
     Returns ascending ints. Output-sensitive: never scans 2**n subsets
-    of the universe, only grows the closure itself.
+    of the universe, only grows the closure itself. Raises
+    ``UniverseTooLarge`` once the closure holds more than ``MAX_FAMILY``
+    sets; one mask at most doubles it, so it never holds more than twice
+    that.
     """
     seen = {0}
     for m in masks:
         seen |= {m | r for r in seen}
+        if len(seen) > MAX_FAMILY:
+            raise UniverseTooLarge(f"a union closure exceeds the {MAX_FAMILY} set budget")
     return sorted(seen)
 
 

@@ -691,12 +691,17 @@ _FACTOR_SIZES = (2, 3)
 def _product_pair_pool() -> List[Factor]:
     """Every 2- and 3-point space as a factor, in grid order. The scope
     tuples are valid for the reason given in ``_walk``, so no
-    space is built; the hulls come straight from the kernel."""
+    space is built; the hulls come straight from the kernel. The same
+    scopes are admissible under several topologies, so the 371 factors
+    hold 68 distinct scope tuples, and each tuple's hulls are closed once."""
     pool = []
+    hulls = {}
     for n in _FACTOR_SIZES:
         for space in enumerate_topologies(n):
             for picks in itertools.product(*_checked_choices(space)):
-                pool.append((n, picks, tuple(kernel.hull_masks(n, picks))))
+                if picks not in hulls:
+                    hulls[picks] = tuple(kernel.hull_masks(n, picks))
+                pool.append((n, picks, hulls[picks]))
     return pool
 
 
@@ -740,9 +745,6 @@ def _differing_lanes(x: Factor, lanes: _Lanes) -> List[bool]:
     return [bool((diff >> (j * width)) & lane) for j in range(lanes.count)]
 
 
-_PRODUCT_SCAN_CACHE: Optional[str] = None
-
-
 def product_strictness_scan() -> str:
     """Compare the product scope topology with the closure of open boxes over
     every ordered pair of 2- and 3-point factors, and say whether any pair
@@ -769,9 +771,6 @@ def product_strictness_scan() -> str:
     distinct y of that size, one lane per y, so the 68 ** 2 pairs take 136
     calls.
     """
-    global _PRODUCT_SCAN_CACHE
-    if _PRODUCT_SCAN_CACHE is not None:
-        return _PRODUCT_SCAN_CACHE
     pool = _product_pair_pool()
     # Every box the scan forms, built once and looked up to pack the lanes.
     width = 1 << max(_FACTOR_SIZES)
@@ -789,13 +788,10 @@ def product_strictness_scan() -> str:
                     strict += counts[x] * sum(counts[y] for y, differs
                                               in zip(ys, _differing_lanes(x, lanes)) if differs)
     if strict:
-        msg = (f"product scope topology differs from the box closure on "
-               f"{strict} of {pairs} factor pairs")
-    else:
-        msg = (f"product scope topology equals the box closure on all "
-               f"{pairs} ordered pairs of 2- and 3-point factors")
-    _PRODUCT_SCAN_CACHE = msg
-    return msg
+        return (f"product scope topology differs from the box closure on "
+                f"{strict} of {pairs} factor pairs")
+    return (f"product scope topology equals the box closure on all "
+            f"{pairs} ordered pairs of 2- and 3-point factors")
 
 
 def implication_matrix(n: int, workers: int = 1) -> SearchReport:

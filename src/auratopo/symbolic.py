@@ -222,29 +222,13 @@ class SymbolicModel:
 
     Subclasses define the scope map in closed form; closure, derived set,
     openness of a symbolic set, and the compactness report are then decided
-    without enumeration.
+    without enumeration. Each defines ``carrier_text``, ``is_aura_open``,
+    ``aura_closure``, ``derived_set``, ``cover_families`` (the named
+    parametric families usable in subcover checks) and
+    ``compactness_report``.
     """
 
     name = ""
-
-    def carrier_text(self) -> str:
-        raise NotImplementedError
-
-    def is_aura_open(self, s: SymbolicSet) -> bool:
-        raise NotImplementedError
-
-    def aura_closure(self, s: SymbolicSet) -> SymbolicSet:
-        raise NotImplementedError
-
-    def derived_set(self, s: SymbolicSet) -> SymbolicSet:
-        raise NotImplementedError
-
-    def cover_families(self) -> dict:
-        """Named parametric families usable in subcover checks."""
-        raise NotImplementedError
-
-    def compactness_report(self) -> CompactnessReport:
-        raise NotImplementedError
 
 
 def _whole_family(_: int) -> SymbolicSet:

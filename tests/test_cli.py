@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -320,6 +321,23 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
 
 PROJECT = Path(__file__).resolve().parents[1]
 WRAPPER = "import sys; from auratopo.cli import main; sys.exit(main())"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_product_past_the_family_budget_exits_2():
+    # Two discrete 5-point fixtures: the product topology would have 2**25
+    # members. The address-space cap keeps a closure that ignores the
+    # budget from exhausting the host; it then dies with MemoryError.
+    fixture = str(PROJECT / "src" / "auratopo" / "data" / "clusters5.json")
+    proc = subprocess.run([sys.executable, "-c", WRAPPER, "product", fixture, fixture],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
 
 
 def _check_console_runner(runner, tmp_path):

@@ -156,7 +156,6 @@ def _patch_a_bad_candidate(monkeypatch, n, topo_key, point, mask):
 def test_scans_reject_a_bad_candidate(monkeypatch, capsys, opens, mask, error):
     target = next(t for t in enumerate_topologies(2) if len(t.topology.mask_set) == opens)
     _patch_a_bad_candidate(monkeypatch, 2, target.topology.canonical_key(), 0, mask)
-    monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
     with pytest.raises(error, match="'a'"):
         search(2, "aT0")
     with pytest.raises(error):

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from auratopo import kernel
+from auratopo.errors import UniverseTooLarge
 from auratopo.kernel import _pykernel
 from helpers import all_small_spaces, rand_space
 from oracles import brute_closure, brute_components, brute_hull, brute_tau_a
@@ -83,6 +86,13 @@ def test_union_closure_equals_subset_scan():
                     u |= m
                 unions.add(u)
         assert list(kernel.union_closure(masks)) == sorted(unions)
+
+
+def test_union_closure_stops_at_the_family_budget(monkeypatch):
+    monkeypatch.setattr(_pykernel, "MAX_FAMILY", 64)
+    assert kernel.union_closure([1 << i for i in range(6)]) == list(range(64))
+    with pytest.raises(UniverseTooLarge, match="64 set budget"):
+        kernel.union_closure([1 << i for i in range(7)])
 
 
 def test_closure_mask_matches_the_definition():

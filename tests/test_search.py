@@ -332,7 +332,6 @@ def _topologies_differ(x, y):
 def small_product_scan(monkeypatch):
     pool = _small_factor_pool()
     monkeypatch.setattr(search_module, "_product_pair_pool", lambda: pool)
-    monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
     return pool
 
 
@@ -406,7 +405,6 @@ def test_product_scan_decides_each_distinct_factor_pair_once(monkeypatch):
     monkeypatch.setattr(search_module, "_pack_lanes", recorded)
     monkeypatch.setattr(search_module, "_differing_lanes", counted)
     monkeypatch.setattr(search_module, "_product_pair_pool", lambda: pool)
-    monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
     distinct = set(pool)
     assert len(distinct) <= len(pool) // 2
     assert search_module.product_strictness_scan() == (
@@ -421,7 +419,6 @@ def test_product_scan_decides_each_distinct_factor_pair_once(monkeypatch):
     intact = sum(1 for _, scopes, hulls in pool if scopes == hulls)
     pairs.clear()
     monkeypatch.setattr(search_module, "_product_pair_pool", lambda: broken)
-    monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
     assert search_module.product_strictness_scan() == (
         "product scope topology differs from the box closure on "
         f"{len(pool) ** 2 - intact ** 2} of {len(pool) ** 2} factor pairs"
@@ -437,11 +434,25 @@ def test_product_scan_counts_broken_hulls_on_the_full_pool(monkeypatch):
     assert len(pool) == 371
     monkeypatch.setattr(search_module, "_product_pair_pool",
                         lambda: [(n, scopes, scopes) for n, scopes, _ in pool])
-    monkeypatch.setattr(search_module, "_PRODUCT_SCAN_CACHE", None)
     assert search_module.product_strictness_scan() == (
         "product scope topology differs from the box closure on "
         "97240 of 137641 factor pairs"
     )
+
+
+def test_product_pair_pool_closes_each_distinct_scope_tuple_once(monkeypatch):
+    calls = []
+    original = kernel.hull_masks
+
+    def counted(n, scopes):
+        calls.append(tuple(scopes))
+        return original(n, scopes)
+
+    monkeypatch.setattr(kernel, "hull_masks", counted)
+    pool = search_module._product_pair_pool()
+    assert len(pool) == 371
+    assert len(calls) == len(set(calls)) == len({scopes for _, scopes, _ in pool}) == 68
+    assert all(hulls == tuple(original(n, scopes)) for n, scopes, hulls in pool)
 
 
 def _split_scope_verdicts(atoms):
