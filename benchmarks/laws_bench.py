@@ -4,7 +4,8 @@ Run with ``PYTHONPATH=src python3 benchmarks/laws_bench.py [--repeats N]``.
 Each repeat runs every law once, in registry order, on a fresh
 ``LawContext`` at sizes up to 3, as ``verify-paper`` does. The output is one
 JSON object: per law its median seconds and its checks, the median total,
-and how many products ``constructions.product`` built in one run.
+and how many products ``constructions.product`` and subspaces
+``constructions.subspace`` built in one run.
 """
 
 import argparse
@@ -18,16 +19,19 @@ from auratopo import laws
 
 
 def _one_run() -> dict:
-    """Seconds and checks per law, and the products built, of one run."""
-    built = 0
-    real_product = laws.product
+    """Seconds and checks per law, and the products and subspaces built,
+    of one run."""
+    built = {"product": 0, "subspace": 0}
+    real = {name: getattr(laws, name) for name in built}
 
-    def counted(sx, sy):
-        nonlocal built
-        built += 1
-        return real_product(sx, sy)
+    def counted(name):
+        def call(*args):
+            built[name] += 1
+            return real[name](*args)
+        return call
 
-    laws.product = counted
+    for name in built:
+        setattr(laws, name, counted(name))
     try:
         ctx = laws.LawContext()
         rows = {}
@@ -36,8 +40,9 @@ def _one_run() -> dict:
             (outcome,) = laws.run_laws(names=[law.name], ctx=ctx).outcomes
             rows[law.name] = (time.perf_counter() - t0, outcome.checks)
     finally:
-        laws.product = real_product
-    return {"laws": rows, "products": built}
+        for name, fn in real.items():
+            setattr(laws, name, fn)
+    return {"laws": rows, "products": built["product"], "subspaces": built["subspace"]}
 
 
 def main() -> None:
@@ -64,6 +69,7 @@ def main() -> None:
         "total_s": round(statistics.median(totals), 4),
         "checks": sum(row["checks"] for row in per_law.values()),
         "products_built": runs[0]["products"],
+        "subspaces_built": runs[0]["subspaces"],
         "laws": per_law,
     }, indent=2))
 

@@ -13,15 +13,21 @@ prove the laws are live.
 
 Most laws state one instance. A space law (``_space_law``) is a
 statement about one space and a pair law (``_pair_law``) one about a
-factor pair; the driver owns the loop over the grid and, for pair laws,
-the replay described next.
+factor pair; the driver owns the loop over the grid and the replay
+described next.
 
-Laws whose instances repeat one verdict many times (the convergence
-criterion, the product laws, the cover scan) run through class replay
-(``_Replay``): each class of instances that read the same inputs is
-decided once through the operators, and a class that fails is replayed
-in full, so reports under a fault keep their bytes. Two all-pairs laws
-check every instance but memoise, per class, the families it reads:
+Laws whose instances repeat one verdict many times run through class
+replay (``_Replay``): each class of instances that read the same inputs
+is decided once through the operators, and a class that fails is
+replayed in full, so reports under a fault keep their bytes. Every space
+law, ``cech-closure-axioms`` and the per-space loop of the convergence
+criterion replay under ``_scope_key``, the labels and the scope tuple,
+so the 373 spaces up to three points are decided as 70 keys; the
+convergence criterion also replays, within a space, per cycle mask. The
+pair laws replay under ``_pair_key``, both sizes and scope tuples, and
+the cover scan under the size and τ_a. ``scope-topology-subfamily``
+reads the ambient topology, so it runs on every space. Two all-pairs
+laws check every instance but memoise, per class, the families it reads:
 ``product-topology-chain`` the product's two topologies, and
 ``continuous-image-compact`` the onto images of a source.
 """
@@ -284,10 +290,11 @@ class _Replay:
 
     The trade-off is that a replayed instance no longer runs the
     operators: a fault that reads an input outside the key passes. Each
-    law argues in its docstring that its key holds every input it reads,
-    and the test suite checks the convergence key against every sequence
-    it stands for, on all spaces up to two points and a sample of the
-    three-point ones.
+    law argues in its docstring that its key holds every input it reads.
+    The test suite checks the convergence key against every sequence it
+    stands for, on all spaces up to two points and a sample of the
+    three-point ones, and pins the outcomes of faults that break some
+    keys to those of runs that checked every instance.
     """
 
     def __init__(self, t: _Tally):
@@ -400,14 +407,42 @@ def _law(name: str, tier: str, description: str):
     return wrap
 
 
+def _scope_key(s: AuraSpace) -> tuple:
+    """Replay key of a space: its labels and its scope tuple."""
+    return (s.universe.labels, s.scope.masks)
+
+
 def _space_law(name: str, tier: str, description: str):
     """Register ``fn(ctx, t, s, f)``, a statement about one space, as a
     law over every space of the grid, in grid order, with ``f`` the
-    space's shared fact tables."""
+    space's shared fact tables, replayed under ``_scope_key``.
+
+    The key is complete for every space law: each body reads the space
+    only through n, its labels and its scope masks. The closure collects
+    the points whose scope meets a set, the interior the points whose
+    scope stays inside it, and the derived set the points whose scope
+    meets it elsewhere. The hulls close the scopes, τ_a is the unions of
+    the hulls, and the classification and separation flags read the
+    scopes and the hulls. Connectivity floods hull comparability, on a
+    proper carrier with the scopes cut to it, and the component blocks
+    and local connectedness read the same rows. Closedness and the cover
+    and intersection tests go through τ_a, the closure and the interior,
+    ``genopen`` through the closure and the interior, and continuity into
+    the fixed two-point space through the preimages of its hulls. The
+    scopes of ``subspace(s, ym)`` are those of ``s`` cut to ``ym`` and
+    renumbered, so its closure and τ_a are functions of the key and
+    ``ym``. The ambient topology reaches only the failure text, and a
+    key that failed is rerun in full on every later space. So every
+    labelled scope tuple still runs through the operators, and only
+    spaces that differ in the ambient topology alone are replayed: at
+    sizes up to 3 the 373 spaces fall into 70 keys. A law that reads the
+    ambient topology is written by hand and runs on every space.
+    """
     def wrap(fn):
         def run(ctx: LawContext, t: _Tally) -> None:
+            replay = _Replay(t)
             for s in ctx.all_spaces():
-                fn(ctx, t, s, ctx.facts(s))
+                replay.run(_scope_key(s), lambda: fn(ctx, t, s, ctx.facts(s)))
         _law(name, tier, description)(run)
         return fn
     return wrap
@@ -436,28 +471,38 @@ def _pair_law(name: str, tier: str, description: str):
     "closure is grounded, extensive, monotone, additive, and not idempotent in general",
 )
 def _cech_axioms(ctx: LawContext, t: _Tally) -> None:
+    """Replayed per space under ``_scope_key``: every check and the
+    idempotence flag read only the closure table, a function of the key,
+    so a replayed space would set the flag as the first space of its key
+    did."""
     idempotent_everywhere = True
+    replay = _Replay(t)
     for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        t.verify(f.cl[0] == 0, "closure of the empty set is nonempty", s)
-        for a in range(f.size):
-            ca = f.cl[a]
-            t.verify(not a & ~ca, lambda: f"set {a:#x} escapes its own closure", s)
-            if f.cl[ca] != ca:
-                idempotent_everywhere = False
-        for a in range(f.size):
-            for b in range(f.size):
-                t.verify(
-                    f.cl[a | b] == f.cl[a] | f.cl[b],
-                    lambda: f"closure not additive on {a:#x}, {b:#x}",
-                    s,
-                )
-                if not a & ~b:
+
+        def checks() -> None:
+            nonlocal idempotent_everywhere
+            f = ctx.facts(s)
+            t.verify(f.cl[0] == 0, "closure of the empty set is nonempty", s)
+            for a in range(f.size):
+                ca = f.cl[a]
+                t.verify(not a & ~ca, lambda: f"set {a:#x} escapes its own closure", s)
+                if f.cl[ca] != ca:
+                    idempotent_everywhere = False
+            for a in range(f.size):
+                for b in range(f.size):
                     t.verify(
-                        not f.cl[a] & ~f.cl[b],
-                        lambda: f"closure not monotone on {a:#x} inside {b:#x}",
+                        f.cl[a | b] == f.cl[a] | f.cl[b],
+                        lambda: f"closure not additive on {a:#x}, {b:#x}",
                         s,
                     )
+                    if not a & ~b:
+                        t.verify(
+                            not f.cl[a] & ~f.cl[b],
+                            lambda: f"closure not monotone on {a:#x} inside {b:#x}",
+                            s,
+                        )
+
+        replay.run(_scope_key(s), checks)
     if ctx.max_n >= 3:
         t.verify(
             not idempotent_everywhere,
@@ -520,26 +565,30 @@ def _derived_laws(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> No
                 )
 
 
-@_space_law(
+@_law(
     "scope-topology-subfamily",
     CORE,
     "scope-open sets are open, and hulls are the minimal scope-open neighbourhoods",
 )
-def _subfamily(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
-    ambient = s.space.topology.mask_set
-    for u in f.tau_a:
-        t.verify(u in ambient, lambda: f"scope-open {u:#x} is not open", s)
-    for i in range(f.n):
-        h = s.hull_masks[i]
-        t.verify(h in f.tau_a_set, lambda: f"hull of point {i} is not scope-open", s)
-        t.verify(bool((h >> i) & 1), lambda: f"hull of point {i} misses the point", s)
+def _subfamily(ctx: LawContext, t: _Tally) -> None:
+    """Runs on every space: τ_a ⊆ τ reads the ambient topology, which
+    ``_scope_key`` does not hold."""
+    for s in ctx.all_spaces():
+        f = ctx.facts(s)
+        ambient = s.space.topology.mask_set
         for u in f.tau_a:
-            if (u >> i) & 1:
-                t.verify(
-                    not h & ~u,
-                    lambda: f"hull of point {i} exceeds a scope-open set containing it",
-                    s,
-                )
+            t.verify(u in ambient, lambda: f"scope-open {u:#x} is not open", s)
+        for i in range(f.n):
+            h = s.hull_masks[i]
+            t.verify(h in f.tau_a_set, lambda: f"hull of point {i} is not scope-open", s)
+            t.verify(bool((h >> i) & 1), lambda: f"hull of point {i} misses the point", s)
+            for u in f.tau_a:
+                if (u >> i) & 1:
+                    t.verify(
+                        not h & ~u,
+                        lambda: f"hull of point {i} exceeds a scope-open set containing it",
+                        s,
+                    )
 
 
 @_space_law(
@@ -902,7 +951,8 @@ def _convergence_checks(t: _Tally, s: AuraSpace, q: EvPSequence, text: str, tran
     "eventual containment in the scope matches convergence on transitive spaces",
 )
 def _convergence(ctx: LawContext, t: _Tally) -> None:
-    """Class replay per space, keyed by the cycle mask.
+    """Class replay per space under ``_scope_key``, and within a space
+    per cycle mask.
 
     ``aura_limits`` tests cycle ⊆ hull(x) and ``transitive_criterion``
     tests cycle ⊆ a(x); both read a sequence only through
@@ -911,30 +961,37 @@ def _convergence(ctx: LawContext, t: _Tally) -> None:
     mask gets the verdicts of the first one, which runs through the
     operators and stands for all of them. If any representative fails,
     the space's whole per-sequence loop runs, so the messages come in
-    the order and with the sequence texts of a full run.
+    the order and with the sequence texts of a full run. The points, the
+    sequences, the hulls, the scopes and transitivity are functions of
+    the labels and the scope tuple, so the verdicts of a space are those
+    of the first space of its key.
     """
     tables: Dict[PointUniverse, tuple] = {}
+    replay = _Replay(t)
     for s in ctx.all_spaces():
-        f = ctx.facts(s)
-        if f.n == 0:
+        if s.n == 0:
             continue
-        table = tables.get(s.universe)
-        if table is None:
-            seqs = _convergence_sequences(s.universe)
-            table = tables[s.universe] = (seqs, _cycle_classes(seqs))
-        seqs, classes = table
-        transitive = s.classification.transitive
-        probe = _Tally(t.law)
-        weighted = 0
-        for q, text, count in classes:
-            before = probe.checks
-            _convergence_checks(probe, s, q, text, transitive)
-            weighted += count * (probe.checks - before)
-        if probe.failed:
-            for q, text in seqs:
-                _convergence_checks(t, s, q, text, transitive)
-        else:
-            t.checks += weighted
+
+        def checks() -> None:
+            table = tables.get(s.universe)
+            if table is None:
+                seqs = _convergence_sequences(s.universe)
+                table = tables[s.universe] = (seqs, _cycle_classes(seqs))
+            seqs, classes = table
+            transitive = s.classification.transitive
+            probe = _Tally(t.law)
+            weighted = 0
+            for q, text, count in classes:
+                before = probe.checks
+                _convergence_checks(probe, s, q, text, transitive)
+                weighted += count * (probe.checks - before)
+            if probe.failed:
+                for q, text in seqs:
+                    _convergence_checks(t, s, q, text, transitive)
+            else:
+                t.checks += weighted
+
+        replay.run(_scope_key(s), checks)
 
 
 @_space_law(

@@ -5,7 +5,8 @@ import pytest
 
 from auratopo import LAW_NAMES, run_laws
 from auratopo.constructions import product
-from auratopo.finite import FiniteTopSpace, TopologyFamily
+from auratopo.finite import FiniteTopSpace, PointSet, TopologyFamily
+from auratopo.genopen import GeneralizedClass
 from auratopo.laws import CORE, EXTENDED, LawContext, _convergence_sequences, get_law
 from auratopo.sequences import aura_limits, converges_to, transitive_criterion
 from auratopo import kernel, laws
@@ -318,6 +319,198 @@ def test_replayed_fault_outcomes_are_pinned(monkeypatch):
     }
 
 
+# Faults that read only a space's scope data, each breaking only the spaces
+# whose first point has the whole carrier as its scope.
+
+def _full_first_scope(s) -> bool:
+    return s.n > 0 and s.scope.masks[0] == s.universe.full_mask
+
+
+def _break_first_full_closure(monkeypatch):
+    # Drop the lowest bit of every nonempty closure.
+    real = kernel.aura_closure_mask
+
+    def broken(n, scopes, a):
+        out = real(n, scopes, a)
+        return out & (out - 1) if n and scopes[0] == (1 << n) - 1 else out
+
+    monkeypatch.setattr(kernel, "aura_closure_mask", broken)
+
+
+def _break_derived_set(monkeypatch):
+    # Drop the lowest point of every nonempty derived set.
+    real = laws.derived_set
+
+    def broken(s, a):
+        d = real(s, a)
+        return PointSet(s.universe, d.mask & (d.mask - 1)) if _full_first_scope(s) else d
+
+    monkeypatch.setattr(laws, "derived_set", broken)
+
+
+def _break_closedness(monkeypatch):
+    # The empty set is not closed.
+    real = laws.is_aura_closed
+    monkeypatch.setattr(
+        laws, "is_aura_closed", lambda s, a: not (a == 0 and _full_first_scope(s)) and real(s, a)
+    )
+
+
+def _break_carrier_connectedness(monkeypatch):
+    # Every three-point carrier is disconnected; the whole space is not.
+    real = laws.is_aura_connected
+
+    def broken(s, a=None):
+        if a is not None and _full_first_scope(s) and bin(a).count("1") == 3:
+            return False
+        return real(s, a)
+
+    monkeypatch.setattr(laws, "is_aura_connected", broken)
+
+
+def _break_generalized_family(monkeypatch):
+    # The whole carrier is not alpha-open.
+    real = laws.generalized_family
+
+    def broken(s, cls):
+        family = real(s, cls)
+        if cls is not GeneralizedClass.ALPHA or not _full_first_scope(s):
+            return family
+        return tuple(p for p in family if p.mask != s.universe.full_mask)
+
+    monkeypatch.setattr(laws, "generalized_family", broken)
+
+
+def _break_scope_compactness(monkeypatch):
+    # The space is flagged non-compact.
+    real = laws.is_aura_compact
+    monkeypatch.setattr(
+        laws, "is_aura_compact",
+        lambda s, a=None, oracle=False: not _full_first_scope(s) and real(s, a, oracle),
+    )
+
+
+def _break_criterion(monkeypatch):
+    # The convergence criterion holds everywhere.
+    real = laws.transitive_criterion
+    monkeypatch.setattr(
+        laws, "transitive_criterion", lambda s, q, x: _full_first_scope(s) or real(s, q, x)
+    )
+
+
+SCOPE_REPLAY_FAULTS = {
+    "cech-closure-axioms": _break_first_full_closure,
+    "derived-closure-decomposition": _break_derived_set,
+    "derived-set-laws": _break_closedness,
+    "connected-union-common-point": _break_carrier_connectedness,
+    "component-properties": _break_carrier_connectedness,
+    "generalized-open-hierarchy": _break_generalized_family,
+    "fip-compactness-equivalence": _break_scope_compactness,
+    "transitive-convergence-criterion": _break_criterion,
+}
+
+DISCRETE_2_SCOPES = DISCRETE_2[:DISCRETE_2.index("scopes ") + len("scopes ")]
+DISCRETE_3_SCOPES = "points a,b,c | opens {},{a},{b},{c},{a,b},{a,c},{b,c},{a,b,c} | scopes "
+SIERPINSKI_A = "points a,b | opens {},{a},{a,b} | scopes "
+SIERPINSKI_B = "points a,b | opens {},{b},{a,b} | scopes "
+
+
+def _witnessed(law: str, checks: int, failed: int, witnesses: list) -> tuple:
+    return checks, failed, tuple(f"{law}: {detail} | space: {where}" for detail, where in witnesses)
+
+
+def test_scope_replayed_fault_outcomes_are_pinned(monkeypatch):
+    # Pinned from a run that checked every space in full: replaying the
+    # spaces of a passed scope tuple must not move a count or a witness.
+    first_full = DISCRETE_2_SCOPES + "a:{a,b} b:{b}"
+    both_full = DISCRETE_2_SCOPES + "a:{a,b} b:{a,b}"
+    not_closed = "closed flag disagrees with derived containment on 0x0"
+    not_alpha = "a scope-open set is not alpha-open"
+    not_compact = "finite space flagged non-compact"
+    not_decomposed = "closure of {} is not the union with its derived set"
+    union = "union 0x7 of overlapping connected sets is disconnected"
+    union3 = "union 0x7 of three connected sets through a common point is disconnected"
+    no_convergence = "criterion holds at b for {} without convergence"
+    split = "criterion and convergence split at b for {} on a transitive space"
+    first_full_spaces = [
+        DISCRETE_1,
+        first_full,
+        both_full,
+        SIERPINSKI_A + "a:{a,b} b:{a,b}",
+        SIERPINSKI_B + "a:{a,b} b:{b}",
+    ]
+    got = {}
+    for name, fault in SCOPE_REPLAY_FAULTS.items():
+        with monkeypatch.context() as m:
+            fault(m)
+            (o,) = run_laws(names=[name], max_n=3).outcomes
+        got[name] = (o.checks, o.failed, o.failures)
+    assert got == {
+        "cech-closure-axioms": _witnessed("cech-closure-axioms", 36485, 617, [
+            ("set 0x1 escapes its own closure", DISCRETE_1),
+            ("set 0x1 escapes its own closure", first_full),
+            ("set 0x3 escapes its own closure", first_full),
+            ("set 0x1 escapes its own closure", both_full),
+            ("set 0x3 escapes its own closure", both_full),
+        ]),
+        "derived-closure-decomposition": _witnessed("derived-closure-decomposition", 2935, 584, [
+            (not_decomposed.format("0x2"), first_full),
+            (not_decomposed.format("0x1"), both_full),
+            (not_decomposed.format("0x2"), both_full),
+            (not_decomposed.format("0x1"), SIERPINSKI_A + "a:{a,b} b:{a,b}"),
+            (not_decomposed.format("0x2"), SIERPINSKI_A + "a:{a,b} b:{a,b}"),
+        ]),
+        "derived-set-laws": _pinned("derived-set-laws", 36484, 158, not_closed, first_full_spaces),
+        "connected-union-common-point": _witnessed("connected-union-common-point", 5922, 842, [
+            (union, DISCRETE_3_SCOPES + "a:{a,b,c} b:{b} c:{c}"),
+            (union3, DISCRETE_3_SCOPES + "a:{a,b,c} b:{b} c:{c}"),
+            (union, DISCRETE_3_SCOPES + "a:{a,b,c} b:{b} c:{a,c}"),
+            (union3, DISCRETE_3_SCOPES + "a:{a,b,c} b:{b} c:{a,c}"),
+            (union, DISCRETE_3_SCOPES + "a:{a,b,c} b:{b} c:{b,c}"),
+        ]),
+        "component-properties": _pinned(
+            "component-properties", 3808, 151, "component 0x7 is disconnected", [
+                DISCRETE_3_SCOPES + "a:{a,b,c} b:{b} c:{c}",
+                DISCRETE_3_SCOPES + "a:{a,b,c} b:{b} c:{a,c}",
+                DISCRETE_3_SCOPES + "a:{a,b,c} b:{b} c:{b,c}",
+                DISCRETE_3_SCOPES + "a:{a,b,c} b:{b} c:{a,b,c}",
+                DISCRETE_3_SCOPES + "a:{a,b,c} b:{a,b} c:{c}",
+            ],
+        ),
+        "generalized-open-hierarchy": _pinned(
+            "generalized-open-hierarchy", 1119, 158, not_alpha, first_full_spaces
+        ),
+        "fip-compactness-equivalence": _pinned(
+            "fip-compactness-equivalence", 8839, 158, not_compact, first_full_spaces
+        ),
+        "transitive-convergence-criterion": _witnessed("transitive-convergence-criterion", 846180, 71808, [
+            (no_convergence.format(";a"), first_full),
+            (split.format(";a"), first_full),
+            (no_convergence.format(";a,a"), first_full),
+            (split.format(";a,a"), first_full),
+            (no_convergence.format(";a,b"), first_full),
+        ]),
+    }
+
+
+def test_scope_topology_subfamily_runs_on_every_space(monkeypatch):
+    # Drop the singleton open from both two-point topologies with three
+    # opens. The fault reads the ambient topology, so no scope class holds
+    # it: the discrete space that heads each scope tuple stays intact.
+    # Pinned from a run that checked every space in full.
+    ctx = LawContext(3)
+    for s in ctx.spaces(2):
+        opens = s.space.topology.mask_set
+        if len(opens) == 3:
+            kept = opens - {min(opens - {0})}
+            monkeypatch.setattr(s.space, "topology", TopologyFamily(s.universe, kept, validate=False))
+    (o,) = run_laws(names=["scope-topology-subfamily"], ctx=ctx).outcomes
+    assert (o.checks, o.failed, o.failures) == _witnessed("scope-topology-subfamily", 5017, 2, [
+        ("scope-open 0x1 is not open", "points a,b | opens {},{a,b} | scopes a:{a} b:{a,b}"),
+        ("scope-open 0x2 is not open", "points a,b | opens {},{a,b} | scopes a:{a,b} b:{b}"),
+    ])
+
+
 # Faults on the inputs of the two class memos: the product topology, keyed
 # on the factor topologies, and compactness, read on every instance.
 
@@ -427,8 +620,9 @@ def test_law_suite_builds_one_product_per_class(monkeypatch):
 
 
 def test_law_suite_builds_each_subspace_once(monkeypatch):
-    # The two subspace laws share one subspace per space and nonempty
-    # carrier: 0 + 1 + 9·3 + 362·7 = 2,562 of them.
+    # The two subspace laws replay per scope tuple and share one subspace per
+    # first space of a scope tuple and nonempty carrier: 0 + 1 + 4·3 + 64·7
+    # = 461 of them, where building one per space took 2,562.
     built = []
     real = laws.subspace
 
@@ -440,13 +634,13 @@ def test_law_suite_builds_each_subspace_once(monkeypatch):
     report = run_laws(max_n=3)
     assert report.ok
     assert sum(o.checks for o in report.outcomes) == 1324421
-    assert len(built) <= 2562
+    assert len(built) == 461
 
 
 def test_convergence_operators_run_once_per_cycle_mask(monkeypatch):
-    # Each space runs the operators on one sequence per nonempty cycle mask
-    # and point: 1·1 on the one-point space, 2·3 on each of the nine
-    # two-point spaces.
+    # The first space of each scope tuple runs the operators on one sequence
+    # per nonempty cycle mask and point: 1·1 on the one-point tuple, 2·3 on
+    # each of the four two-point tuples.
     calls = []
     real = laws.converges_to
 
@@ -458,7 +652,8 @@ def test_convergence_operators_run_once_per_cycle_mask(monkeypatch):
     ctx = LawContext(2)
     report = run_laws(names=["transitive-convergence-criterion"], ctx=ctx)
     assert report.ok
-    assert len(calls) == sum(s.n * ((1 << s.n) - 1) for s in ctx.all_spaces()) == 55
+    sizes = {laws._scope_key(s): s.n for s in ctx.all_spaces()}
+    assert len(calls) == sum(n * ((1 << n) - 1) for n in sizes.values()) == 25
 
 
 def test_convergence_verdicts_read_only_the_cycle_mask():
