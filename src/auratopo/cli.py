@@ -388,13 +388,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subspace", help="emit the subspace document on given points")
     p.add_argument("file")
     p.add_argument("--points", required=True, help="comma-separated labels")
-    _add_json(p)
     p.set_defaults(fn=cmd_subspace)
 
     p = sub.add_parser("product", help="emit the product document of two spaces")
     p.add_argument("left")
     p.add_argument("right")
-    _add_json(p)
     p.set_defaults(fn=cmd_product)
 
     p = sub.add_parser("convergence", help="limits of an eventually periodic sequence")

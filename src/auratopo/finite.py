@@ -112,9 +112,6 @@ class PointSet:
     def labels(self) -> tuple:
         return tuple(self.universe.labels[i] for i in mask_indices(self.mask))
 
-    def indices(self) -> tuple:
-        return tuple(mask_indices(self.mask))
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 

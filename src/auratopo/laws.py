@@ -17,19 +17,18 @@ factor pair; the driver owns the loop over the grid and the replay
 described next.
 
 Laws whose instances repeat one verdict many times run through class
-replay (``_Replay``): each class of instances that read the same inputs
-is decided once through the operators, and a class that fails is
-replayed in full, so reports under a fault keep their bytes. Every space
-law, ``cech-closure-axioms`` and the per-space loop of the convergence
-criterion replay under ``_scope_key``, the labels and the scope tuple,
-so the 373 spaces up to three points are decided as 70 keys; the
-convergence criterion also replays, within a space, per cycle mask. The
-pair laws replay under ``_pair_key``, both sizes and scope tuples, and
-the cover scan under the size and τ_a. ``scope-topology-subfamily``
-reads the ambient topology, so it runs on every space. Two all-pairs
-laws check every instance but memoise, per class, the families it reads:
-``product-topology-chain`` the product's two topologies, and
-``continuous-image-compact`` the onto images of a source.
+replay (``_Replay``), the module's one replay: each class of instances
+that read the same inputs is decided once through the operators, and a
+class that fails is replayed in full, so reports under a fault keep
+their bytes. Every space law and ``cech-closure-axioms`` replay under
+``_scope_key``, the labels and the scope tuple, so the 373 spaces up to
+three points are decided as 70 keys; within a space the convergence
+criterion replays its sequences per cycle mask. The pair laws replay
+under ``_pair_key``, both sizes and scope tuples, and
+``continuous-image-compact`` each compact source under its size and
+τ_a. ``scope-topology-subfamily`` reads the ambient topology, so it
+runs on every space. ``product-topology-chain`` checks every pair but
+memoises, per class, the product's two topologies.
 """
 
 from __future__ import annotations
@@ -59,10 +58,10 @@ from .covering import (
     is_countably_aura_compact,
 )
 from .errors import SizeOutOfRange
-from .finite import PointSet, PointUniverse, family_key, mask_indices
+from .finite import PointSet, PointUniverse, mask_indices
 from .genopen import GeneralizedClass, generalized_family
 from .search import enumerate_auras, enumerate_topologies, space_descriptor
-from .sequences import EvPSequence, converges_to, short_sequences, transitive_criterion
+from .sequences import converges_to, short_sequences, transitive_criterion
 
 MAX_LAW_SIZE = 3
 MAX_WITNESSES = 5
@@ -107,10 +106,6 @@ class SpaceFacts:
         return [aura_interior(self.space, a).mask for a in range(self.size)]
 
     @cached_property
-    def tau_a(self) -> tuple:
-        return tuple(sorted(self.space.aura_topology_masks, key=family_key))
-
-    @cached_property
     def tau_a_set(self) -> frozenset:
         return frozenset(self.space.aura_topology_masks)
 
@@ -144,6 +139,7 @@ class LawContext:
         self._surjection_cache: Dict[tuple, bool] = {}
         self._products: Dict[tuple, AuraSpace] = {}
         self._subspaces: Dict[tuple, AuraSpace] = {}
+        self._sequences: Dict[PointUniverse, list] = {}
         self.discrete_pair = make_aura_space(
             ["0", "1"],
             [[], ["0"], ["1"], ["0", "1"]],
@@ -207,6 +203,13 @@ class LawContext:
             sub = self._subspaces[key] = self.facts(subspace(s, ym)).space
         return sub
 
+    def sequences(self, universe: PointUniverse) -> list:
+        """``_convergence_sequences(universe)``, built once per universe."""
+        table = self._sequences.get(universe)
+        if table is None:
+            table = self._sequences[universe] = _convergence_sequences(universe)
+        return table
+
     def has_continuous_surjection(self, src: SpaceFacts, dst: SpaceFacts) -> bool:
         """Does any onto map carry src continuously to dst?
 
@@ -218,7 +221,7 @@ class LawContext:
         """
         if dst.n > src.n or dst.n == 0 != src.n:
             return False
-        key = (src.n, src.tau_a, dst.n, dst.tau_a)
+        key = (src.n, src.space.aura_topology_masks, dst.n, dst.space.aura_topology_masks)
         hit = self._surjection_cache.get(key)
         if hit is not None:
             return hit
@@ -417,7 +420,7 @@ def _space_law(name: str, tier: str, description: str):
     law over every space of the grid, in grid order, with ``f`` the
     space's shared fact tables, replayed under ``_scope_key``.
 
-    The key is complete for every space law: each body reads the space
+    The key is complete for all 19 space laws: each body reads the space
     only through n, its labels and its scope masks. The closure collects
     the points whose scope meets a set, the interior the points whose
     scope stays inside it, and the derived set the points whose scope
@@ -431,7 +434,10 @@ def _space_law(name: str, tier: str, description: str):
     the fixed two-point space through the preimages of its hulls. The
     scopes of ``subspace(s, ym)`` are those of ``s`` cut to ``ym`` and
     renumbered, so its closure and τ_a are functions of the key and
-    ``ym``. The ambient topology reaches only the failure text, and a
+    ``ym``. The convergence body walks the sequences of the universe, a
+    function of the labels, and tests each cycle against the hulls and
+    the scopes; the cover scans of ``compact-chain-flags`` read n and
+    τ_a. The ambient topology reaches only the failure text, and a
     key that failed is rerun in full on every later space. So every
     labelled scope tuple still runs through the operators, and only
     spaces that differ in the ambient topology alone are replayed: at
@@ -576,13 +582,13 @@ def _subfamily(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.all_spaces():
         f = ctx.facts(s)
         ambient = s.space.topology.mask_set
-        for u in f.tau_a:
+        for u in s.aura_topology_masks:
             t.verify(u in ambient, lambda: f"scope-open {u:#x} is not open", s)
         for i in range(f.n):
             h = s.hull_masks[i]
             t.verify(h in f.tau_a_set, lambda: f"hull of point {i} is not scope-open", s)
             t.verify(bool((h >> i) & 1), lambda: f"hull of point {i} misses the point", s)
-            for u in f.tau_a:
+            for u in s.aura_topology_masks:
                 if (u >> i) & 1:
                     t.verify(
                         not h & ~u,
@@ -650,7 +656,7 @@ def _subspace_tau(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> No
         pos = {p: k for k, p in enumerate(positions)}
         fs = ctx.facts(sub)
         trace = set()
-        for u in f.tau_a:
+        for u in s.aura_topology_masks:
             m = 0
             for p in mask_indices(u & ym):
                 m |= 1 << pos[p]
@@ -913,85 +919,48 @@ def _sym_trans_lc(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> No
 def _convergence_sequences(universe: PointUniverse) -> list:
     """Prefix and cycle sequences of lengths up to 2 and 3, with their text.
 
-    The text is rendered once here, since it is read only by failure
-    messages.
+    The text is rendered once here, and ``LawContext.sequences`` keeps the
+    table per universe, since the text is read only by failure messages.
     """
     return [(q, q.text()) for q in short_sequences(universe)]
 
 
-def _cycle_classes(table: list) -> list:
-    """One representative per cycle mask, the first sequence of the table
-    with that mask, with the number of sequences it stands for."""
-    reps: Dict[int, list] = {}
-    for q, text in table:
-        reps.setdefault(q.cycle_mask(), [q, text, 0])[2] += 1
-    return list(reps.values())
-
-
-def _convergence_checks(t: _Tally, s: AuraSpace, q: EvPSequence, text: str, transitive: bool) -> None:
-    for x in s.universe.labels:
-        crit = transitive_criterion(s, q, x)
-        conv = converges_to(s, q, x)
-        t.verify(
-            not crit or conv,
-            lambda: f"criterion holds at {x} for {text} without convergence",
-            s,
-        )
-        if transitive:
-            t.verify(
-                crit == conv,
-                lambda: f"criterion and convergence split at {x} for {text} on a transitive space",
-                s,
-            )
-
-
-@_law(
+@_space_law(
     "transitive-convergence-criterion",
     CORE,
     "eventual containment in the scope matches convergence on transitive spaces",
 )
-def _convergence(ctx: LawContext, t: _Tally) -> None:
-    """Class replay per space under ``_scope_key``, and within a space
-    per cycle mask.
+def _convergence(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    """Replayed within a space per cycle mask.
 
     ``aura_limits`` tests cycle ⊆ hull(x) and ``transitive_criterion``
     tests cycle ⊆ a(x); both read a sequence only through
     ``q.cycle_mask()``, and ``converges_to`` only through
     ``aura_limits``. So on one space every sequence with a given cycle
-    mask gets the verdicts of the first one, which runs through the
-    operators and stands for all of them. If any representative fails,
-    the space's whole per-sequence loop runs, so the messages come in
-    the order and with the sequence texts of a full run. The points, the
-    sequences, the hulls, the scopes and transitivity are functions of
-    the labels and the scope tuple, so the verdicts of a space are those
-    of the first space of its key.
+    mask gets the verdicts of the first one, and a mask that fails is
+    rerun on each of its sequences, in place and with its own text.
     """
-    tables: Dict[PointUniverse, tuple] = {}
+    transitive = s.classification.transitive
     replay = _Replay(t)
-    for s in ctx.all_spaces():
-        if s.n == 0:
-            continue
+    for q, text in ctx.sequences(s.universe):
 
         def checks() -> None:
-            table = tables.get(s.universe)
-            if table is None:
-                seqs = _convergence_sequences(s.universe)
-                table = tables[s.universe] = (seqs, _cycle_classes(seqs))
-            seqs, classes = table
-            transitive = s.classification.transitive
-            probe = _Tally(t.law)
-            weighted = 0
-            for q, text, count in classes:
-                before = probe.checks
-                _convergence_checks(probe, s, q, text, transitive)
-                weighted += count * (probe.checks - before)
-            if probe.failed:
-                for q, text in seqs:
-                    _convergence_checks(t, s, q, text, transitive)
-            else:
-                t.checks += weighted
+            for x in s.universe.labels:
+                crit = transitive_criterion(s, q, x)
+                conv = converges_to(s, q, x)
+                t.verify(
+                    not crit or conv,
+                    lambda: f"criterion holds at {x} for {text} without convergence",
+                    s,
+                )
+                if transitive:
+                    t.verify(
+                        crit == conv,
+                        lambda: f"criterion and convergence split at {x} for {text} on a transitive space",
+                        s,
+                    )
 
-        replay.run(_scope_key(s), checks)
+        replay.run(q.cycle_mask(), checks)
 
 
 @_space_law(
@@ -1088,26 +1057,18 @@ def _hierarchy(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
     t.verify(semi | pre <= beta, "a semi- or pre-open set is not beta-open", s)
 
 
-@_law(
+@_space_law(
     "compact-chain-flags",
     CORE,
     "compactness, countable compactness, and the Lindelof property all hold on finite spaces",
 )
-def _compact_chain(ctx: LawContext, t: _Tally) -> None:
-    """Replayed per space under ``(n, τ_a)``: the three cover scans read
-    only the size and the scope-open family."""
-    replay = _Replay(t)
-    for s in ctx.all_spaces():
-
-        def checks() -> None:
-            compact = is_aura_compact(s, oracle=True)
-            countable = is_countably_aura_compact(s, oracle=True)
-            lindelof = is_aura_lindelof(s, oracle=True)
-            t.verify(compact, "finite space flagged non-compact by the cover scan", s)
-            t.verify(not compact or countable, "compact without countably compact", s)
-            t.verify(not compact or lindelof, "compact without Lindelof", s)
-
-        replay.run((s.n, s.aura_topology_masks), checks)
+def _compact_chain(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
+    compact = is_aura_compact(s, oracle=True)
+    countable = is_countably_aura_compact(s, oracle=True)
+    lindelof = is_aura_lindelof(s, oracle=True)
+    t.verify(compact, "finite space flagged non-compact by the cover scan", s)
+    t.verify(not compact or countable, "compact without countably compact", s)
+    t.verify(not compact or lindelof, "compact without Lindelof", s)
 
 
 @_space_law(
@@ -1129,32 +1090,29 @@ def _compact_limit(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> N
     "a continuous onto image of a compact space is compact",
 )
 def _image_compact(ctx: LawContext, t: _Tally) -> None:
-    """Every (compact source, onto image) instance is checked, and the
-    targets of a source are listed once per source class ``(n, τ_a)``.
+    """Each compact source is replayed under its size and τ_a.
 
     ``has_continuous_surjection`` reads the source only through its size
     and τ_a (continuity of a map is a preimage test against the two scope
     topologies, and being onto reads the sizes), so every source of a
-    class has the same targets, in ``all_facts`` order.
+    class checks the same targets, in ``all_facts`` order.
     """
     all_facts = [ctx.facts(s) for s in ctx.all_spaces()]
-    targets_of: Dict[tuple, list] = {}
+    replay = _Replay(t)
     for fs in all_facts:
         if not is_aura_compact(fs.space):
             continue
-        key = (fs.n, fs.tau_a)
-        targets = targets_of.get(key)
-        if targets is None:
-            targets = targets_of[key] = [
-                fd for fd in all_facts
-                if fd.n <= fs.n and ctx.has_continuous_surjection(fs, fd)
-            ]
-        for fd in targets:
-            t.verify(
-                is_aura_compact(fd.space),
-                "continuous onto image of a compact space flagged non-compact",
-                fd.space,
-            )
+
+        def checks() -> None:
+            for fd in all_facts:
+                if fd.n <= fs.n and ctx.has_continuous_surjection(fs, fd):
+                    t.verify(
+                        is_aura_compact(fd.space),
+                        "continuous onto image of a compact space flagged non-compact",
+                        fd.space,
+                    )
+
+        replay.run((fs.n, fs.space.aura_topology_masks), checks)
 
 
 @_pair_law(

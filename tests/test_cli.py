@@ -128,6 +128,18 @@ def test_product_emits_the_product_document(docs, capsys):
     assert emitted == product(load_fixture("sierpinski2"), load_fixture("discrete2"))
 
 
+def test_document_commands_take_no_json_flag(docs, capsys):
+    # subspace and product always emit a JSON document, so --json is a usage error.
+    rotor = str(docs / "rotor3.json")
+    for argv in (["subspace", rotor, "--points", "a,b", "--json"], ["product", rotor, rotor, "--json"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --json" in captured.err
+
+
 def test_convergence(docs, capsys):
     chain = str(docs / "chain3.json")
     code, out, _ = run_cli(capsys, "convergence", chain, "--seq", ";2")

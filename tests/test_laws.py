@@ -7,7 +7,7 @@ from auratopo import LAW_NAMES, run_laws
 from auratopo.constructions import product
 from auratopo.finite import FiniteTopSpace, PointSet, TopologyFamily
 from auratopo.genopen import GeneralizedClass
-from auratopo.laws import CORE, EXTENDED, LawContext, _convergence_sequences, get_law
+from auratopo.laws import CORE, EXTENDED, LawContext, get_law
 from auratopo.sequences import aura_limits, converges_to, transitive_criterion
 from auratopo import kernel, laws
 
@@ -656,6 +656,70 @@ def test_convergence_operators_run_once_per_cycle_mask(monkeypatch):
     assert len(calls) == sum(n * ((1 << n) - 1) for n in sizes.values()) == 25
 
 
+def test_convergence_reruns_a_failing_cycle_mask_in_place(monkeypatch):
+    # The criterion flips on two-point spaces for sequences that recur on b
+    # alone, so within each two-point space the masks {a} and {a,b} pass and
+    # are replayed while every sequence with mask {b} (";b", ";b,b", ...)
+    # runs. The outcome must be that of a run that checks every sequence.
+    real = laws.transitive_criterion
+    monkeypatch.setattr(
+        laws, "transitive_criterion",
+        lambda s, q, x: real(s, q, x) != (s.n == 2 and q.cycle_mask() == 0b10),
+    )
+    outcomes = []
+    for replayed in (True, False):
+        with monkeypatch.context() as m:
+            if not replayed:
+                m.setattr(laws._Replay, "run", lambda self, key, checks: checks())
+            (o,) = run_laws(names=["transitive-convergence-criterion"], max_n=2).outcomes
+        outcomes.append((o.checks, o.failed, o.failures))
+    law = "transitive-convergence-criterion"
+    no_convergence = "criterion holds at {} for {} without convergence"
+    split = "criterion and convergence split at {} for {} on a transitive space"
+    assert outcomes[0] == outcomes[1] == _witnessed(law, 3546, 441, [
+        (no_convergence.format("a", ";b"), DISCRETE_2),
+        (split.format("a", ";b"), DISCRETE_2),
+        (split.format("b", ";b"), DISCRETE_2),
+        (no_convergence.format("a", ";b,b"), DISCRETE_2),
+        (split.format("a", ";b,b"), DISCRETE_2),
+    ])
+
+
+def _counted_compactness(monkeypatch) -> list:
+    # Record the oracle flag of every laws.is_aura_compact call.
+    calls = []
+    real = laws.is_aura_compact
+
+    def counted(s, a=None, oracle=False):
+        calls.append(oracle)
+        return real(s, a, oracle)
+
+    monkeypatch.setattr(laws, "is_aura_compact", counted)
+    return calls
+
+
+def test_image_compact_checks_the_targets_once_per_source_class(monkeypatch):
+    # One test per grid space picks the compact sources (373), and only the
+    # first source of each (size, τ_a) class tests its targets (8,804 in
+    # all); testing every source's targets made 79,017 calls.
+    calls = _counted_compactness(monkeypatch)
+    (o,) = run_laws(names=["continuous-image-compact"], max_n=3).outcomes
+    assert o.ok
+    assert len(calls) == 9177
+
+
+def test_compact_chain_runs_one_cover_scan_per_scope_tuple(monkeypatch):
+    # compact-chain-flags is a space law: the first space of each of the 70
+    # scope tuples up to three points runs the cover scan, where one scan
+    # per (size, τ_a) class ran 35.
+    calls = _counted_compactness(monkeypatch)
+    ctx = LawContext(3)
+    (o,) = run_laws(names=["compact-chain-flags"], ctx=ctx).outcomes
+    assert o.ok
+    assert calls == [True] * len({laws._scope_key(s) for s in ctx.all_spaces()})
+    assert len(calls) == 70
+
+
 def test_convergence_verdicts_read_only_the_cycle_mask():
     # The convergence law runs the operators on the first sequence of each
     # cycle mask and counts the rest; every other sequence must agree with it.
@@ -663,15 +727,11 @@ def test_convergence_verdicts_read_only_the_cycle_mask():
     ctx = LawContext(3)
     spaces = [s for n in (1, 2) for s in ctx.spaces(n)]
     spaces += random.Random(9).sample(ctx.spaces(3), 120)
-    tables = {}
     mismatches = []
     for s in spaces:
-        table = tables.get(s.universe)
-        if table is None:
-            table = tables[s.universe] = _convergence_sequences(s.universe)
         labels = s.universe.labels
         verdicts = {}
-        for q, text in table:
+        for q, text in ctx.sequences(s.universe):
             got = (
                 aura_limits(s, q),
                 tuple(converges_to(s, q, x) for x in labels),
