@@ -103,6 +103,9 @@ def _oracle_gate(s: AuraSpace) -> None:
 
 
 def _cover_subfamilies_admit_finite_subcover(s: AuraSpace, opens: Sequence, target_mask: int) -> bool:
+    """Every subfamily of ``opens`` that covers the target has a subcover:
+    ``minimal_subcover`` returns one, drawn from the subfamily and covering
+    the target."""
     pool = [m for m in opens if m]
     for r in range(len(pool) + 1):
         for fam in combinations(pool, r):
@@ -111,9 +114,12 @@ def _cover_subfamilies_admit_finite_subcover(s: AuraSpace, opens: Sequence, targ
                 union |= m
             if target_mask & ~union:
                 continue
+            members = [PointSet(s.universe, m) for m in fam]
             try:
-                minimal_subcover(s, target_mask, [PointSet(s.universe, m) for m in fam])
+                picked = minimal_subcover(s, target_mask, members)
             except NotACover:
+                return False
+            if not is_cover(s, target_mask, picked) or not all(p in members for p in picked):
                 return False
     return True
 

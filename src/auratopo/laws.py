@@ -214,36 +214,22 @@ class LawContext:
         """Does any onto map carry src continuously to dst?
 
         Continuity only consults the two scope topologies, so results
-        are memoised per topology pair and evaluated on masks. A map is
-        tested on the preimages of the target's hulls alone: every
-        scope-open set is a union of hulls, preimages commute with unions,
-        and τ_a is closed under unions.
+        are memoised per topology pair; each onto map is tested with
+        ``is_aura_continuous``.
         """
         if dst.n > src.n or dst.n == 0 != src.n:
             return False
         key = (src.n, src.space.aura_topology_masks, dst.n, dst.space.aura_topology_masks)
         hit = self._surjection_cache.get(key)
-        if hit is not None:
-            return hit
-        found = False
-        hulls = set(dst.space.hull_masks)
-        for images in itertools.product(range(dst.n), repeat=src.n):
-            if len(set(images)) != dst.n:
-                continue
-            ok = True
-            for h in hulls:
-                pre = 0
-                for i, img in enumerate(images):
-                    if (h >> img) & 1:
-                        pre |= 1 << i
-                if pre not in src.tau_a_set:
-                    ok = False
-                    break
-            if ok:
-                found = True
-                break
-        self._surjection_cache[key] = found
-        return found
+        if hit is None:
+            a, b = src.space, dst.space
+            u, v = a.universe, b.universe
+            hit = self._surjection_cache[key] = any(
+                is_aura_continuous(FiniteMap(u, v, images), a, b)
+                for images in itertools.product(range(dst.n), repeat=src.n)
+                if len(set(images)) == dst.n
+            )
+        return hit
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,12 @@
-"""Exact set algebra and compactness verdicts for the built-in infinite models.
+"""The built-in infinite models: each is a scope rule plus narrated verdicts.
+
+A model's scope rule is either a tuple of offsets containing 0, where
+scope(n) = {n + o}, or WHOLE, where every scope is the whole carrier.
+Closure, derived set and openness are decided from the rule, the way the
+finite layer reads them off scope masks. The six compactness verdicts are
+not decided: each model carries them as text, with a one-line argument
+and, for a negative answer, the named cover family that witnesses it, which
+``subcover_check`` tests by exact cover arithmetic.
 
 Sets over the naturals {1, 2, 3, ...} are kept in a closed class: a finite
 part plus an optional upper tail {n : n >= tailStart}.  Union, intersection,
@@ -9,7 +17,7 @@ instead of by truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple, Union
 
 from .errors import UnknownFamily
 
@@ -18,10 +26,7 @@ __all__ = [
     "Verdict",
     "CompactnessReport",
     "SymbolicModel",
-    "SuccessorModel",
-    "DiscreteModel",
-    "TrivialModel",
-    "CofiniteTrivialModel",
+    "WHOLE",
     "MODEL_NAMES",
     "get_model",
     "subcover_check",
@@ -73,13 +78,10 @@ class SymbolicSet:
     def all_naturals(cls) -> "SymbolicSet":
         return cls(frozenset(), 1)
 
-    def contains(self, n: int) -> bool:
+    def __contains__(self, n: int) -> bool:
         if self.tail is not None and n >= self.tail:
             return True
         return n in self.finite
-
-    def __contains__(self, n: int) -> bool:
-        return self.contains(n)
 
     def is_empty(self) -> bool:
         return not self.finite and self.tail is None
@@ -92,20 +94,20 @@ class SymbolicSet:
             return min(self.finite)
         return self.tail
 
-    def union(self, other: "SymbolicSet") -> "SymbolicSet":
+    def __or__(self, other: "SymbolicSet") -> "SymbolicSet":
         tails = [t for t in (self.tail, other.tail) if t is not None]
         return SymbolicSet(self.finite | other.finite, min(tails) if tails else None)
 
-    def intersection(self, other: "SymbolicSet") -> "SymbolicSet":
+    def __and__(self, other: "SymbolicSet") -> "SymbolicSet":
         if self.tail is not None and other.tail is not None:
             tail = max(self.tail, other.tail)
         else:
             tail = None
-        kept = {x for x in self.finite if other.contains(x)}
-        kept |= {x for x in other.finite if self.contains(x)}
+        kept = {x for x in self.finite if x in other}
+        kept |= {x for x in other.finite if x in self}
         return SymbolicSet(frozenset(kept), tail)
 
-    def complement(self) -> "SymbolicSet":
+    def __invert__(self) -> "SymbolicSet":
         if self.tail is None:
             if not self.finite:
                 return SymbolicSet.all_naturals()
@@ -115,25 +117,13 @@ class SymbolicSet:
         holes = frozenset(x for x in range(1, self.tail) if x not in self.finite)
         return SymbolicSet(holes, None)
 
-    def difference(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self.intersection(other.complement())
-
-    def __or__(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self.union(other)
-
-    def __and__(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self.intersection(other)
-
     def __sub__(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self.difference(other)
+        return self & ~other
 
-    def __invert__(self) -> "SymbolicSet":
-        return self.complement()
-
-    def shift_down(self) -> "SymbolicSet":
-        """The set {n : n + 1 in self}, clamped to the naturals."""
-        finite = frozenset(x - 1 for x in self.finite if x >= 2)
-        tail = None if self.tail is None else max(self.tail - 1, 1)
+    def shift_down(self, by: int = 1) -> "SymbolicSet":
+        """The set {n : n + by in self}, clamped to the naturals."""
+        finite = frozenset(x - by for x in self.finite if x > by)
+        tail = None if self.tail is None else max(self.tail - by, 1)
         return SymbolicSet(finite, tail)
 
     def text(self) -> str:
@@ -217,249 +207,202 @@ class CompactnessReport:
         return out
 
 
+WHOLE = "whole"
+
+_FAMILIES = {
+    "singletons": SymbolicSet.of,
+    "tails": SymbolicSet.tail_from,
+    "whole": lambda _: SymbolicSet.all_naturals(),
+}
+
+
+@dataclass(frozen=True)
 class SymbolicModel:
-    """A fixed infinite space with exact decision procedures.
+    """An infinite space given by its scope rule, with narrated verdicts.
 
-    Subclasses define the scope map in closed form; closure, derived set,
-    openness of a symbolic set, and the compactness report are then decided
-    without enumeration. Each defines ``carrier_text``, ``is_aura_open``,
-    ``aura_closure``, ``derived_set``, ``cover_families`` (the named
-    parametric families usable in subcover checks) and
-    ``compactness_report``.
+    ``rule`` is WHOLE, where every scope is the whole carrier, or a tuple
+    of nonnegative offsets containing 0, where scope(n) = {n + o : o in
+    rule}. Closure, derived set and openness are read off the rule.
+    ``families`` names the parametric cover families usable in subcover
+    checks; ``verdicts`` holds the six verdicts in CompactnessReport field
+    order, each with its one-line argument.
     """
 
-    name = ""
-
-
-def _whole_family(_: int) -> SymbolicSet:
-    return SymbolicSet.all_naturals()
-
-
-class SuccessorModel(SymbolicModel):
-    """Naturals where each point's scope is itself and its successor."""
-
-    name = "nat-successor"
+    name: str
+    carrier: str
+    rule: Union[str, Tuple[int, ...]]
+    families: Tuple[str, ...]
+    verdicts: Tuple[Verdict, ...]
 
     def carrier_text(self) -> str:
-        return "N = {1,2,3,...}, scope(n) = {n,n+1}"
-
-    def is_aura_open(self, s: SymbolicSet) -> bool:
-        # a set closed under scopes must contain n+1 with every n: empty or a tail
-        return s.is_empty() or (s.tail is not None and not s.finite)
-
-    def aura_closure(self, s: SymbolicSet) -> SymbolicSet:
-        return s.union(s.shift_down())
+        return self.carrier
 
     def derived_set(self, s: SymbolicSet) -> SymbolicSet:
-        return s.shift_down()
-
-    def cover_families(self) -> dict:
-        return {"tails": SymbolicSet.tail_from, "whole": _whole_family}
-
-    def compactness_report(self) -> CompactnessReport:
-        return CompactnessReport(
-            model=self.name,
-            carrier=self.carrier_text(),
-            aura_compact=Verdict(
-                False,
-                "the tails {n>=k} form a scope-open cover; a finite subfamily "
-                "with least parameter k unites to {n>=k}, which misses "
-                "1..k-1 whenever k >= 2",
-                witness_family="tails",
-            ),
-            countably_aura_compact=Verdict(
-                False,
-                "the tail cover is countable, so the same witness applies",
-                witness_family="tails",
-            ),
-            aura_lindelof=Verdict(
-                True,
-                "every scope-open cover consists of tails plus possibly N; "
-                "choosing one member containing each n selects a countable "
-                "subcover",
-            ),
-            aura_limit_point_compact=Verdict(
-                True,
-                "an infinite set contains some a >= 2, and then a-1 has scope "
-                "{a-1,a} meeting the set away from itself",
-            ),
-            aura_sequentially_compact=Verdict(
-                True,
-                "the only scope-open set containing 1 is N itself, so every "
-                "sequence converges to 1",
-            ),
-            tau_compact=Verdict(
-                False,
-                "the ambient topology is discrete on an infinite carrier",
-                imported=True,
-            ),
-        )
-
-
-class DiscreteModel(SymbolicModel):
-    """Naturals where each point's scope is just itself."""
-
-    name = "nat-discrete"
-
-    def carrier_text(self) -> str:
-        return "N = {1,2,3,...}, scope(n) = {n}"
-
-    def is_aura_open(self, s: SymbolicSet) -> bool:
-        return True
+        """Points whose scope meets s away from the point itself."""
+        if self.rule == WHOLE:
+            # scope(x) - {x} misses s only when s is empty or s = {x}
+            if s.tail is None and len(s.finite) <= 1:
+                return ~s if s.finite else s
+            return SymbolicSet.all_naturals()
+        out = SymbolicSet.empty()
+        for o in self.rule:
+            if o:
+                out = out | s.shift_down(o)
+        return out
 
     def aura_closure(self, s: SymbolicSet) -> SymbolicSet:
-        return s
-
-    def derived_set(self, s: SymbolicSet) -> SymbolicSet:
-        return SymbolicSet.empty()
-
-    def cover_families(self) -> dict:
-        return {
-            "singletons": SymbolicSet.of,
-            "tails": SymbolicSet.tail_from,
-            "whole": _whole_family,
-        }
-
-    def compactness_report(self) -> CompactnessReport:
-        return CompactnessReport(
-            model=self.name,
-            carrier=self.carrier_text(),
-            aura_compact=Verdict(
-                False,
-                "the singletons cover N and every set is scope-open; a finite "
-                "subfamily covers only finitely many points",
-                witness_family="singletons",
-            ),
-            countably_aura_compact=Verdict(
-                False,
-                "the singleton cover is countable, so the same witness applies",
-                witness_family="singletons",
-            ),
-            aura_lindelof=Verdict(
-                True,
-                "the carrier is countable; choosing one member per point "
-                "selects a countable subcover",
-            ),
-            aura_limit_point_compact=Verdict(
-                False,
-                "every derived set is empty, so no infinite set has a limit "
-                "point",
-            ),
-            aura_sequentially_compact=Verdict(
-                False,
-                "a subsequence converging to x must eventually sit inside the "
-                "scope-open set {x}; the sequence 1,2,3,... never does",
-            ),
-            tau_compact=Verdict(
-                False,
-                "the ambient topology is discrete on an infinite carrier",
-                imported=True,
-            ),
-        )
-
-
-class TrivialModel(SymbolicModel):
-    """An infinite carrier where every point's scope is the whole space.
-
-    The carrier is abstract; points are addressed by natural-number labels
-    and the carrier name only affects display and the imported verdict about
-    the ambient topology.
-    """
-
-    name = "trivial"
-
-    def __init__(self, carrier_label: str = "R"):
-        self.carrier_label = carrier_label
-
-    def carrier_text(self) -> str:
-        return f"{self.carrier_label} (infinite), scope(x) = {self.carrier_label}"
+        return s | self.derived_set(s)
 
     def is_aura_open(self, s: SymbolicSet) -> bool:
-        return s.is_empty() or s.is_all()
-
-    def aura_closure(self, s: SymbolicSet) -> SymbolicSet:
-        if s.is_empty():
-            return s
-        return SymbolicSet.all_naturals()
-
-    def derived_set(self, s: SymbolicSet) -> SymbolicSet:
-        if s.is_empty():
-            return s
-        if s.tail is None and len(s.finite) == 1:
-            return s.complement()
-        return SymbolicSet.all_naturals()
+        """s holds the scope of each of its members."""
+        if self.rule == WHOLE:
+            return s.is_empty() or s.is_all()
+        return all((s - s.shift_down(o)).is_empty() for o in self.rule)
 
     def cover_families(self) -> dict:
-        return {"whole": _whole_family}
-
-    def _ambient_verdict(self) -> Verdict:
-        return Verdict(
-            False,
-            f"the standard topology on {self.carrier_label} is not compact",
-            imported=True,
-        )
+        return {name: _FAMILIES[name] for name in self.families}
 
     def compactness_report(self) -> CompactnessReport:
-        whole = self.carrier_label
-        return CompactnessReport(
-            model=self.name,
-            carrier=self.carrier_text(),
-            aura_compact=Verdict(
+        return CompactnessReport(self.name, self.carrier, *self.verdicts)
+
+
+_DISCRETE_AMBIENT = Verdict(
+    False, "the ambient topology is discrete on an infinite carrier", imported=True
+)
+
+
+def _whole_model(name: str, label: str, carrier: str, tau_compact: Verdict) -> SymbolicModel:
+    """A model on the carrier ``label`` whose every scope is the carrier."""
+    implied = Verdict(True, "implied by scope-compactness")
+    return SymbolicModel(
+        name=name,
+        carrier=carrier,
+        rule=WHOLE,
+        families=("whole",),
+        verdicts=(
+            Verdict(
                 True,
-                f"the only scope-open sets are {{}} and {whole}, so every "
-                f"scope-open cover contains {whole} itself",
+                f"the only scope-open sets are {{}} and {label}, so every "
+                f"scope-open cover contains {label} itself",
             ),
-            countably_aura_compact=Verdict(
-                True, "implied by scope-compactness"
-            ),
-            aura_lindelof=Verdict(
-                True, "implied by scope-compactness"
-            ),
-            aura_limit_point_compact=Verdict(
+            implied,
+            implied,
+            Verdict(
                 True,
                 "any set with two or more points has every point of the "
                 "carrier as a limit point",
             ),
-            aura_sequentially_compact=Verdict(
+            Verdict(
                 True,
                 "every sequence converges to every point: the only scope-open "
                 "set containing a point is the whole carrier",
             ),
-            tau_compact=self._ambient_verdict(),
-        )
+            tau_compact,
+        ),
+    )
 
 
-class CofiniteTrivialModel(TrivialModel):
-    """Naturals under the cofinite topology, every scope the whole carrier."""
+def _built_ins(carrier_label: str) -> tuple:
+    """The built-in models; the label names the carrier of ``trivial``."""
+    return (
+        SymbolicModel(
+            name="nat-successor",
+            carrier="N = {1,2,3,...}, scope(n) = {n,n+1}",
+            rule=(0, 1),
+            families=("tails", "whole"),
+            verdicts=(
+                Verdict(
+                    False,
+                    "the tails {n>=k} form a scope-open cover; a finite subfamily "
+                    "with least parameter k unites to {n>=k}, which misses "
+                    "1..k-1 whenever k >= 2",
+                    witness_family="tails",
+                ),
+                Verdict(
+                    False,
+                    "the tail cover is countable, so the same witness applies",
+                    witness_family="tails",
+                ),
+                Verdict(
+                    True,
+                    "every scope-open cover consists of tails plus possibly N; "
+                    "choosing one member containing each n selects a countable "
+                    "subcover",
+                ),
+                Verdict(
+                    True,
+                    "an infinite set contains some a >= 2, and then a-1 has scope "
+                    "{a-1,a} meeting the set away from itself",
+                ),
+                Verdict(
+                    True,
+                    "the only scope-open set containing 1 is N itself, so every "
+                    "sequence converges to 1",
+                ),
+                _DISCRETE_AMBIENT,
+            ),
+        ),
+        SymbolicModel(
+            name="nat-discrete",
+            carrier="N = {1,2,3,...}, scope(n) = {n}",
+            rule=(0,),
+            families=("singletons", "tails", "whole"),
+            verdicts=(
+                Verdict(
+                    False,
+                    "the singletons cover N and every set is scope-open; a finite "
+                    "subfamily covers only finitely many points",
+                    witness_family="singletons",
+                ),
+                Verdict(
+                    False,
+                    "the singleton cover is countable, so the same witness applies",
+                    witness_family="singletons",
+                ),
+                Verdict(
+                    True,
+                    "the carrier is countable; choosing one member per point "
+                    "selects a countable subcover",
+                ),
+                Verdict(
+                    False,
+                    "every derived set is empty, so no infinite set has a limit "
+                    "point",
+                ),
+                Verdict(
+                    False,
+                    "a subsequence converging to x must eventually sit inside the "
+                    "scope-open set {x}; the sequence 1,2,3,... never does",
+                ),
+                _DISCRETE_AMBIENT,
+            ),
+        ),
+        _whole_model(
+            "trivial",
+            carrier_label,
+            f"{carrier_label} (infinite), scope(x) = {carrier_label}",
+            Verdict(
+                False,
+                f"the standard topology on {carrier_label} is not compact",
+                imported=True,
+            ),
+        ),
+        _whole_model(
+            "cofinite-trivial",
+            "N",
+            "N = {1,2,3,...} with the cofinite topology, scope(n) = N",
+            Verdict(True, "the cofinite topology on any set is compact", imported=True),
+        ),
+    )
 
-    name = "cofinite-trivial"
 
-    def __init__(self):
-        super().__init__(carrier_label="N")
-
-    def carrier_text(self) -> str:
-        return "N = {1,2,3,...} with the cofinite topology, scope(n) = N"
-
-    def _ambient_verdict(self) -> Verdict:
-        return Verdict(
-            True,
-            "the cofinite topology on any set is compact",
-            imported=True,
-        )
-
-
-MODEL_NAMES = ("nat-successor", "nat-discrete", "trivial", "cofinite-trivial")
+MODEL_NAMES = tuple(model.name for model in _built_ins("R"))
 
 
 def get_model(name: str, carrier_label: str = "R") -> SymbolicModel:
-    if name == "nat-successor":
-        return SuccessorModel()
-    if name == "nat-discrete":
-        return DiscreteModel()
-    if name == "trivial":
-        return TrivialModel(carrier_label)
-    if name == "cofinite-trivial":
-        return CofiniteTrivialModel()
+    for model in _built_ins(carrier_label):
+        if model.name == name:
+            return model
     raise ValueError(f"unknown symbolic model {name!r}")
 
 
@@ -475,5 +418,5 @@ def subcover_check(model: SymbolicModel, family: str, params: Iterable[int]) -> 
     for p in params:
         if not isinstance(p, int) or p < 1:
             raise ValueError(f"family parameter must be a natural, got {p!r}")
-        union = union.union(build(p))
+        union = union | build(p)
     return union.is_all()

@@ -167,6 +167,24 @@ def test_symbolic(capsys):
     assert data["tauCompact"]["imported"] is True
 
 
+SYMBOLIC_TRANSCRIPT = Path(__file__).parent / "golden" / "symbolic.txt"
+
+
+def test_symbolic_outputs_are_pinned(capsys):
+    # Every model in each output form, and the trivial model on another
+    # carrier: a "$ auratopo symbolic ..." line, then that command's stdout.
+    text = SYMBOLIC_TRANSCRIPT.read_text(encoding="utf-8")
+    blocks = [b.split("\n", 1) for b in text.split("$ auratopo symbolic ")[1:]]
+    argvs = [tuple(argv.split()) for argv, _ in blocks]
+    assert argvs == [
+        (model, *form)
+        for model in ("nat-successor", "nat-discrete", "trivial", "cofinite-trivial")
+        for form in ((), ("--report",), ("--json",))
+    ] + [("trivial", "--carrier", "Q", "--report"), ("trivial", "--carrier", "Q", "--json")]
+    for argv, (_, expected) in zip(argvs, blocks):
+        assert run_cli(capsys, "symbolic", *argv)[:2] == (0, expected), argv
+
+
 def test_search_exit_codes_and_json(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--size", "2", "--where", "aConnected and not tauConnected"

@@ -16,6 +16,7 @@ from auratopo import (
     is_cover,
     make_aura_space,
     minimal_subcover,
+    run_laws,
 )
 from auratopo.covering import ORACLE_LIMIT
 from auratopo.genopen import GeneralizedClass
@@ -156,3 +157,19 @@ def test_lindelof_oracle_fails_when_a_cover_has_no_subcover(monkeypatch):
     s = _space3()
     assert is_aura_lindelof(s)
     assert not is_aura_lindelof(s, oracle=True)
+
+
+def test_compactness_oracle_checks_the_returned_subcover(monkeypatch):
+    # A subcover search that answers without raising is not taken on trust:
+    # what it returns must come from the subfamily and cover the target.
+    s = _space3()
+    fakes = {
+        "empty": (lambda space, target, members: (), 10),
+        "outside the family": (lambda space, target, members: (space.universe.full_set(),), 2),
+    }
+    for name, (fake, failed) in fakes.items():
+        monkeypatch.setattr("auratopo.covering.minimal_subcover", fake)
+        assert is_aura_compact(s)
+        assert not is_aura_compact(s, oracle=True), name
+        (outcome,) = run_laws(names=["compact-chain-flags"], max_n=2).outcomes
+        assert (outcome.checks, outcome.failed) == (33, failed), name

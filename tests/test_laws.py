@@ -180,6 +180,13 @@ def test_convergence_law_is_live(monkeypatch):
     )
 
 
+def test_image_laws_test_continuity_through_the_public_operator(monkeypatch):
+    # With every map continuous, connected spaces map onto disconnected ones.
+    monkeypatch.setattr(laws, "is_aura_continuous", lambda f, src, dst: True)
+    (outcome,) = run_laws(names=["continuous-image-connected"], max_n=2).outcomes
+    assert (outcome.checks, outcome.failed) == (8, 8)
+
+
 def test_per_law_check_counts_are_pinned():
     report = run_laws(max_n=2)
     assert {o.name: o.checks for o in report.outcomes} == CHECKS_AT_SIZE_2

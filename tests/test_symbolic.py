@@ -64,6 +64,7 @@ def test_algebra_agrees_with_enumeration():
         assert _enumerate(a.shift_down()) == {
             n for n in range(1, 41) if n + 1 in a
         }
+        assert _enumerate(a.shift_down(3)) == {n for n in range(1, 41) if n + 3 in a}
 
 
 def test_double_complement_and_de_morgan():
@@ -113,6 +114,39 @@ def test_successor_model_closure_in_closed_form():
     assert m.is_aura_open(SymbolicSet.tail_from(3))
     assert not m.is_aura_open(SymbolicSet.of(3))
     assert not m.is_aura_open(SymbolicSet(frozenset({1}), 3))
+
+
+PINNED_SETS = (
+    SymbolicSet.empty(),
+    SymbolicSet.of(5),
+    SymbolicSet.of(2, 7),
+    SymbolicSet.tail_from(4),
+    SymbolicSet(frozenset({2}), 6),
+    SymbolicSet.all_naturals(),
+)
+
+
+def test_other_models_operators_in_closed_form():
+    # (closure, derived set, open) for each set in PINNED_SETS.
+    n = SymbolicSet.all_naturals()
+    empty = SymbolicSet.empty()
+    whole_scope = [
+        (empty, empty, True),
+        (n, SymbolicSet(frozenset({1, 2, 3, 4}), 6), False),
+        (n, n, False),
+        (n, n, False),
+        (n, n, False),
+        (n, n, True),
+    ]
+    expected = {
+        "nat-discrete": [(s, empty, True) for s in PINNED_SETS],
+        "trivial": whole_scope,
+        "cofinite-trivial": whole_scope,
+    }
+    for name, rows in expected.items():
+        m = get_model(name)
+        got = [(m.aura_closure(s), m.derived_set(s), m.is_aura_open(s)) for s in PINNED_SETS]
+        assert got == rows, name
 
 
 def test_published_verdicts_are_pinned():
