@@ -3,9 +3,10 @@
 Run with ``PYTHONPATH=src python3 benchmarks/laws_bench.py [--repeats N]``.
 Each repeat runs every law once, in registry order, on a fresh
 ``LawContext`` at sizes up to 3, as ``verify-paper`` does. The output is one
-JSON object: per law its median seconds and its checks, the median total,
-and how many products ``constructions.product`` and subspaces
-``constructions.subspace`` built in one run.
+JSON object: per law its median seconds, its checks and the instances its
+class replay decided through the operators, the median total, and how many
+products ``constructions.product`` and subspaces ``constructions.subspace``
+built in one run.
 """
 
 import argparse
@@ -19,8 +20,8 @@ from auratopo import laws
 
 
 def _one_run() -> dict:
-    """Seconds and checks per law, and the products and subspaces built,
-    of one run."""
+    """Seconds, checks and decided instances per law, and the products and
+    subspaces built, of one run."""
     built = {"product": 0, "subspace": 0}
     real = {name: getattr(laws, name) for name in built}
 
@@ -36,9 +37,10 @@ def _one_run() -> dict:
         ctx = laws.LawContext()
         rows = {}
         for law in laws.LAWS:
+            tally = laws._Tally(law.name)
             t0 = time.perf_counter()
-            (outcome,) = laws.run_laws(names=[law.name], ctx=ctx).outcomes
-            rows[law.name] = (time.perf_counter() - t0, outcome.checks)
+            law.run(ctx, tally)
+            rows[law.name] = (time.perf_counter() - t0, tally.checks, tally.decided)
     finally:
         for name, fn in real.items():
             setattr(laws, name, fn)
@@ -58,10 +60,11 @@ def main() -> None:
         name: {
             "s": round(statistics.median(r["laws"][name][0] for r in runs), 4),
             "checks": runs[0]["laws"][name][1],
+            "decided": runs[0]["laws"][name][2],
         }
         for name in names
     }
-    totals = [sum(s for s, _ in r["laws"].values()) for r in runs]
+    totals = [sum(row[0] for row in r["laws"].values()) for r in runs]
     print(json.dumps({
         "python": platform.python_version(),
         "nproc": os.cpu_count(),

@@ -13,30 +13,36 @@ prove the laws are live.
 
 Most laws state one instance. A space law (``_space_law``) is a
 statement about one space and a pair law (``_pair_law``) one about a
-factor pair; the driver owns the loop over the grid and the replay
-described next.
+factor pair; the driver owns the walk over the grid described next.
 
 Laws whose instances repeat one verdict many times run through class
-replay (``_Replay``), the module's one replay: each class of instances
-that read the same inputs is decided once through the operators, and a
-class that fails is replayed in full, so reports under a fault keep
-their bytes. Every space law and ``cech-closure-axioms`` replay under
-``_scope_key``, the labels and the scope tuple, so the 373 spaces up to
-three points are decided as 70 keys; within a space the convergence
-criterion replays its sequences per cycle mask. The pair laws replay
-under ``_pair_key``, both sizes and scope tuples, and
-``continuous-image-compact`` each compact source under its size and
-τ_a. ``scope-topology-subfamily`` reads the ambient topology, so it
-runs on every space. ``product-topology-chain`` checks every pair but
-memoises, per class, the product's two topologies.
+replay (``_Replay``), the module's one replay. ``LawContext`` builds a
+class table (``_Classes``) once per run for each instance list: the
+grid spaces under ``_scope_key``, the labels and the scope tuple (373
+spaces, 70 classes); the factor pairs under ``_pair_key``, both sizes
+and scope tuples (6,597 pairs, 528 classes); and each universe's
+sequences under their cycle mask (507 sequences, 7 classes on three
+points). The replay walks the table: the first instance of each class
+is decided through the operators and stands for the whole class, and a
+class that fails is replayed instance by instance, in grid order, so
+reports under a fault keep their bytes. Every space law and
+``cech-closure-axioms`` walk the scope classes, the pair laws and the
+box half of ``product-topology-chain`` the pair classes, and the
+convergence criterion, within a space, the cycle-mask classes. The two
+image laws walk their sources under size and τ_a.
+``scope-topology-subfamily`` reads the ambient topology, so it runs on
+every space. ``product-topology-chain`` checks every pair but memoises,
+per class, the product's two topologies.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 from . import kernel
 from .aura import (
@@ -128,7 +134,7 @@ class SpaceFacts:
 
 
 class LawContext:
-    """Space grid plus shared caches for one law run."""
+    """Space grid, class tables and shared caches for one law run."""
 
     def __init__(self, max_n: int = MAX_LAW_SIZE):
         if not 0 <= max_n <= MAX_LAW_SIZE:
@@ -137,9 +143,11 @@ class LawContext:
         self._spaces: Dict[int, list] = {}
         self._facts: Dict[AuraSpace, SpaceFacts] = {}
         self._surjection_cache: Dict[tuple, bool] = {}
+        self._maps: Dict[tuple, tuple] = {}
+        self._boxes: Dict[tuple, list] = {}
         self._products: Dict[tuple, AuraSpace] = {}
         self._subspaces: Dict[tuple, AuraSpace] = {}
-        self._sequences: Dict[PointUniverse, list] = {}
+        self._sequences: Dict[PointUniverse, tuple] = {}
         self.discrete_pair = make_aura_space(
             ["0", "1"],
             [[], ["0"], ["1"], ["0", "1"]],
@@ -154,10 +162,15 @@ class LawContext:
             self._spaces[n] = out
         return self._spaces[n]
 
-    def all_spaces(self) -> Iterable[AuraSpace]:
-        for n in range(self.max_n + 1):
-            for s in self.spaces(n):
-                yield s
+    @cached_property
+    def grid(self) -> list:
+        """Every space up to ``max_n`` points, in grid order."""
+        return [s for n in range(self.max_n + 1) for s in self.spaces(n)]
+
+    @cached_property
+    def scope_classes(self) -> _Classes:
+        """The grid's class table under ``_scope_key``."""
+        return _Classes(_scope_key(s) for s in self.grid)
 
     def facts(self, s: AuraSpace) -> SpaceFacts:
         f = self._facts.get(s)
@@ -166,22 +179,43 @@ class LawContext:
             self._facts[s] = f
         return f
 
-    def factor_pairs(self) -> Iterable[tuple]:
+    @cached_property
+    def _pair_blocks(self) -> list:
+        """(first position, left spaces, right spaces) per pair of factor
+        sizes, in the order of ``factor_pairs``."""
+        sizes = [(2, 2)] if self.max_n >= 2 else []
+        if self.max_n >= 3:
+            sizes += [(2, 3), (3, 2)]
+        blocks, pos = [], 0
+        for nx, ny in sizes:
+            blocks.append((pos, self.spaces(nx), self.spaces(ny)))
+            pos += len(self.spaces(nx)) * len(self.spaces(ny))
+        return blocks
+
+    def factor_pairs(self) -> Iterator[tuple]:
         """Ordered nonempty factor pairs with at most six product points.
 
         Empty factors are excluded: with one factor empty the product is
         empty and the projections cannot be onto, so the factor-recovery
         laws are stated for nonempty factors only.
         """
-        if self.max_n < 2:
-            return
-        sizes = [(2, 2)]
-        if self.max_n >= 3:
-            sizes += [(2, 3), (3, 2)]
-        for nx, ny in sizes:
-            for sx in self.spaces(nx):
-                for sy in self.spaces(ny):
+        for _, left, right in self._pair_blocks:
+            for sx in left:
+                for sy in right:
                     yield sx, sy
+
+    def pair_at(self, pos: int) -> tuple:
+        """The factor pair at position ``pos`` of ``factor_pairs``."""
+        for first, left, right in reversed(self._pair_blocks):
+            if pos >= first:
+                i, j = divmod(pos - first, len(right))
+                return left[i], right[j]
+        raise IndexError(pos)
+
+    @cached_property
+    def pair_classes(self) -> _Classes:
+        """The factor pairs' class table under ``_pair_key``."""
+        return _Classes(_pair_key(sx, sy) for sx, sy in self.factor_pairs())
 
     def product_of(self, sx: AuraSpace, sy: AuraSpace) -> AuraSpace:
         key = (sx, sy)
@@ -190,6 +224,17 @@ class LawContext:
             p = product(sx, sy)
             self._products[key] = p
         return p
+
+    def boxes(self, nx: int, ny: int) -> list:
+        """``_box_mask(a, b, ny)`` at ``a * 2**ny + b``, for every pair of
+        carrier masks, built once per pair of factor sizes."""
+        key = (nx, ny)
+        table = self._boxes.get(key)
+        if table is None:
+            table = self._boxes[key] = [
+                _box_mask(a, b, ny) for a in range(1 << nx) for b in range(1 << ny)
+            ]
+        return table
 
     def subspace_of(self, s: AuraSpace, ym: int) -> AuraSpace:
         """``subspace(s, ym)``, built once per space and carrier mask.
@@ -203,31 +248,55 @@ class LawContext:
             sub = self._subspaces[key] = self.facts(subspace(s, ym)).space
         return sub
 
-    def sequences(self, universe: PointUniverse) -> list:
-        """``_convergence_sequences(universe)``, built once per universe."""
+    def sequences(self, universe: PointUniverse) -> tuple:
+        """The short sequences of ``universe`` and their class table under
+        the cycle mask, built once per universe."""
         table = self._sequences.get(universe)
         if table is None:
-            table = self._sequences[universe] = _convergence_sequences(universe)
+            seqs = list(short_sequences(universe))
+            table = self._sequences[universe] = (seqs, _Classes(q.cycle_mask() for q in seqs))
         return table
+
+    def onto_maps(self, u: PointUniverse, v: PointUniverse) -> tuple:
+        """Every onto map from ``u`` to ``v``, built once per pair of universes."""
+        key = (u, v)
+        maps = self._maps.get(key)
+        if maps is None:
+            maps = self._maps[key] = tuple(
+                FiniteMap(u, v, images)
+                for images in itertools.product(range(v.n), repeat=u.n)
+                if len(set(images)) == v.n
+            )
+        return maps
+
+    def projections(self, prod: AuraSpace, sx: AuraSpace, sy: AuraSpace) -> tuple:
+        """The left and right projections of ``prod`` onto its factors,
+        kept in the map memo of ``onto_maps``."""
+        key = (prod.universe, sx.universe, sy.universe)
+        maps = self._maps.get(key)
+        if maps is None:
+            nx, ny = sx.n, sy.n
+            maps = self._maps[key] = (
+                FiniteMap(prod.universe, sx.universe, [k // ny for k in range(nx * ny)]),
+                FiniteMap(prod.universe, sy.universe, [k % ny for k in range(nx * ny)]),
+            )
+        return maps
 
     def has_continuous_surjection(self, src: SpaceFacts, dst: SpaceFacts) -> bool:
         """Does any onto map carry src continuously to dst?
 
         Continuity only consults the two scope topologies, so results
-        are memoised per topology pair; each onto map is tested with
-        ``is_aura_continuous``.
+        are memoised per pair of ``_image_key``; each onto map of
+        ``onto_maps`` is tested with ``is_aura_continuous``.
         """
         if dst.n > src.n or dst.n == 0 != src.n:
             return False
-        key = (src.n, src.space.aura_topology_masks, dst.n, dst.space.aura_topology_masks)
+        key = (_image_key(src), _image_key(dst))
         hit = self._surjection_cache.get(key)
         if hit is None:
             a, b = src.space, dst.space
-            u, v = a.universe, b.universe
             hit = self._surjection_cache[key] = any(
-                is_aura_continuous(FiniteMap(u, v, images), a, b)
-                for images in itertools.product(range(dst.n), repeat=src.n)
-                if len(set(images)) == dst.n
+                is_aura_continuous(m, a, b) for m in self.onto_maps(a.universe, b.universe)
             )
         return hit
 
@@ -242,11 +311,13 @@ class Law:
 
 @dataclass
 class _Tally:
-    """Failure collector with a witness cap."""
+    """Failure collector with a witness cap; ``decided`` counts the
+    instances that the class replay ran through the operators."""
 
     law: str
     checks: int = 0
     failed: int = 0
+    decided: int = 0
 
     def __post_init__(self):
         self.messages: List[str] = []
@@ -264,41 +335,108 @@ class _Tally:
             self.messages.append(f"{self.law}: {detail}{where}")
 
 
+class _Classes:
+    """Class table of an instance list, built from each instance's key.
+
+    ``index[pos]`` is the class of the instance at position ``pos``, one
+    small integer per instance in an ``array``; class ``c`` has its first
+    instance at ``first[c]`` and ``size[c]`` instances in all. Classes
+    are numbered in order of their first instance, so ``first`` ascends.
+    A law finds an instance's arguments from its position.
+    """
+
+    __slots__ = ("index", "first", "size")
+
+    def __init__(self, keys: Iterable):
+        ids: Dict[object, int] = {}
+        self.index = array("H")
+        self.first: List[int] = []
+        self.size: List[int] = []
+        for pos, key in enumerate(keys):
+            c = ids.setdefault(key, len(ids))
+            if c == len(self.first):
+                self.first.append(pos)
+                self.size.append(0)
+            self.index.append(c)
+            self.size[c] += 1
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def later(self, c: int) -> Iterator[int]:
+        """Positions of class ``c`` after its first, ascending."""
+        index = self.index
+        return (p for p in range(self.first[c] + 1, len(index)) if index[p] == c)
+
+    def split(self, alone: Iterable[int]) -> _Classes:
+        """This table with each position of ``alone`` in a class of its own."""
+        alone = set(alone)
+        return _Classes(-1 - p if p in alone else c for p, c in enumerate(self.index))
+
+
 class _Replay:
     """Class replay: decide each class of check instances once.
 
-    A law hands each check instance to :meth:`run` under a key built
-    from exactly the inputs its verdict reads, so every instance of a
-    key makes the same checks with the same outcomes. The first instance
-    of a key runs its checks through the public operators. Once a key
-    has passed, later instances only add their check count. A key that
-    failed is never marked passed: every later instance of it runs in
-    full, in its original place, so the failed count and the first
-    messages are those of a full run under any fault whose effect
-    depends only on the key.
+    A law builds each instance's key from exactly the inputs its verdict
+    reads, so every instance of a class makes the same checks with the
+    same outcomes, and :meth:`walk` runs the law over a class table of
+    its instance list. A heap of positions starts with the first
+    instance of each class. When a first instance passes, the other
+    ``size - 1`` instances of its class add its check count and never
+    run. When it fails, its class's later positions join the heap; each
+    runs in full, in grid order, until one passes, and from then on the
+    rest of the class only adds that instance's count.
+
+    Proof sketch that a report under a fault keeps its bytes. Checking
+    the instances one by one in grid order, with a class marked passed
+    by its first passing instance, an instance runs exactly when no
+    earlier instance of its class has passed, and otherwise adds the
+    count of that passing instance. The walk runs the same instances:
+    a first instance always, and a later one only if its class's first
+    failed and no run since has passed. The heap hands them out in
+    ascending position, so they run in grid order, each from its own
+    position's arguments. Messages, the failed count and the witness cap
+    depend only on the sequence of runs, so they agree; the check total
+    is a sum, so it agrees whatever order the counts are added in.
 
     The trade-off is that a replayed instance no longer runs the
     operators: a fault that reads an input outside the key passes. Each
     law argues in its docstring that its key holds every input it reads.
     The test suite checks the convergence key against every sequence it
     stands for, on all spaces up to two points and a sample of the
-    three-point ones, and pins the outcomes of faults that break some
-    keys to those of runs that checked every instance.
+    three-point ones, pins the outcomes of faults that break some keys
+    to those of runs that checked every instance, and compares the walk
+    with one that runs every instance.
     """
 
     def __init__(self, t: _Tally):
         self.t = t
-        self.passed: Dict[object, int] = {}
 
-    def run(self, key, checks: Callable[[], None]) -> None:
-        count = self.passed.get(key)
-        if count is not None:
-            self.t.checks += count
-            return
-        before, failed = self.t.checks, self.t.failed
-        checks()
-        if self.t.failed == failed:
-            self.passed[key] = self.t.checks - before
+    def walk(self, table: _Classes, run: Callable[[int], None]) -> None:
+        """Call ``run(pos)`` on the instances the replay decides."""
+        t = self.t
+        index, first, size = table.index, table.first, table.size
+        heap = list(first)  # ascending, so already a heap
+        passed: Dict[int, int] = {}
+        while heap:
+            pos = heappop(heap)
+            c = index[pos]
+            count = passed.get(c)
+            if count is not None:
+                t.checks += count
+                continue
+            before, failed = t.checks, t.failed
+            run(pos)
+            t.decided += 1
+            if t.failed == failed:
+                count = t.checks - before
+                if pos == first[c]:
+                    t.checks += (size[c] - 1) * count
+                else:
+                    passed[c] = count
+            elif pos == first[c]:
+                for p in table.later(c):
+                    heappush(heap, p)
 
 
 def _pair_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
@@ -330,6 +468,21 @@ def _product_topology_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
     their scopes.
     """
     return (sx.n, sx.space.topology.mask_set, sy.n, sy.space.topology.mask_set)
+
+
+def _image_key(f: SpaceFacts) -> tuple:
+    """Replay key of a source or a target of the image laws: its size
+    and τ_a.
+
+    ``has_continuous_surjection`` reads both spaces only through their
+    sizes and τ_a: a map is onto by the sizes alone, and continuity is a
+    preimage test against the two scope topologies. So its verdict is a
+    function of the two keys. The targets each source tests are fixed
+    lists, so every source of a class makes the same checks with the
+    same outcomes. Being a source (compact, or connected and nonempty)
+    is decided on every space before the walk.
+    """
+    return (f.n, f.space.aura_topology_masks)
 
 
 @dataclass(frozen=True)
@@ -403,8 +556,9 @@ def _scope_key(s: AuraSpace) -> tuple:
 
 def _space_law(name: str, tier: str, description: str):
     """Register ``fn(ctx, t, s, f)``, a statement about one space, as a
-    law over every space of the grid, in grid order, with ``f`` the
-    space's shared fact tables, replayed under ``_scope_key``.
+    law over every space of the grid, with ``f`` the space's shared fact
+    tables, replayed over ``ctx.scope_classes``, the classes of
+    ``_scope_key``.
 
     The key is complete for all 19 space laws: each body reads the space
     only through n, its labels and its scope masks. The closure collects
@@ -432,9 +586,13 @@ def _space_law(name: str, tier: str, description: str):
     """
     def wrap(fn):
         def run(ctx: LawContext, t: _Tally) -> None:
-            replay = _Replay(t)
-            for s in ctx.all_spaces():
-                replay.run(_scope_key(s), lambda: fn(ctx, t, s, ctx.facts(s)))
+            grid = ctx.grid
+
+            def instance(pos: int) -> None:
+                s = grid[pos]
+                fn(ctx, t, s, ctx.facts(s))
+
+            _Replay(t).walk(ctx.scope_classes, instance)
         _law(name, tier, description)(run)
         return fn
     return wrap
@@ -442,16 +600,15 @@ def _space_law(name: str, tier: str, description: str):
 
 def _pair_law(name: str, tier: str, description: str):
     """Register ``fn(ctx, t, sx, sy)``, a statement about one factor pair,
-    as a law over ``ctx.factor_pairs()``, replayed under ``_pair_key``.
+    as a law over ``ctx.factor_pairs()``, replayed over
+    ``ctx.pair_classes``, the classes of ``_pair_key``.
 
     The replay is sound only if ``fn`` reads nothing of the pair but
     scope data; each pair law argues so in its docstring.
     """
     def wrap(fn):
         def run(ctx: LawContext, t: _Tally) -> None:
-            replay = _Replay(t)
-            for sx, sy in ctx.factor_pairs():
-                replay.run(_pair_key(sx, sy), lambda: fn(ctx, t, sx, sy))
+            _Replay(t).walk(ctx.pair_classes, lambda pos: fn(ctx, t, *ctx.pair_at(pos)))
         _law(name, tier, description)(run)
         return fn
     return wrap
@@ -463,38 +620,37 @@ def _pair_law(name: str, tier: str, description: str):
     "closure is grounded, extensive, monotone, additive, and not idempotent in general",
 )
 def _cech_axioms(ctx: LawContext, t: _Tally) -> None:
-    """Replayed per space under ``_scope_key``: every check and the
-    idempotence flag read only the closure table, a function of the key,
-    so a replayed space would set the flag as the first space of its key
+    """Walks the scope classes: every check and the idempotence flag
+    read only the closure table, a function of ``_scope_key``, so a
+    replayed space would set the flag as the first space of its class
     did."""
     idempotent_everywhere = True
-    replay = _Replay(t)
-    for s in ctx.all_spaces():
 
-        def checks() -> None:
-            nonlocal idempotent_everywhere
-            f = ctx.facts(s)
-            t.verify(f.cl[0] == 0, "closure of the empty set is nonempty", s)
-            for a in range(f.size):
-                ca = f.cl[a]
-                t.verify(not a & ~ca, lambda: f"set {a:#x} escapes its own closure", s)
-                if f.cl[ca] != ca:
-                    idempotent_everywhere = False
-            for a in range(f.size):
-                for b in range(f.size):
+    def instance(pos: int) -> None:
+        nonlocal idempotent_everywhere
+        s = ctx.grid[pos]
+        f = ctx.facts(s)
+        t.verify(f.cl[0] == 0, "closure of the empty set is nonempty", s)
+        for a in range(f.size):
+            ca = f.cl[a]
+            t.verify(not a & ~ca, lambda: f"set {a:#x} escapes its own closure", s)
+            if f.cl[ca] != ca:
+                idempotent_everywhere = False
+        for a in range(f.size):
+            for b in range(f.size):
+                t.verify(
+                    f.cl[a | b] == f.cl[a] | f.cl[b],
+                    lambda: f"closure not additive on {a:#x}, {b:#x}",
+                    s,
+                )
+                if not a & ~b:
                     t.verify(
-                        f.cl[a | b] == f.cl[a] | f.cl[b],
-                        lambda: f"closure not additive on {a:#x}, {b:#x}",
+                        not f.cl[a] & ~f.cl[b],
+                        lambda: f"closure not monotone on {a:#x} inside {b:#x}",
                         s,
                     )
-                    if not a & ~b:
-                        t.verify(
-                            not f.cl[a] & ~f.cl[b],
-                            lambda: f"closure not monotone on {a:#x} inside {b:#x}",
-                            s,
-                        )
 
-        replay.run(_scope_key(s), checks)
+    _Replay(t).walk(ctx.scope_classes, instance)
     if ctx.max_n >= 3:
         t.verify(
             not idempotent_everywhere,
@@ -565,7 +721,8 @@ def _derived_laws(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> No
 def _subfamily(ctx: LawContext, t: _Tally) -> None:
     """Runs on every space: τ_a ⊆ τ reads the ambient topology, which
     ``_scope_key`` does not hold."""
-    for s in ctx.all_spaces():
+    for s in ctx.grid:
+        t.decided += 1
         f = ctx.facts(s)
         ambient = s.space.topology.mask_set
         for u in s.aura_topology_masks:
@@ -667,14 +824,20 @@ def _subspace_tau(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> No
 )
 def _product_closure(ctx: LawContext, t: _Tally, sx: AuraSpace, sy: AuraSpace) -> None:
     """Replayed per factor pair under ``_pair_key``: the product closure
-    and both factor closures are functions of the scopes."""
+    and both factor closures are functions of the scopes.
+
+    Only the 16 or 32 boxes compared are closed in the product, through
+    the kernel attribute, and both box masks come from ``ctx.boxes``.
+    """
     fx, fy = ctx.facts(sx), ctx.facts(sy)
     prod = ctx.product_of(sx, sy)
-    fp = ctx.facts(prod)
+    n, scopes = prod.n, prod.scope.masks
+    boxes = ctx.boxes(fx.n, fy.n)
+    cx, cy, size_y = fx.cl, fy.cl, fy.size
     for a in range(fx.size):
-        for b in range(fy.size):
-            got = fp.cl[_box_mask(a, b, fy.n)]
-            want = _box_mask(fx.cl[a], fy.cl[b], fy.n)
+        for b in range(size_y):
+            got = kernel.aura_closure_mask(n, scopes, boxes[a * size_y + b])
+            want = boxes[cx[a] * size_y + cy[b]]
             t.verify(
                 got == want,
                 lambda: f"box closure mismatch on {a:#x} x {b:#x}",
@@ -689,48 +852,52 @@ def _product_closure(ctx: LawContext, t: _Tally, sx: AuraSpace, sy: AuraSpace) -
 )
 def _product_chain(ctx: LawContext, t: _Tally) -> None:
     """The box-family half reads the two factor τ_a and the product τ_a,
-    so it is replayed under ``_pair_key``.
+    so it walks the pair classes.
 
     The other half tests τ_{a×b} ⊆ τ_X × τ_Y on every pair, as one
     subset test of two memoised families. τ_{a×b} is a function of
     ``_pair_key`` (528 classes at sizes up to 3), and τ_X × τ_Y of
     ``_product_topology_key`` (248 classes); each family is taken from
     the product of the first pair of its class. So the test reads the
-    same two families that the pair's own product holds. Only a failed
-    test builds the pair's own product, which decides the check again
-    and names the witness.
+    same two families that the pair's own product holds. A pass only adds
+    its check. A pair whose test fails is walked in a class of its own,
+    so it runs in place, after its box half, and builds its own product,
+    which decides the check again and names the witness.
     """
-    replay = _Replay(t)
-    tau_a_of: Dict[tuple, frozenset] = {}
+    pairs = ctx.pair_classes
+    tau_a_of: Dict[int, frozenset] = {}
     topology_of: Dict[tuple, frozenset] = {}
-    for sx, sy in ctx.factor_pairs():
-
-        def box_checks() -> None:
-            prod = ctx.product_of(sx, sy)
-            t.verify(
-                product_topology_of_factors(sx, sy).mask_set <= ctx.facts(prod).tau_a_set,
-                "box-generated family escapes the product scope topology",
-                prod,
-            )
-
-        pair_key = _pair_key(sx, sy)
-        replay.run(pair_key, box_checks)
-        tau_a = tau_a_of.get(pair_key)
+    escaping = set()
+    for pos, (sx, sy) in enumerate(ctx.factor_pairs()):
+        c = pairs.index[pos]
+        tau_a = tau_a_of.get(c)
         if tau_a is None:
-            tau_a = tau_a_of[pair_key] = ctx.facts(ctx.product_of(sx, sy)).tau_a_set
+            tau_a = tau_a_of[c] = ctx.facts(ctx.product_of(sx, sy)).tau_a_set
         topology_key = _product_topology_key(sx, sy)
         topology = topology_of.get(topology_key)
         if topology is None:
             topology = topology_of[topology_key] = ctx.product_of(sx, sy).space.topology.mask_set
-        if tau_a <= topology:
-            t.checks += 1
-            continue
+        if not tau_a <= topology:
+            escaping.add(pos)
+
+    def instance(pos: int) -> None:
+        sx, sy = ctx.pair_at(pos)
         prod = ctx.product_of(sx, sy)
+        t.verify(
+            product_topology_of_factors(sx, sy).mask_set <= ctx.facts(prod).tau_a_set,
+            "box-generated family escapes the product scope topology",
+            prod,
+        )
+        if pos not in escaping:
+            t.checks += 1
+            return
         t.verify(
             ctx.facts(prod).tau_a_set <= prod.space.topology.mask_set,
             "product scope topology escapes the product topology",
             prod,
         )
+
+    _Replay(t).walk(pairs.split(escaping) if escaping else pairs, instance)
 
 
 @_pair_law(
@@ -789,19 +956,30 @@ def _characterizations(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) 
     "a continuous onto image of a connected space is connected",
 )
 def _image_connected(ctx: LawContext, t: _Tally) -> None:
-    all_facts = [ctx.facts(s) for s in ctx.all_spaces()]
-    connected_src = [f for f in all_facts if f.connected and f.n >= 1]
+    """Each connected source is replayed under ``_image_key``: every
+    source of a class tests the same targets, in grid order, and the
+    message reads the source only when a check fails. A source asks
+    ``has_continuous_surjection`` once per ``_image_key`` class of the
+    targets."""
+    all_facts = [ctx.facts(s) for s in ctx.grid]
+    sources = [f for f in all_facts if f.connected and f.n >= 1]
     broken_dst = [f for f in all_facts if not f.connected]
-    for fs in connected_src:
-        for fd in broken_dst:
+    targets = _Classes(_image_key(f) for f in broken_dst)
+
+    def instance(pos: int) -> None:
+        fs = sources[pos]
+        onto = [ctx.has_continuous_surjection(fs, broken_dst[p]) for p in targets.first]
+        for fd, c in zip(broken_dst, targets.index):
             if fd.n > fs.n:
                 continue
             t.verify(
-                not ctx.has_continuous_surjection(fs, fd),
+                not onto[c],
                 lambda: "a continuous onto map lands a connected space on a disconnected one "
                 f"with scopes {['{:#x}'.format(m) for m in fd.scopes]}",
                 fs.space,
             )
+
+    _Replay(t).walk(_Classes(_image_key(f) for f in sources), instance)
 
 
 @_space_law(
@@ -902,22 +1080,13 @@ def _sym_trans_lc(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> No
     )
 
 
-def _convergence_sequences(universe: PointUniverse) -> list:
-    """Prefix and cycle sequences of lengths up to 2 and 3, with their text.
-
-    The text is rendered once here, and ``LawContext.sequences`` keeps the
-    table per universe, since the text is read only by failure messages.
-    """
-    return [(q, q.text()) for q in short_sequences(universe)]
-
-
 @_space_law(
     "transitive-convergence-criterion",
     CORE,
     "eventual containment in the scope matches convergence on transitive spaces",
 )
 def _convergence(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
-    """Replayed within a space per cycle mask.
+    """Within a space, walks the cycle-mask classes of its sequences.
 
     ``aura_limits`` tests cycle ⊆ hull(x) and ``transitive_criterion``
     tests cycle ⊆ a(x); both read a sequence only through
@@ -925,28 +1094,31 @@ def _convergence(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> Non
     ``aura_limits``. So on one space every sequence with a given cycle
     mask gets the verdicts of the first one, and a mask that fails is
     rerun on each of its sequences, in place and with its own text.
+    The text is rendered for each sequence the walk runs.
     """
     transitive = s.classification.transitive
-    replay = _Replay(t)
-    for q, text in ctx.sequences(s.universe):
+    labels = s.universe.labels
+    seqs, classes = ctx.sequences(s.universe)
 
-        def checks() -> None:
-            for x in s.universe.labels:
-                crit = transitive_criterion(s, q, x)
-                conv = converges_to(s, q, x)
+    def instance(pos: int) -> None:
+        q = seqs[pos]
+        text = q.text()
+        for x in labels:
+            crit = transitive_criterion(s, q, x)
+            conv = converges_to(s, q, x)
+            t.verify(
+                not crit or conv,
+                lambda: f"criterion holds at {x} for {text} without convergence",
+                s,
+            )
+            if transitive:
                 t.verify(
-                    not crit or conv,
-                    lambda: f"criterion holds at {x} for {text} without convergence",
+                    crit == conv,
+                    lambda: f"criterion and convergence split at {x} for {text} on a transitive space",
                     s,
                 )
-                if transitive:
-                    t.verify(
-                        crit == conv,
-                        lambda: f"criterion and convergence split at {x} for {text} on a transitive space",
-                        s,
-                    )
 
-        replay.run(q.cycle_mask(), checks)
+    _Replay(t).walk(classes, instance)
 
 
 @_space_law(
@@ -1076,29 +1248,27 @@ def _compact_limit(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> N
     "a continuous onto image of a compact space is compact",
 )
 def _image_compact(ctx: LawContext, t: _Tally) -> None:
-    """Each compact source is replayed under its size and τ_a.
+    """Each compact source is replayed under ``_image_key``: every
+    source of a class checks the same targets, in grid order. A source
+    asks ``has_continuous_surjection`` once per ``_image_key`` class of
+    the targets, and tests the compactness of every target it reaches."""
+    all_facts = [ctx.facts(s) for s in ctx.grid]
+    sources = [f for f in all_facts if is_aura_compact(f.space)]
 
-    ``has_continuous_surjection`` reads the source only through its size
-    and τ_a (continuity of a map is a preimage test against the two scope
-    topologies, and being onto reads the sizes), so every source of a
-    class checks the same targets, in ``all_facts`` order.
-    """
-    all_facts = [ctx.facts(s) for s in ctx.all_spaces()]
-    replay = _Replay(t)
-    for fs in all_facts:
-        if not is_aura_compact(fs.space):
-            continue
+    targets = _Classes(_image_key(f) for f in all_facts)
 
-        def checks() -> None:
-            for fd in all_facts:
-                if fd.n <= fs.n and ctx.has_continuous_surjection(fs, fd):
-                    t.verify(
-                        is_aura_compact(fd.space),
-                        "continuous onto image of a compact space flagged non-compact",
-                        fd.space,
-                    )
+    def instance(pos: int) -> None:
+        fs = sources[pos]
+        onto = [ctx.has_continuous_surjection(fs, all_facts[p]) for p in targets.first]
+        for fd, c in zip(all_facts, targets.index):
+            if onto[c]:
+                t.verify(
+                    is_aura_compact(fd.space),
+                    "continuous onto image of a compact space flagged non-compact",
+                    fd.space,
+                )
 
-        replay.run((fs.n, fs.space.aura_topology_masks), checks)
+    _Replay(t).walk(_Classes(_image_key(f) for f in sources), instance)
 
 
 @_pair_law(
@@ -1111,9 +1281,7 @@ def _projections(ctx: LawContext, t: _Tally, sx: AuraSpace, sy: AuraSpace) -> No
     sizes, and continuity, connectedness and compactness read only the
     scope topologies of the product and the factors."""
     prod = ctx.product_of(sx, sy)
-    nx, ny = sx.n, sy.n
-    left = FiniteMap(prod.universe, sx.universe, [k // ny for k in range(nx * ny)])
-    right = FiniteMap(prod.universe, sy.universe, [k % ny for k in range(nx * ny)])
+    left, right = ctx.projections(prod, sx, sy)
     t.verify(is_aura_continuous(left, prod, sx), "left projection is not continuous", prod)
     t.verify(is_aura_continuous(right, prod, sy), "right projection is not continuous", prod)
     t.verify(left.is_surjective() and right.is_surjective(), "projection is not onto", prod)

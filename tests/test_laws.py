@@ -644,6 +644,102 @@ def test_law_suite_builds_each_subspace_once(monkeypatch):
     assert len(built) == 461
 
 
+def _walk_every_instance(self, table, run):
+    # A walk that runs every instance, in grid order.
+    for pos in range(len(table)):
+        run(pos)
+
+
+def test_walk_replays_failing_classes_in_grid_order():
+    # Classes a, b, c interleaved. Class a fails at 0 and 2 and passes at 5,
+    # so 7 only adds the count of 5; class b fails everywhere; class c
+    # passes at its first instance, so 8 never runs.
+    keys = ["a", "b", "a", "c", "b", "a", "b", "a", "c"]
+    failing = {0, 1, 2, 4, 6}
+    table = laws._Classes(keys)
+    assert list(table.index) == [0, 1, 0, 2, 1, 0, 1, 0, 2]
+    assert (table.first, table.size) == ([0, 1, 3], [4, 3, 2])
+    assert list(table.later(0)) == [2, 5, 7]
+
+    def walked(walk) -> tuple:
+        t = laws._Tally("synthetic")
+        ran = []
+
+        def run(pos):
+            ran.append(pos)
+            t.verify(True, "never")
+            t.verify(pos not in failing, f"{keys[pos]} fails at {pos}")
+
+        walk(laws._Replay(t), table, run)
+        return ran, (t.checks, t.failed, tuple(t.messages))
+
+    ran, outcome = walked(laws._Replay.walk)
+    assert ran == [0, 1, 2, 3, 4, 5, 6]
+    assert outcome == (18, 5, tuple(
+        f"synthetic: {keys[pos]} fails at {pos}" for pos in sorted(failing)
+    ))
+    assert walked(_walk_every_instance) == (list(range(9)), outcome)
+
+
+def test_walk_matches_a_walk_of_every_instance_under_faults(monkeypatch):
+    # Every fault that breaks some replay classes or class memos, at sizes
+    # up to 3: the walk must report what a walk that runs every instance
+    # reports.
+    faults = [*SCOPE_REPLAY_FAULTS.items(), *REPLAY_FAULTS.items(), *CLASS_MEMO_FAULTS.items()]
+    for name, fault in faults:
+        outcomes = []
+        for walk in (laws._Replay.walk, _walk_every_instance):
+            with monkeypatch.context() as m:
+                fault(m)
+                m.setattr(laws._Replay, "walk", walk)
+                (o,) = run_laws(names=[name], max_n=3).outcomes
+            outcomes.append((o.checks, o.failed, o.failures))
+        assert outcomes[0] == outcomes[1], name
+        assert outcomes[0][1] > 0, name
+
+
+def test_decided_instances_are_pinned():
+    # A passing run decides one instance per class: 70 scope tuples, 528
+    # pair classes, 461 cycle-mask classes inside the convergence law's 70
+    # spaces, and 23 and 35 (size, τ_a) source classes for the connected
+    # and compact image laws. scope-topology-subfamily runs on every space.
+    ctx = LawContext(3)
+    decided = {}
+    for law in laws.LAWS:
+        t = laws._Tally(law.name)
+        law.run(ctx, t)
+        assert t.failed == 0
+        decided[law.name] = t.decided
+    pair_laws = {"product-closure-box", "product-topology-chain", "product-transitive-equality",
+                 "projection-continuity", "product-connected-factors"}
+    others = {"scope-topology-subfamily", "transitive-convergence-criterion",
+              "continuous-image-connected", "continuous-image-compact"}
+    assert {name: decided[name] for name in pair_laws} == dict.fromkeys(pair_laws, 528)
+    space_laws = set(LAW_NAMES) - pair_laws - others
+    assert {name: decided[name] for name in space_laws} == dict.fromkeys(space_laws, 70)
+    assert decided["scope-topology-subfamily"] == 373
+    assert decided["transitive-convergence-criterion"] == 70 + 461
+    assert decided["continuous-image-connected"] == 23
+    assert decided["continuous-image-compact"] == 35
+
+
+def test_product_closure_box_closes_only_the_boxes(monkeypatch):
+    # 16 boxes on each of the 16 two-by-two pair classes and 32 on each of
+    # the 512 others: 16,640 product closures, where closing every subset
+    # of each product took 33,024.
+    calls = []
+    real = kernel.aura_closure_mask
+
+    def counted(n, scopes, a):
+        calls.append(n)
+        return real(n, scopes, a)
+
+    monkeypatch.setattr(kernel, "aura_closure_mask", counted)
+    (o,) = run_laws(names=["product-closure-box"], max_n=3).outcomes
+    assert o.ok and o.checks == 209808
+    assert sum(1 for n in calls if n >= 4) == 16 * 16 + 512 * 32 == 16640
+
+
 def test_convergence_operators_run_once_per_cycle_mask(monkeypatch):
     # The first space of each scope tuple runs the operators on one sequence
     # per nonempty cycle mask and point: 1·1 on the one-point tuple, 2·3 on
@@ -659,7 +755,7 @@ def test_convergence_operators_run_once_per_cycle_mask(monkeypatch):
     ctx = LawContext(2)
     report = run_laws(names=["transitive-convergence-criterion"], ctx=ctx)
     assert report.ok
-    sizes = {laws._scope_key(s): s.n for s in ctx.all_spaces()}
+    sizes = {laws._scope_key(s): s.n for s in ctx.grid}
     assert len(calls) == sum(n * ((1 << n) - 1) for n in sizes.values()) == 25
 
 
@@ -677,7 +773,7 @@ def test_convergence_reruns_a_failing_cycle_mask_in_place(monkeypatch):
     for replayed in (True, False):
         with monkeypatch.context() as m:
             if not replayed:
-                m.setattr(laws._Replay, "run", lambda self, key, checks: checks())
+                m.setattr(laws._Replay, "walk", _walk_every_instance)
             (o,) = run_laws(names=["transitive-convergence-criterion"], max_n=2).outcomes
         outcomes.append((o.checks, o.failed, o.failures))
     law = "transitive-convergence-criterion"
@@ -723,7 +819,7 @@ def test_compact_chain_runs_one_cover_scan_per_scope_tuple(monkeypatch):
     ctx = LawContext(3)
     (o,) = run_laws(names=["compact-chain-flags"], ctx=ctx).outcomes
     assert o.ok
-    assert calls == [True] * len({laws._scope_key(s) for s in ctx.all_spaces()})
+    assert calls == [True] * len({laws._scope_key(s) for s in ctx.grid})
     assert len(calls) == 70
 
 
@@ -738,13 +834,14 @@ def test_convergence_verdicts_read_only_the_cycle_mask():
     for s in spaces:
         labels = s.universe.labels
         verdicts = {}
-        for q, text in ctx.sequences(s.universe):
+        seqs, classes = ctx.sequences(s.universe)
+        for pos, q in enumerate(seqs):
             got = (
                 aura_limits(s, q),
                 tuple(converges_to(s, q, x) for x in labels),
                 tuple(transitive_criterion(s, q, x) for x in labels),
             )
-            want = verdicts.setdefault(q.cycle_mask(), got)
+            want = verdicts.setdefault(classes.index[pos], got)
             if got != want:
-                mismatches.append((repr(s), text))
+                mismatches.append((repr(s), q.text()))
     assert mismatches == []
