@@ -18,8 +18,8 @@ so a process compiles and runs only those. Every command loads ``cli``,
 - ``search``, ``matrix``, ``enumerate``: ``search``, ``connectivity`` and
   ``constructions``;
 - ``symbolic``: ``symbolic``;
-- ``verify-paper``: ``verification``, ``laws``, ``fixtures`` and every
-  layer they use.
+- ``verify-paper``: ``verification``, ``fixtures`` and every layer they
+  use, and ``laws`` and ``search`` unless ``--skip-laws`` is given.
 
 Only ``sequences`` and the lab layers of ``symbolic`` and ``verify-paper``
 import ``dataclasses``.

@@ -16,20 +16,20 @@ statement about one space and a pair law (``_pair_law``) one about a
 factor pair; the driver owns the walk over the grid described next.
 
 Laws whose instances repeat one verdict many times run through class
-replay (``_Replay``), the module's one replay. ``LawContext`` builds a
+replay (``_walk``), the module's one replay. ``LawContext`` builds a
 class table (``_Classes``) once per run for each instance list: the
 grid spaces under ``_scope_key``, the labels and the scope tuple (373
 spaces, 70 classes); the factor pairs under ``_pair_key``, both sizes
 and scope tuples (6,597 pairs, 528 classes); and each universe's
 sequences under their cycle mask (507 sequences, 7 classes on three
-points). The replay walks the table: the first instance of each class
+points). ``_walk`` walks a table: the first instance of each class
 is decided through the operators and stands for the whole class, and a
 class that fails is replayed instance by instance, in grid order, so
 reports under a fault keep their bytes. Every space law and
 ``cech-closure-axioms`` walk the scope classes, the pair laws and the
 box half of ``product-topology-chain`` the pair classes, and the
 convergence criterion, within a space, the cycle-mask classes. The two
-image laws walk their sources under size and τ_a.
+image laws walk their sources under size and τ_a (``_image_walk``).
 ``scope-topology-subfamily`` reads the ambient topology, so it runs on
 every space. ``product-topology-chain`` checks every pair but memoises,
 per class, the product's two topologies.
@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from heapq import heappop, heappush
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
@@ -318,9 +318,7 @@ class _Tally:
     checks: int = 0
     failed: int = 0
     decided: int = 0
-
-    def __post_init__(self):
-        self.messages: List[str] = []
+    messages: List[str] = field(default_factory=list)
 
     def verify(self, ok: bool, detail: Message, s: Optional[AuraSpace] = None) -> None:
         """Count one check; a callable ``detail`` is called only on failure."""
@@ -374,12 +372,13 @@ class _Classes:
         return _Classes(-1 - p if p in alone else c for p, c in enumerate(self.index))
 
 
-class _Replay:
-    """Class replay: decide each class of check instances once.
+def _walk(t: _Tally, table: _Classes, run: Callable[[int], None]) -> None:
+    """Class replay: call ``run(pos)`` on the instances of ``table`` that
+    decide its classes, and add the checks of the others to ``t``.
 
     A law builds each instance's key from exactly the inputs its verdict
     reads, so every instance of a class makes the same checks with the
-    same outcomes, and :meth:`walk` runs the law over a class table of
+    same outcomes, and the walk runs the law over a class table of
     its instance list. A heap of positions starts with the first
     instance of each class. When a first instance passes, the other
     ``size - 1`` instances of its class add its check count and never
@@ -408,35 +407,28 @@ class _Replay:
     to those of runs that checked every instance, and compares the walk
     with one that runs every instance.
     """
-
-    def __init__(self, t: _Tally):
-        self.t = t
-
-    def walk(self, table: _Classes, run: Callable[[int], None]) -> None:
-        """Call ``run(pos)`` on the instances the replay decides."""
-        t = self.t
-        index, first, size = table.index, table.first, table.size
-        heap = list(first)  # ascending, so already a heap
-        passed: Dict[int, int] = {}
-        while heap:
-            pos = heappop(heap)
-            c = index[pos]
-            count = passed.get(c)
-            if count is not None:
-                t.checks += count
-                continue
-            before, failed = t.checks, t.failed
-            run(pos)
-            t.decided += 1
-            if t.failed == failed:
-                count = t.checks - before
-                if pos == first[c]:
-                    t.checks += (size[c] - 1) * count
-                else:
-                    passed[c] = count
-            elif pos == first[c]:
-                for p in table.later(c):
-                    heappush(heap, p)
+    index, first, size = table.index, table.first, table.size
+    heap = list(first)  # ascending, so already a heap
+    passed: Dict[int, int] = {}
+    while heap:
+        pos = heappop(heap)
+        c = index[pos]
+        count = passed.get(c)
+        if count is not None:
+            t.checks += count
+            continue
+        before, failed = t.checks, t.failed
+        run(pos)
+        t.decided += 1
+        if t.failed == failed:
+            count = t.checks - before
+            if pos == first[c]:
+                t.checks += (size[c] - 1) * count
+            else:
+                passed[c] = count
+        elif pos == first[c]:
+            for p in table.later(c):
+                heappush(heap, p)
 
 
 def _pair_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
@@ -587,12 +579,7 @@ def _space_law(name: str, tier: str, description: str):
     def wrap(fn):
         def run(ctx: LawContext, t: _Tally) -> None:
             grid = ctx.grid
-
-            def instance(pos: int) -> None:
-                s = grid[pos]
-                fn(ctx, t, s, ctx.facts(s))
-
-            _Replay(t).walk(ctx.scope_classes, instance)
+            _walk(t, ctx.scope_classes, lambda pos: fn(ctx, t, grid[pos], ctx.facts(grid[pos])))
         _law(name, tier, description)(run)
         return fn
     return wrap
@@ -608,7 +595,7 @@ def _pair_law(name: str, tier: str, description: str):
     """
     def wrap(fn):
         def run(ctx: LawContext, t: _Tally) -> None:
-            _Replay(t).walk(ctx.pair_classes, lambda pos: fn(ctx, t, *ctx.pair_at(pos)))
+            _walk(t, ctx.pair_classes, lambda pos: fn(ctx, t, *ctx.pair_at(pos)))
         _law(name, tier, description)(run)
         return fn
     return wrap
@@ -650,7 +637,7 @@ def _cech_axioms(ctx: LawContext, t: _Tally) -> None:
                         s,
                     )
 
-    _Replay(t).walk(ctx.scope_classes, instance)
+    _walk(t, ctx.scope_classes, instance)
     if ctx.max_n >= 3:
         t.verify(
             not idempotent_everywhere,
@@ -761,6 +748,16 @@ def _transitive_base(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) ->
         )
 
 
+def _trace(mask: int, positions: list) -> int:
+    """``mask`` cut to the carrier with ascending points ``positions`` and
+    renumbered, apart from ``constructions.subspace``, which the laws check."""
+    out = 0
+    for k, p in enumerate(positions):
+        if (mask >> p) & 1:
+            out |= 1 << k
+    return out
+
+
 @_space_law(
     "subspace-closure-trace",
     CORE,
@@ -768,23 +765,16 @@ def _transitive_base(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) ->
 )
 def _subspace_closure(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
     for ym in range(1, f.size):
-        sub = ctx.subspace_of(s, ym)
         positions = list(mask_indices(ym))
-        fs = ctx.facts(sub)
-        for a_sub in range(1 << len(positions)):
-            a_orig = 0
-            for k, p in enumerate(positions):
-                if (a_sub >> k) & 1:
-                    a_orig |= 1 << p
-            expect = 0
-            for k, p in enumerate(positions):
-                if (f.cl[a_orig] >> p) & 1:
-                    expect |= 1 << k
-            t.verify(
-                fs.cl[a_sub] == expect,
-                lambda: f"subspace closure of {a_sub:#x} in carrier {ym:#x} is not the trace",
-                s,
-            )
+        fs = ctx.facts(ctx.subspace_of(s, ym))
+        for a in range(f.size):
+            if not a & ~ym:
+                a_sub = _trace(a, positions)
+                t.verify(
+                    fs.cl[a_sub] == _trace(f.cl[a], positions),
+                    lambda: f"subspace closure of {a_sub:#x} in carrier {ym:#x} is not the trace",
+                    s,
+                )
 
 
 @_space_law(
@@ -794,16 +784,9 @@ def _subspace_closure(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -
 )
 def _subspace_tau(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
     for ym in range(1, f.size):
-        sub = ctx.subspace_of(s, ym)
         positions = list(mask_indices(ym))
-        pos = {p: k for k, p in enumerate(positions)}
-        fs = ctx.facts(sub)
-        trace = set()
-        for u in s.aura_topology_masks:
-            m = 0
-            for p in mask_indices(u & ym):
-                m |= 1 << pos[p]
-            trace.add(m)
+        fs = ctx.facts(ctx.subspace_of(s, ym))
+        trace = {_trace(u, positions) for u in s.aura_topology_masks}
         t.verify(
             trace <= fs.tau_a_set,
             lambda: f"trace family escapes the subspace scope topology on carrier {ym:#x}",
@@ -897,7 +880,7 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
             prod,
         )
 
-    _Replay(t).walk(pairs.split(escaping) if escaping else pairs, instance)
+    _walk(t, pairs.split(escaping) if escaping else pairs, instance)
 
 
 @_pair_law(
@@ -925,29 +908,34 @@ def _product_equality(ctx: LawContext, t: _Tally, sx: AuraSpace, sy: AuraSpace) 
 )
 def _characterizations(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
     two = ctx.discrete_pair
-    clopen_free = True
-    for a in range(1, f.full):
-        if a in f.tau_a_set and is_aura_closed(s, a):
-            clopen_free = False
-            break
+    clopen_free = not any(a in f.tau_a_set and is_aura_closed(s, a) for a in range(1, f.full))
     t.verify(
         f.connected == clopen_free,
         "separation verdict disagrees with the proper clopen scan",
         s,
     )
-    splittable = False
-    for images in itertools.product((0, 1), repeat=f.n):
-        if len(set(images)) < 2:
-            continue
-        m = FiniteMap(s.universe, two.universe, images)
-        if is_aura_continuous(m, s, two):
-            splittable = True
-            break
+    splittable = any(is_aura_continuous(m, s, two) for m in ctx.onto_maps(s.universe, two.universe))
     t.verify(
         f.connected == (not splittable),
         "two-point discrete maps disagree with the separation verdict",
         s,
     )
+
+
+def _image_walk(ctx: LawContext, t: _Tally, sources: list, targets: list,
+                check: Callable[[SpaceFacts, SpaceFacts, bool], None]) -> None:
+    """Walk ``sources`` under ``_image_key``, calling ``check(fs, fd, onto)``
+    on each target ``fd`` in grid order, with ``onto`` whether a continuous
+    onto map carries ``fs`` to ``fd``: asked once per class of targets."""
+    classes = _Classes(_image_key(f) for f in targets)
+
+    def instance(pos: int) -> None:
+        fs = sources[pos]
+        onto = [ctx.has_continuous_surjection(fs, targets[p]) for p in classes.first]
+        for fd, c in zip(targets, classes.index):
+            check(fs, fd, onto[c])
+
+    _walk(t, _Classes(_image_key(f) for f in sources), instance)
 
 
 @_law(
@@ -956,30 +944,21 @@ def _characterizations(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) 
     "a continuous onto image of a connected space is connected",
 )
 def _image_connected(ctx: LawContext, t: _Tally) -> None:
-    """Each connected source is replayed under ``_image_key``: every
-    source of a class tests the same targets, in grid order, and the
-    message reads the source only when a check fails. A source asks
-    ``has_continuous_surjection`` once per ``_image_key`` class of the
-    targets."""
+    """The sources are the nonempty connected spaces, the targets the
+    disconnected ones; the message reads the source only on a failure."""
     all_facts = [ctx.facts(s) for s in ctx.grid]
-    sources = [f for f in all_facts if f.connected and f.n >= 1]
-    broken_dst = [f for f in all_facts if not f.connected]
-    targets = _Classes(_image_key(f) for f in broken_dst)
 
-    def instance(pos: int) -> None:
-        fs = sources[pos]
-        onto = [ctx.has_continuous_surjection(fs, broken_dst[p]) for p in targets.first]
-        for fd, c in zip(broken_dst, targets.index):
-            if fd.n > fs.n:
-                continue
+    def check(fs: SpaceFacts, fd: SpaceFacts, onto: bool) -> None:
+        if fd.n <= fs.n:
             t.verify(
-                not onto[c],
+                not onto,
                 lambda: "a continuous onto map lands a connected space on a disconnected one "
                 f"with scopes {['{:#x}'.format(m) for m in fd.scopes]}",
                 fs.space,
             )
 
-    _Replay(t).walk(_Classes(_image_key(f) for f in sources), instance)
+    _image_walk(ctx, t, [f for f in all_facts if f.connected and f.n >= 1],
+                [f for f in all_facts if not f.connected], check)
 
 
 @_space_law(
@@ -1118,7 +1097,7 @@ def _convergence(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> Non
                     s,
                 )
 
-    _Replay(t).walk(classes, instance)
+    _walk(t, classes, instance)
 
 
 @_space_law(
@@ -1132,17 +1111,11 @@ def _fip_law(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
     for size in range(0, min(4, len(closed)) + 1):
         for combo in itertools.combinations(closed, size):
             res = fip(s, [PointSet(s.universe, m) for m in combo])
-            literal = True
-            for r in range(len(combo) + 1):
-                for sub in itertools.combinations(combo, r):
-                    inter = f.full
-                    for m in sub:
-                        inter &= m
-                    if inter == 0:
-                        literal = False
-                        break
-                if not literal:
-                    break
+            literal = all(
+                reduce(int.__and__, sub, f.full)
+                for r in range(len(combo) + 1)
+                for sub in itertools.combinations(combo, r)
+            )
             t.verify(
                 res.fip_holds == literal,
                 lambda: f"shortcut disagrees with the literal scan on family {list(combo)}",
@@ -1202,14 +1175,9 @@ def _t2_closed(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
     "scope-open implies alpha, alpha implies semi and pre, and their union sits inside beta",
 )
 def _hierarchy(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
-    fams = {
-        cls: {ps.mask for ps in generalized_family(s, cls)}
-        for cls in GeneralizedClass
-    }
-    alpha = fams[GeneralizedClass.ALPHA]
-    semi = fams[GeneralizedClass.SEMI]
-    pre = fams[GeneralizedClass.PRE]
-    beta = fams[GeneralizedClass.BETA]
+    alpha, semi, pre, beta = (
+        {ps.mask for ps in generalized_family(s, cls)} for cls in GeneralizedClass
+    )
     t.verify(f.tau_a_set <= alpha, "a scope-open set is not alpha-open", s)
     t.verify(alpha <= semi & pre, "an alpha-open set is not both semi- and pre-open", s)
     t.verify(semi | pre <= beta, "a semi- or pre-open set is not beta-open", s)
@@ -1248,27 +1216,19 @@ def _compact_limit(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> N
     "a continuous onto image of a compact space is compact",
 )
 def _image_compact(ctx: LawContext, t: _Tally) -> None:
-    """Each compact source is replayed under ``_image_key``: every
-    source of a class checks the same targets, in grid order. A source
-    asks ``has_continuous_surjection`` once per ``_image_key`` class of
-    the targets, and tests the compactness of every target it reaches."""
+    """The sources are the compact spaces and the targets every space; a
+    source tests the compactness of every target it reaches."""
     all_facts = [ctx.facts(s) for s in ctx.grid]
-    sources = [f for f in all_facts if is_aura_compact(f.space)]
 
-    targets = _Classes(_image_key(f) for f in all_facts)
+    def check(fs: SpaceFacts, fd: SpaceFacts, onto: bool) -> None:
+        if onto:
+            t.verify(
+                is_aura_compact(fd.space),
+                "continuous onto image of a compact space flagged non-compact",
+                fd.space,
+            )
 
-    def instance(pos: int) -> None:
-        fs = sources[pos]
-        onto = [ctx.has_continuous_surjection(fs, all_facts[p]) for p in targets.first]
-        for fd, c in zip(all_facts, targets.index):
-            if onto[c]:
-                t.verify(
-                    is_aura_compact(fd.space),
-                    "continuous onto image of a compact space flagged non-compact",
-                    fd.space,
-                )
-
-    _Replay(t).walk(_Classes(_image_key(f) for f in sources), instance)
+    _image_walk(ctx, t, [f for f in all_facts if is_aura_compact(f.space)], all_facts, check)
 
 
 @_pair_law(
@@ -1344,12 +1304,6 @@ def run_laws(
         tally = _Tally(law.name)
         law.run(ctx, tally)
         outcomes.append(
-            LawOutcome(
-                name=law.name,
-                tier=law.tier,
-                checks=tally.checks,
-                failed=tally.failed,
-                failures=tuple(tally.messages),
-            )
+            LawOutcome(law.name, law.tier, tally.checks, tally.failed, tuple(tally.messages))
         )
     return LawReport(max_n=ctx.max_n, outcomes=outcomes)

@@ -10,15 +10,17 @@ of a bare assertion error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .aura import AuraSpace, classify
 from .connectivity import aura_components, is_aura_connected, is_aura_path_connected
 from .constructions import product, subspace
 from .finite import family_text, is_tau_connected, mask_indices
 from .fixtures import PRODUCT_PAIRS, load_fixture
-from .laws import LawReport, run_laws
 from .sequences import aura_limits, parse_sequence
+
+if TYPE_CHECKING:
+    from .laws import LawReport
 
 
 @dataclass(frozen=True)
@@ -191,5 +193,9 @@ def run_verification(
     law_max_n: int = 3,
 ) -> VerificationReport:
     checks = tuple(fixture_checks(fixtures_dir))
-    laws = run_laws(max_n=law_max_n) if include_laws else None
+    laws = None
+    if include_laws:
+        from .laws import run_laws
+
+        laws = run_laws(max_n=law_max_n)
     return VerificationReport(checks=checks, laws=laws)

@@ -50,6 +50,7 @@ def _loaded_after(argv):
     (["search", "--size", "2", "--where", "aConnected"], LAB + ("documents",)),
     (["convergence", str(SIERPINSKI), "--seq", ";a"],
      ("laws", "verification", "symbolic", "covering", "genopen", "fixtures")),
+    (["verify-paper", "--skip-laws"], ("laws", "search")),
 ])
 def test_commands_import_only_their_layers(argv, skipped):
     loaded = [m for m in _loaded_after(argv) if m.startswith("auratopo.")]

@@ -1,9 +1,12 @@
+import importlib.util
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from auratopo import LAW_NAMES, run_laws
+from auratopo.aura import AuraSpace, ScopeFunction
 from auratopo.constructions import product
 from auratopo.finite import FiniteTopSpace, PointSet, TopologyFamily
 from auratopo.genopen import GeneralizedClass
@@ -405,6 +408,30 @@ def _break_criterion(monkeypatch):
     )
 
 
+def _break_source_continuity(monkeypatch):
+    # Every map out of the space is continuous.
+    real = laws.is_aura_continuous
+    monkeypatch.setattr(
+        laws, "is_aura_continuous", lambda f, src, dst: _full_first_scope(src) or real(f, src, dst)
+    )
+
+
+def _break_subspace_scope(monkeypatch):
+    # Each two-point subspace has the scope of its first point cut to that
+    # point, open or not.
+    real = laws.subspace
+
+    def broken(s, carrier):
+        sub = real(s, carrier)
+        if sub.n != 2 or not _full_first_scope(s):
+            return sub
+        cut = AuraSpace.__new__(AuraSpace)
+        cut.space, cut.scope = sub.space, ScopeFunction(sub.universe, (1, sub.scope.masks[1]))
+        return cut
+
+    monkeypatch.setattr(laws, "subspace", broken)
+
+
 SCOPE_REPLAY_FAULTS = {
     "cech-closure-axioms": _break_first_full_closure,
     "derived-closure-decomposition": _break_derived_set,
@@ -414,6 +441,9 @@ SCOPE_REPLAY_FAULTS = {
     "generalized-open-hierarchy": _break_generalized_family,
     "fip-compactness-equivalence": _break_scope_compactness,
     "transitive-convergence-criterion": _break_criterion,
+    "connected-characterizations": _break_source_continuity,
+    "subspace-closure-trace": _break_subspace_scope,
+    "subspace-topology-inclusion": _break_subspace_scope,
 }
 
 DISCRETE_2_SCOPES = DISCRETE_2[:DISCRETE_2.index("scopes ") + len("scopes ")]
@@ -446,6 +476,7 @@ def test_scope_replayed_fault_outcomes_are_pinned(monkeypatch):
         SIERPINSKI_A + "a:{a,b} b:{a,b}",
         SIERPINSKI_B + "a:{a,b} b:{b}",
     ]
+    two_point_first_full = first_full_spaces[1:] + [SIERPINSKI_B + "a:{a,b} b:{a,b}"]
     got = {}
     for name, fault in SCOPE_REPLAY_FAULTS.items():
         with monkeypatch.context() as m:
@@ -497,6 +528,18 @@ def test_scope_replayed_fault_outcomes_are_pinned(monkeypatch):
             (split.format(";a,a"), first_full),
             (no_convergence.format(";a,b"), first_full),
         ]),
+        "connected-characterizations": _pinned(
+            "connected-characterizations", 746, 157,
+            "two-point discrete maps disagree with the separation verdict", two_point_first_full,
+        ),
+        "subspace-closure-trace": _pinned(
+            "subspace-closure-trace", 9486, 408,
+            "subspace closure of 0x2 in carrier 0x3 is not the trace", two_point_first_full,
+        ),
+        "subspace-topology-inclusion": _pinned(
+            "subspace-topology-inclusion", 3934, 232,
+            "transitive space has a strict trace on carrier 0x3", two_point_first_full,
+        ),
     }
 
 
@@ -644,7 +687,7 @@ def test_law_suite_builds_each_subspace_once(monkeypatch):
     assert len(built) == 461
 
 
-def _walk_every_instance(self, table, run):
+def _walk_every_instance(t, table, run):
     # A walk that runs every instance, in grid order.
     for pos in range(len(table)):
         run(pos)
@@ -670,10 +713,10 @@ def test_walk_replays_failing_classes_in_grid_order():
             t.verify(True, "never")
             t.verify(pos not in failing, f"{keys[pos]} fails at {pos}")
 
-        walk(laws._Replay(t), table, run)
+        walk(t, table, run)
         return ran, (t.checks, t.failed, tuple(t.messages))
 
-    ran, outcome = walked(laws._Replay.walk)
+    ran, outcome = walked(laws._walk)
     assert ran == [0, 1, 2, 3, 4, 5, 6]
     assert outcome == (18, 5, tuple(
         f"synthetic: {keys[pos]} fails at {pos}" for pos in sorted(failing)
@@ -688,10 +731,10 @@ def test_walk_matches_a_walk_of_every_instance_under_faults(monkeypatch):
     faults = [*SCOPE_REPLAY_FAULTS.items(), *REPLAY_FAULTS.items(), *CLASS_MEMO_FAULTS.items()]
     for name, fault in faults:
         outcomes = []
-        for walk in (laws._Replay.walk, _walk_every_instance):
+        for walk in (laws._walk, _walk_every_instance):
             with monkeypatch.context() as m:
                 fault(m)
-                m.setattr(laws._Replay, "walk", walk)
+                m.setattr(laws, "_walk", walk)
                 (o,) = run_laws(names=[name], max_n=3).outcomes
             outcomes.append((o.checks, o.failed, o.failures))
         assert outcomes[0] == outcomes[1], name
@@ -721,6 +764,26 @@ def test_decided_instances_are_pinned():
     assert decided["transitive-convergence-criterion"] == 70 + 461
     assert decided["continuous-image-connected"] == 23
     assert decided["continuous-image-compact"] == 35
+
+
+def test_laws_bench_runs_and_reports_the_pinned_counts():
+    # benchmarks/laws_bench.py reaches into the module's internals; one of its
+    # runs must see the counts that the tests above pin.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "laws_bench.py"
+    spec = importlib.util.spec_from_file_location("laws_bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    run = bench._one_run()
+    assert sum(checks for _, checks, _ in run["laws"].values()) == 1324421
+    decided = {name: row[2] for name, row in run["laws"].items()}
+    pair_laws = {"product-closure-box", "product-topology-chain", "product-transitive-equality",
+                 "projection-continuity", "product-connected-factors"}
+    expected = {name: 528 if name in pair_laws else 70 for name in LAW_NAMES}
+    expected.update({"scope-topology-subfamily": 373, "transitive-convergence-criterion": 70 + 461,
+                     "continuous-image-connected": 23, "continuous-image-compact": 35})
+    assert decided == expected
+    assert run["products"] <= 773
+    assert run["subspaces"] == 461
 
 
 def test_product_closure_box_closes_only_the_boxes(monkeypatch):
@@ -773,7 +836,7 @@ def test_convergence_reruns_a_failing_cycle_mask_in_place(monkeypatch):
     for replayed in (True, False):
         with monkeypatch.context() as m:
             if not replayed:
-                m.setattr(laws._Replay, "walk", _walk_every_instance)
+                m.setattr(laws, "_walk", _walk_every_instance)
             (o,) = run_laws(names=["transitive-convergence-criterion"], max_n=2).outcomes
         outcomes.append((o.checks, o.failed, o.failures))
     law = "transitive-convergence-criterion"
