@@ -22,15 +22,14 @@ _EXPORTS = {
         "UnknownAtom", "UnknownFamily", "UnknownPoint", "WorkersOutOfRange",
     ),
     "finite": (
-        "FiniteTopSpace", "PointSet", "PointUniverse", "TopologyFamily",
-        "generate_topology", "is_tau_connected", "validate_topology",
+        "PointSet", "PointUniverse", "TopologyFamily", "generate_topology",
+        "is_tau_connected", "validate_topology",
     ),
     "aura": (
-        "AuraClassification", "AuraSpace", "FiniteMap", "ScopeFunction",
-        "SeparationAxioms", "aura_closure", "aura_interior", "aura_topology",
-        "classify", "derived_set", "hull", "is_aura_closed",
-        "is_aura_continuous", "is_aura_open", "make_aura_space",
-        "separation_axioms",
+        "AuraClassification", "AuraSpace", "FiniteMap", "SeparationAxioms",
+        "aura_closure", "aura_interior", "aura_topology", "classify",
+        "derived_set", "hull", "is_aura_closed", "is_aura_continuous",
+        "is_aura_open", "make_aura_space", "separation_axioms",
     ),
     "genopen": ("GeneralizedClass", "generalized_family", "is_generalized_open"),
     "covering": (

@@ -1,10 +1,13 @@
 """Scope functions on finite spaces and the operators they induce.
 
-An aura space is a finite topological space together with a scope
-function assigning every point an open set containing it. The scope
-drives a Cech-style closure (additive but not idempotent in general),
-an interior, a derived set, and a coarser topology of scope-open sets,
-materialized here through minimal hulls rather than a powerset scan.
+An aura space (X, τ, 𝔞) is a topology τ on a finite set X together with a
+scope function 𝔞 assigning every point an open set containing it. It is
+stored as exactly those parts: ``AuraSpace(topology, scope_masks)``, where
+the ``TopologyFamily`` carries X as its universe and the scope masks are
+one per point, in universe order. The scope drives a Cech-style closure
+(additive but not idempotent in general), an interior, a derived set, and
+a coarser topology of scope-open sets, materialized here through minimal
+hulls rather than a powerset scan.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from . import kernel
 from .kernel import comparability_rows
 from .errors import OpenSetNotInTopology, PointNotInOwnAura
 from .finite import (
-    FiniteTopSpace,
     PointSet,
     PointUniverse,
     TopologyFamily,
@@ -27,73 +29,46 @@ from .finite import (
 )
 
 
-class ScopeFunction:
-    """Per-point scope masks; bit i must be set in entry i."""
-
-    __slots__ = ("universe", "masks")
-
-    def __init__(self, universe: PointUniverse, masks: Sequence[int]):
-        masks = tuple(int(m) for m in masks)
-        if len(masks) != universe.n:
-            raise ValueError("scope function must assign every point exactly once")
-        self.universe = universe
-        self.masks = masks
-
-    def of(self, label: str) -> PointSet:
-        return PointSet(self.universe, self.masks[self.universe.index(label)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ScopeFunction)
-            and self.universe == other.universe
-            and self.masks == other.masks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.universe.labels, self.masks))
-
-
 AuraClassification = namedtuple("AuraClassification", "transitive symmetric trivial discrete")
 
 SeparationAxioms = namedtuple("SeparationAxioms", "t0 t1 t2")
 
 
 class AuraSpace:
-    """Validated aura space; immutable, safe to share between workers.
+    """Validated aura space (X, τ, 𝔞): a topology on X and a scope mask per
+    point; immutable, safe to share between workers.
 
     Construction is eager: every scope value must be open and contain
     its point, so an invalid aura space never exists.
     """
 
-    __slots__ = ("space", "scope", "__dict__")
+    __slots__ = ("topology", "scope_masks", "__dict__")
 
-    def __init__(self, space: FiniteTopSpace, scope: ScopeFunction):
-        if scope.universe != space.universe:
-            raise ValueError("scope function lives in a different universe")
-        for i, m in enumerate(scope.masks):
-            if m not in space.topology.mask_set:
-                raise OpenSetNotInTopology(space.universe.labels[i])
+    def __init__(self, topology: TopologyFamily, scope_masks: Sequence[int]):
+        scope_masks = tuple(int(m) for m in scope_masks)
+        labels = topology.universe.labels
+        if len(scope_masks) != len(labels):
+            raise ValueError("scope function must assign every point exactly once")
+        for i, m in enumerate(scope_masks):
+            if m not in topology.mask_set:
+                raise OpenSetNotInTopology(labels[i])
             if not (m >> i) & 1:
-                raise PointNotInOwnAura(space.universe.labels[i])
-        self.space = space
-        self.scope = scope
+                raise PointNotInOwnAura(labels[i])
+        self.topology = topology
+        self.scope_masks = scope_masks
 
     @property
     def universe(self) -> PointUniverse:
-        return self.space.universe
+        return self.topology.universe
 
     @property
     def n(self) -> int:
-        return self.space.universe.n
-
-    @property
-    def scope_masks(self) -> tuple:
-        return self.scope.masks
+        return self.topology.universe.n
 
     @cached_property
     def hull_masks(self) -> tuple:
         """Minimal scope-open set around each point."""
-        return tuple(kernel.hull_masks(self.n, self.scope.masks))
+        return tuple(kernel.hull_masks(self.n, self.scope_masks))
 
     @cached_property
     def comparability_rows(self) -> tuple:
@@ -121,8 +96,8 @@ class AuraSpace:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AuraSpace)
-            and self.space == other.space
-            and self.scope == other.scope
+            and self.topology == other.topology
+            and self.scope_masks == other.scope_masks
         )
 
     def __hash__(self) -> int:
@@ -130,16 +105,17 @@ class AuraSpace:
 
     @cached_property
     def _hash(self) -> int:
-        """The hash of (space, scope), computed once: the space is immutable,
-        and law caches keyed by spaces hash the same space many times."""
-        return hash((self.space, self.scope))
+        """The hash of (topology, scope masks), computed once: the space is
+        immutable, and law caches keyed by spaces hash the same space many
+        times."""
+        return hash((self.topology, self.scope_masks))
 
     def __repr__(self) -> str:
         pairs = ", ".join(
             f"{lab}:{PointSet(self.universe, m).text()}"
-            for lab, m in zip(self.universe.labels, self.scope.masks)
+            for lab, m in zip(self.universe.labels, self.scope_masks)
         )
-        return f"AuraSpace({self.space!r}, scope {{{pairs}}})"
+        return f"AuraSpace({self.topology!r}, scope {{{pairs}}})"
 
 
 def make_aura_space(labels, opens, scopes) -> AuraSpace:
@@ -149,13 +125,12 @@ def make_aura_space(labels, opens, scopes) -> AuraSpace:
     ``scopes`` maps each label to a label list.
     """
     universe = PointUniverse(labels)
-    topo = TopologyFamily(universe, {universe.mask_of(o) for o in opens})
-    space = FiniteTopSpace(universe, topo)
+    topology = TopologyFamily(universe, {universe.mask_of(o) for o in opens})
     if isinstance(scopes, Mapping):
         masks = [universe.mask_of(scopes[lab]) for lab in universe.labels]
     else:
         masks = [universe.mask_of(s) for s in scopes]
-    return AuraSpace(space, ScopeFunction(universe, masks))
+    return AuraSpace(topology, masks)
 
 
 def space_document(s: AuraSpace) -> dict:
@@ -166,7 +141,7 @@ def space_document(s: AuraSpace) -> dict:
     return {
         "points": list(universe.labels),
         "opens": [sorted_labels(universe, m)
-                  for m in s.space.topology.ordered_masks],
+                  for m in s.topology.ordered_masks],
         "aura": {lab: sorted_labels(universe, m)
                  for lab, m in zip(universe.labels, s.scope_masks)},
     }
@@ -175,13 +150,13 @@ def space_document(s: AuraSpace) -> dict:
 def aura_closure(s: AuraSpace, a) -> PointSet:
     """Points whose scope meets A. Additive, grounded, extensive."""
     am = _as_mask(s, a)
-    return PointSet(s.universe, kernel.aura_closure_mask(s.n, s.scope.masks, am))
+    return PointSet(s.universe, kernel.aura_closure_mask(s.n, s.scope_masks, am))
 
 
 def _interior_mask(s: AuraSpace, am: int) -> int:
     """Mask of the points of ``am`` whose whole scope stays inside ``am``."""
     out = 0
-    for i, m in enumerate(s.scope.masks):
+    for i, m in enumerate(s.scope_masks):
         if (am >> i) & 1 and not m & ~am:
             out |= 1 << i
     return out
@@ -196,7 +171,7 @@ def derived_set(s: AuraSpace, a) -> PointSet:
     """Points whose scope meets A somewhere else."""
     am = _as_mask(s, a)
     out = 0
-    for i, m in enumerate(s.scope.masks):
+    for i, m in enumerate(s.scope_masks):
         if m & (am & ~(1 << i)):
             out |= 1 << i
     return PointSet(s.universe, out)
@@ -206,7 +181,7 @@ def is_aura_open(s: AuraSpace, a) -> bool:
     """Every member's scope stays inside the set."""
     am = _as_mask(s, a)
     for i in mask_indices(am):
-        if s.scope.masks[i] & ~am:
+        if s.scope_masks[i] & ~am:
             return False
     return True
 
@@ -232,7 +207,7 @@ def hull(s: AuraSpace, label: str) -> PointSet:
 
 def classify(s: AuraSpace) -> AuraClassification:
     n = s.n
-    masks = s.scope.masks
+    masks = s.scope_masks
     full = s.universe.full_mask
     return AuraClassification(
         transitive=kernel.is_transitive(n, masks),

@@ -93,11 +93,11 @@ def cmd_validate(args) -> int:
             "valid": True,
             "name": doc.name,
             "points": s.n,
-            "openSets": len(s.space.topology.mask_set),
+            "openSets": len(s.topology.mask_set),
         })
     else:
         shown = doc.name if doc.name else args.file
-        _print([f"valid: {shown} has {s.n} points and {len(s.space.topology.mask_set)} open sets"])
+        _print([f"valid: {shown} has {s.n} points and {len(s.topology.mask_set)} open sets"])
     return 0
 
 
@@ -119,7 +119,7 @@ def cmd_analyze(args) -> int:
     blocks = aura_components(s).blocks
     name = doc.name if doc.name else args.file
     scope_conn = is_aura_connected(s)
-    tau_conn = is_tau_connected(s.space)
+    tau_conn = is_tau_connected(s.topology)
     path_conn = is_aura_path_connected(s)
     locally = is_aura_locally_connected(s)
     if args.json:
@@ -313,21 +313,21 @@ def cmd_matrix(args) -> int:
 def cmd_enumerate(args) -> int:
     from .search import count_auras, enumerate_topologies
 
-    spaces = enumerate_topologies(args.size)
-    auras = sum(count_auras(space) for space in spaces)
+    topologies = enumerate_topologies(args.size)
+    auras = sum(count_auras(t) for t in topologies)
     if args.json:
-        out = {"size": args.size, "topologies": len(spaces), "auras": auras}
+        out = {"size": args.size, "topologies": len(topologies), "auras": auras}
         if not args.count_only:
             out["families"] = [
-                [sorted_labels(space.universe, m) for m in _family_masks(space.topology.mask_set)]
-                for space in spaces
+                [sorted_labels(t.universe, m) for m in _family_masks(t.mask_set)]
+                for t in topologies
             ]
         _print_json(out)
         return 0
-    lines = [f"size: {args.size}", f"topologies: {len(spaces)}", f"auras: {auras}"]
+    lines = [f"size: {args.size}", f"topologies: {len(topologies)}", f"auras: {auras}"]
     if not args.count_only:
-        for i, space in enumerate(spaces):
-            lines.append(f"topology {i}: {family_text(space.universe, space.topology.mask_set)}")
+        for i, t in enumerate(topologies):
+            lines.append(f"topology {i}: {family_text(t.universe, t.mask_set)}")
     _print(lines)
     return 0
 

@@ -43,7 +43,7 @@ def _carrier_rows(s: AuraSpace, am: int, notion: str) -> Sequence[int]:
     outside the carrier the scope {x}."""
     if notion == NOTION_TAU or am == s.universe.full_mask:
         return s.comparability_rows
-    cut = [m & am if am >> x & 1 else 1 << x for x, m in enumerate(s.scope.masks)]
+    cut = [m & am if am >> x & 1 else 1 << x for x, m in enumerate(s.scope_masks)]
     return comparability_rows(kernel.hull_masks(s.n, cut))
 
 

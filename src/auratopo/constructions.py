@@ -14,13 +14,8 @@ from typing import Sequence
 
 from . import kernel
 from .errors import EmptySubspace
-from .finite import (
-    FiniteTopSpace,
-    PointUniverse,
-    TopologyFamily,
-    mask_indices,
-)
-from .aura import AuraSpace, ScopeFunction, _as_mask
+from .finite import PointUniverse, TopologyFamily, mask_indices
+from .aura import AuraSpace, _as_mask
 
 
 def subspace(s: AuraSpace, carrier) -> AuraSpace:
@@ -43,10 +38,9 @@ def subspace(s: AuraSpace, carrier) -> AuraSpace:
             out |= 1 << position[i]
         return out
 
-    trace = {reindex(o) for o in s.space.topology.mask_set}
+    trace = {reindex(o) for o in s.topology.mask_set}
     topo = TopologyFamily(sub_universe, trace, validate=False)
-    scopes = [reindex(s.scope.masks[i]) for i in selected]
-    return AuraSpace(FiniteTopSpace(sub_universe, topo), ScopeFunction(sub_universe, scopes))
+    return AuraSpace(topo, [reindex(s.scope_masks[i]) for i in selected])
 
 
 def _product_universe(left: PointUniverse, right: PointUniverse) -> PointUniverse:
@@ -87,14 +81,13 @@ def product(sx: AuraSpace, sy: AuraSpace) -> AuraSpace:
     """
     ny = sy.n
     universe = _product_universe(sx.universe, sy.universe)
-    topo = _box_topology(universe, sx.space.minimal_open_masks,
-                         sy.space.minimal_open_masks, ny)
+    topo = _box_topology(universe, sx.topology.minimal_masks, sy.topology.minimal_masks, ny)
     scopes = [
-        _box_mask(sx.scope.masks[x], sy.scope.masks[y], ny)
+        _box_mask(sx.scope_masks[x], sy.scope_masks[y], ny)
         for x in range(sx.n)
         for y in range(ny)
     ]
-    return AuraSpace(FiniteTopSpace(universe, topo), ScopeFunction(universe, scopes))
+    return AuraSpace(topo, scopes)
 
 
 def product_topology_of_factors(sx: AuraSpace, sy: AuraSpace) -> TopologyFamily:

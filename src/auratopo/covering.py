@@ -44,10 +44,12 @@ def is_cover(s: AuraSpace, target, members: Iterable) -> bool:
 def minimal_subcover(s: AuraSpace, target, members: Sequence) -> tuple:
     """Minimum-cardinality sub-list of ``members`` still covering target.
 
-    Exact search: a greedy pass bounds the answer, then sub-lists are
-    tried in increasing size and lexicographic index order, so ties
-    resolve to the lexicographically smallest index tuple. Raises
-    NotACover when even the full list fails.
+    Exact search: sub-lists of the members that meet the target are
+    tried in increasing size and lexicographic index order, so the first
+    that covers is as small as any and ties resolve to the
+    lexicographically smallest index tuple. Those members together cover
+    the target, so the search ends by the last size. Raises NotACover when
+    even the full list fails.
     """
     tm = _as_mask(s, target)
     masks = _member_masks(s, members)
@@ -60,21 +62,13 @@ def minimal_subcover(s: AuraSpace, target, members: Sequence) -> tuple:
         return ()
 
     useful = [i for i, m in enumerate(masks) if m & tm]
-    uncovered = tm
-    greedy = 0
-    while uncovered:
-        best = max(useful, key=lambda i: ((masks[i] & uncovered).bit_count(), -i))
-        uncovered &= ~masks[best]
-        greedy += 1
-
-    for k in range(1, greedy + 1):
+    for k in range(1, len(useful) + 1):
         for combo in combinations(useful, k):
             got = 0
             for i in combo:
                 got |= masks[i]
             if not tm & ~got:
                 return tuple(members[i] for i in combo)
-    raise AssertionError("greedy bound must be attainable")
 
 
 def fip(s: AuraSpace, members: Sequence) -> FipResult:

@@ -285,36 +285,6 @@ def generate_topology(universe: PointUniverse, subbasis: Iterable) -> TopologyFa
     return TopologyFamily(universe, opens, validate=False)
 
 
-class FiniteTopSpace:
-    """A finite topological space: universe plus validated topology."""
-
-    __slots__ = ("universe", "topology", "__dict__")
-
-    def __init__(self, universe: PointUniverse, topology: TopologyFamily):
-        if topology.universe != universe:
-            raise ValueError("topology belongs to a different universe")
-        self.universe = universe
-        self.topology = topology
-
-    @property
-    def minimal_open_masks(self) -> tuple:
-        """Intersection of all opens containing each point."""
-        return self.topology.minimal_masks
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteTopSpace)
-            and self.universe == other.universe
-            and self.topology == other.topology
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.topology))
-
-    def __repr__(self) -> str:
-        return f"FiniteTopSpace({list(self.universe.labels)!r}, {self.topology.text()})"
-
-
 def _as_mask(space, a) -> int:
     if isinstance(a, PointSet):
         if a.universe != space.universe:
@@ -326,39 +296,39 @@ def _as_mask(space, a) -> int:
     return m
 
 
-def tau_closure(space: FiniteTopSpace, a) -> PointSet:
+def tau_closure(topology: TopologyFamily, a) -> PointSet:
     """Smallest closed superset: the complement of every open missing A."""
-    am = _as_mask(space, a)
+    am = _as_mask(topology, a)
     uncovered = 0
-    for o in space.topology.mask_set:
+    for o in topology.mask_set:
         if not o & am:
             uncovered |= o
-    return PointSet(space.universe, space.universe.full_mask & ~uncovered)
+    return PointSet(topology.universe, topology.universe.full_mask & ~uncovered)
 
 
-def tau_interior(space: FiniteTopSpace, a) -> PointSet:
+def tau_interior(topology: TopologyFamily, a) -> PointSet:
     """Largest open subset: the union of opens inside A."""
-    am = _as_mask(space, a)
+    am = _as_mask(topology, a)
     inside = 0
-    for o in space.topology.mask_set:
+    for o in topology.mask_set:
         if not o & ~am:
             inside |= o
-    return PointSet(space.universe, inside)
+    return PointSet(topology.universe, inside)
 
 
-def minimal_open(space: FiniteTopSpace, label: str) -> PointSet:
+def minimal_open(topology: TopologyFamily, label: str) -> PointSet:
     """Intersection of every open containing the point.
 
     On a finite space this is itself open, and it is the smallest open
     neighbourhood of the point.
     """
-    return PointSet(space.universe, space.minimal_open_masks[space.universe.index(label)])
+    return PointSet(topology.universe, topology.minimal_masks[topology.universe.index(label)])
 
 
-def is_tau_connected(space: FiniteTopSpace) -> bool:
+def is_tau_connected(topology: TopologyFamily) -> bool:
     """No proper nonempty clopen set exists."""
-    full = space.universe.full_mask
-    for o in space.topology.mask_set:
-        if o != 0 and o != full and (full & ~o) in space.topology.mask_set:
+    full = topology.universe.full_mask
+    for o in topology.mask_set:
+        if o != 0 and o != full and (full & ~o) in topology.mask_set:
             return False
     return True

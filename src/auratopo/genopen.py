@@ -26,7 +26,7 @@ class GeneralizedClass(str, Enum):
 
 
 def _cl(s: AuraSpace, m: int) -> int:
-    return kernel.aura_closure_mask(s.n, s.scope.masks, m)
+    return kernel.aura_closure_mask(s.n, s.scope_masks, m)
 
 
 def is_generalized_open(s: AuraSpace, a, cls: GeneralizedClass) -> bool:

@@ -96,7 +96,7 @@ class SpaceFacts:
         self.n = s.n
         self.size = 1 << s.n
         self.full = s.universe.full_mask
-        self.scopes = s.scope.masks
+        self.scopes = s.scope_masks
 
     @cached_property
     def cl(self) -> list:
@@ -446,7 +446,7 @@ def _pair_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
     first pair of its key. The ambient topologies are not in the key, so
     no verdict that reads them may be replayed under it.
     """
-    return (sx.n, sx.scope.masks, sy.n, sy.scope.masks)
+    return (sx.n, sx.scope_masks, sy.n, sy.scope_masks)
 
 
 def _product_topology_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
@@ -459,7 +459,7 @@ def _product_topology_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
     two pairs with the same key get the same product open family, whatever
     their scopes.
     """
-    return (sx.n, sx.space.topology.mask_set, sy.n, sy.space.topology.mask_set)
+    return (sx.n, sx.topology.mask_set, sy.n, sy.topology.mask_set)
 
 
 def _image_key(f: SpaceFacts) -> tuple:
@@ -543,7 +543,7 @@ def _law(name: str, tier: str, description: str):
 
 def _scope_key(s: AuraSpace) -> tuple:
     """Replay key of a space: its labels and its scope tuple."""
-    return (s.universe.labels, s.scope.masks)
+    return (s.universe.labels, s.scope_masks)
 
 
 def _space_law(name: str, tier: str, description: str):
@@ -711,7 +711,7 @@ def _subfamily(ctx: LawContext, t: _Tally) -> None:
     for s in ctx.grid:
         t.decided += 1
         f = ctx.facts(s)
-        ambient = s.space.topology.mask_set
+        ambient = s.topology.mask_set
         for u in s.aura_topology_masks:
             t.verify(u in ambient, lambda: f"scope-open {u:#x} is not open", s)
         for i in range(f.n):
@@ -814,7 +814,7 @@ def _product_closure(ctx: LawContext, t: _Tally, sx: AuraSpace, sy: AuraSpace) -
     """
     fx, fy = ctx.facts(sx), ctx.facts(sy)
     prod = ctx.product_of(sx, sy)
-    n, scopes = prod.n, prod.scope.masks
+    n, scopes = prod.n, prod.scope_masks
     boxes = ctx.boxes(fx.n, fy.n)
     cx, cy, size_y = fx.cl, fy.cl, fy.size
     for a in range(fx.size):
@@ -859,7 +859,7 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
         topology_key = _product_topology_key(sx, sy)
         topology = topology_of.get(topology_key)
         if topology is None:
-            topology = topology_of[topology_key] = ctx.product_of(sx, sy).space.topology.mask_set
+            topology = topology_of[topology_key] = ctx.product_of(sx, sy).topology.mask_set
         if not tau_a <= topology:
             escaping.add(pos)
 
@@ -875,7 +875,7 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
             t.checks += 1
             return
         t.verify(
-            ctx.facts(prod).tau_a_set <= prod.space.topology.mask_set,
+            ctx.facts(prod).tau_a_set <= prod.topology.mask_set,
             "product scope topology escapes the product topology",
             prod,
         )

@@ -24,7 +24,7 @@ from collections import Counter, namedtuple
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import kernel
-from .aura import AuraSpace, ScopeFunction, space_document
+from .aura import AuraSpace, space_document
 from .connectivity import (
     is_aura_connected,
     is_aura_locally_connected,
@@ -40,13 +40,7 @@ from .errors import (
     UnknownAtom,
     WorkersOutOfRange,
 )
-from .finite import (
-    FiniteTopSpace,
-    PointSet,
-    PointUniverse,
-    TopologyFamily,
-    is_tau_connected,
-)
+from .finite import PointSet, PointUniverse, TopologyFamily, is_tau_connected
 
 __all__ = [
     "ATOM_NAMES",
@@ -70,7 +64,7 @@ def _labels(n: int) -> Tuple[str, ...]:
     return tuple(_LABELS[:n])
 
 
-def enumerate_topologies(n: int) -> List[FiniteTopSpace]:
+def enumerate_topologies(n: int) -> List[TopologyFamily]:
     """All labeled topologies on n points, canonically ordered.
 
     Counts for n = 0..5 are 1, 1, 4, 29, 355, 6942.
@@ -84,33 +78,34 @@ def enumerate_topologies(n: int) -> List[FiniteTopSpace]:
         masks.add(0)
         families.append(TopologyFamily(universe, masks, validate=False))
     families.sort(key=lambda fam: fam.canonical_key())
-    return [FiniteTopSpace(universe, fam) for fam in families]
+    return families
 
 
-def _fiber_choices(space: FiniteTopSpace) -> List[List[int]]:
+def _fiber_choices(topology: TopologyFamily) -> List[List[int]]:
     """Per point, the open sets that contain it, in canonical family order.
 
-    The grid over the space is the product of these lists, with the last
+    The grid over the topology is the product of these lists, with the last
     point's choice varying fastest. Every enumeration, count, scan and
     ``aura_index`` reads the grid from here.
     """
-    opens = space.topology.ordered_masks
-    return [[m for m in opens if (m >> i) & 1] for i in range(space.universe.n)]
+    opens = topology.ordered_masks
+    return [[m for m in opens if (m >> i) & 1] for i in range(topology.universe.n)]
 
 
-def _checked_choices(space: FiniteTopSpace) -> List[List[int]]:
-    """``_fiber_choices(space)``, with every candidate checked once.
+def _checked_choices(topology: TopologyFamily) -> List[List[int]]:
+    """``_fiber_choices(topology)``, with every candidate checked once.
 
-    ``AuraSpace`` accepts a scope tuple exactly when each entry i is open
-    and contains point i. Every tuple of the grid takes its entry i from
-    list i, so once each candidate of each list passes that test, every
+    ``AuraSpace(topology, picks)`` accepts a scope tuple exactly when it
+    has one entry per point and each entry i is open and contains point i.
+    Every tuple of the grid takes its entry i from list i, one list per
+    point, so once each candidate of each list passes that test, every
     tuple of the product passes it too. The scans therefore walk plain
     tuples and build no space to validate them. A failing candidate raises
     the error ``AuraSpace`` raises for it.
     """
-    choices = _fiber_choices(space)
-    opens = space.topology.mask_set
-    for i, (label, candidates) in enumerate(zip(space.universe.labels, choices)):
+    choices = _fiber_choices(topology)
+    opens = topology.mask_set
+    for i, (label, candidates) in enumerate(zip(topology.universe.labels, choices)):
         for m in candidates:
             if m not in opens:
                 raise OpenSetNotInTopology(label)
@@ -119,17 +114,16 @@ def _checked_choices(space: FiniteTopSpace) -> List[List[int]]:
     return choices
 
 
-def enumerate_auras(space: FiniteTopSpace):
-    """Every scope function over the space, in lexicographic order of the
+def enumerate_auras(topology: TopologyFamily):
+    """Every scope function over the topology, in lexicographic order of the
     per-point open-set choices."""
-    choices = _fiber_choices(space)
-    for picks in itertools.product(*choices):
-        yield AuraSpace(space, ScopeFunction(space.universe, picks))
+    for picks in itertools.product(*_fiber_choices(topology)):
+        yield AuraSpace(topology, picks)
 
 
-def count_auras(space: FiniteTopSpace) -> int:
+def count_auras(topology: TopologyFamily) -> int:
     count = 1
-    for c in _fiber_choices(space):
+    for c in _fiber_choices(topology):
         count *= len(c)
     return count
 
@@ -157,9 +151,9 @@ def _cl_idempotent(s: AuraSpace) -> bool:
 
 def _tau_connected(s) -> bool:
     """Whether τ is connected. It reads τ alone, so it takes the
-    ``FiniteTopSpace`` itself (as the scans pass it, once per topology) or
+    ``TopologyFamily`` itself (as the scans pass it, once per topology) or
     any ``AuraSpace`` over it."""
-    return is_tau_connected(s.space if isinstance(s, AuraSpace) else s)
+    return is_tau_connected(s.topology if isinstance(s, AuraSpace) else s)
 
 
 def _tau_a_equals_tau(s: AuraSpace) -> bool:
@@ -171,7 +165,7 @@ def _tau_a_equals_tau(s: AuraSpace) -> bool:
     hulls, and hull(x) lies in every scope-open set around x), and in τ it
     is m(x). So n comparisons decide it, and τ_a is never built.
     """
-    return s.hull_masks == s.space.minimal_open_masks
+    return s.hull_masks == s.topology.minimal_masks
 
 
 def _tau_a_indiscrete(s: AuraSpace) -> bool:
@@ -209,10 +203,10 @@ SCOPE_ATOMS = tuple(a for a in ATOM_NAMES if a not in TOPOLOGY_ATOMS)
 ScopeMemo = Dict[Tuple[int, ...], Tuple[tuple, Tuple[int, ...]]]
 
 
-def _decide(memo: ScopeMemo, space: FiniteTopSpace, picks: Tuple[int, ...],
+def _decide(memo: ScopeMemo, topology: TopologyFamily, picks: Tuple[int, ...],
             atoms: Tuple[str, ...], orbit: bool = True) -> Tuple[tuple, Tuple[int, ...]]:
     """Decide the scope tuple ``picks`` on its first grid space, over
-    ``space``, and enter it in the memo; return its entry (values, hulls).
+    ``topology``, and enter it in the memo; return its entry (values, hulls).
 
     ``atoms`` are scope-only atoms in ``SCOPE_ATOMS`` order, and ``values``
     holds theirs in that order. The space is built and validated, and it
@@ -260,7 +254,7 @@ def _decide(memo: ScopeMemo, space: FiniteTopSpace, picks: Tuple[int, ...],
     A000273). Its entries are tuples of bools and ints, so no space is kept
     alive.
     """
-    s = AuraSpace(space, ScopeFunction(space.universe, picks))
+    s = AuraSpace(topology, picks)
     values = tuple([ATOMS[a](s) for a in atoms])
     hulls = s.hull_masks
     memo[picks] = entry = (values, hulls)
@@ -369,7 +363,7 @@ def space_descriptor(s: AuraSpace) -> str:
     universe = s.universe
     opens = ",".join(
         PointSet(universe, m).text()
-        for m in s.space.topology.ordered_masks
+        for m in s.topology.ordered_masks
     )
     scopes = " ".join(
         f"{lab}:{PointSet(universe, m).text()}"
@@ -470,12 +464,12 @@ def _scope_atoms(atoms: Tuple[str, ...]) -> Tuple[str, ...]:
     return tuple(a for a in SCOPE_ATOMS if a in atoms)
 
 
-def _tau_connected_if_read(atoms: Tuple[str, ...], space: FiniteTopSpace) -> Optional[bool]:
+def _tau_connected_if_read(atoms: Tuple[str, ...], topology: TopologyFamily) -> Optional[bool]:
     """``tauConnected`` of the topology, decided once, if ``atoms`` holds it."""
-    return ATOMS["tauConnected"](space) if "tauConnected" in atoms else None
+    return ATOMS["tauConnected"](topology) if "tauConnected" in atoms else None
 
 
-def _walk(topologies: List[FiniteTopSpace], worker: int, workers: int,
+def _walk(topologies: List[TopologyFamily], worker: int, workers: int,
           atoms: Tuple[str, ...]):
     """Every space of one worker's share of the grid, in grid order, as
     (topology index, aura index, scope tuple, valuation key).
@@ -511,16 +505,16 @@ def _walk(topologies: List[FiniteTopSpace], worker: int, workers: int,
     equals_read = "tauAEqualsTau" in atoms
     memo: ScopeMemo = {}
     for ti in range(worker, len(topologies), workers):
-        space = topologies[ti]
-        minimal = space.minimal_open_masks
-        tau_connected = _tau_connected_if_read(atoms, space)
-        for aura_index, picks in enumerate(itertools.product(*_checked_choices(space))):
-            values, hulls = memo.get(picks) or _decide(memo, space, picks, scope)
+        topology = topologies[ti]
+        minimal = topology.minimal_masks
+        tau_connected = _tau_connected_if_read(atoms, topology)
+        for aura_index, picks in enumerate(itertools.product(*_checked_choices(topology))):
+            values, hulls = memo.get(picks) or _decide(memo, topology, picks, scope)
             yield ti, aura_index, picks, (values, tau_connected,
                                           hulls == minimal if equals_read else None)
 
 
-def _sample(topologies: List[FiniteTopSpace], atoms: Tuple[str, ...], samples: int,
+def _sample(topologies: List[TopologyFamily], atoms: Tuple[str, ...], samples: int,
             seed: int):
     """``samples`` seeded random grid spaces, drawn with replacement, as
     ``_walk`` yields them. The memo enters only the tuples met (see
@@ -532,21 +526,21 @@ def _sample(topologies: List[FiniteTopSpace], atoms: Tuple[str, ...], samples: i
     grids: dict = {}  # topology index -> (checked choices, tauConnected)
     for _ in range(samples):
         ti = rng.randrange(len(topologies))
-        space = topologies[ti]
+        topology = topologies[ti]
         grid = grids.get(ti)
         if grid is None:
-            grid = grids[ti] = (_checked_choices(space), _tau_connected_if_read(atoms, space))
+            grid = grids[ti] = (_checked_choices(topology), _tau_connected_if_read(atoms, topology))
         choices, tau_connected = grid
         digits = [rng.randrange(len(c)) for c in choices]
         picks = tuple(c[d] for c, d in zip(choices, digits))
-        values, hulls = memo.get(picks) or _decide(memo, space, picks, scope, orbit=False)
+        values, hulls = memo.get(picks) or _decide(memo, topology, picks, scope, orbit=False)
         # Mixed-radix position of the picks in enumerate_auras order, where
         # the last point's choice varies fastest.
         aura_index = 0
         for c, d in zip(choices, digits):
             aura_index = aura_index * len(c) + d
         yield ti, aura_index, picks, (values, tau_connected,
-                                      hulls == space.minimal_open_masks if equals_read else None)
+                                      hulls == topology.minimal_masks if equals_read else None)
 
 
 def _valuation(atoms: Tuple[str, ...], key: tuple) -> dict:
@@ -587,7 +581,7 @@ def _scan(spaces, atoms: Tuple[str, ...], expr: Optional[PredicateExpr],
 
 
 def _share(n: int, worker: int, workers: int, expression: Optional[str],
-           keep: Optional[int], topologies: Optional[List[FiniteTopSpace]] = None
+           keep: Optional[int], topologies: Optional[List[TopologyFamily]] = None
            ) -> Tuple[int, List[Hit]]:
     """``_scan`` of one worker's share of the size-n grid, for the predicate
     ``expression``, or for the matrix if it is None. ``topologies`` is
@@ -604,7 +598,7 @@ def _check_workers(workers: int) -> None:
         raise WorkersOutOfRange(f"workers must be at least 1, got {workers}")
 
 
-def _run_shares(topologies: List[FiniteTopSpace], n: int, workers: int,
+def _run_shares(topologies: List[TopologyFamily], n: int, workers: int,
                 expression: Optional[str], keep: Optional[int]) -> Tuple[int, List[Hit]]:
     """Spaces scanned, and the first ``keep`` hits in grid order (all of
     them if None), of ``workers`` shares of the size-n grid (``_share``).
@@ -623,7 +617,7 @@ def _run_shares(topologies: List[FiniteTopSpace], n: int, workers: int,
     return sum(r[0] for r in results), hits[:keep]
 
 
-def _render_witnesses(topologies: List[FiniteTopSpace], hits: List[Hit]) -> List[Witness]:
+def _render_witnesses(topologies: List[TopologyFamily], hits: List[Hit]) -> List[Witness]:
     """One witness per hit, in order. Each distinct space is built again
     from its tuple and rendered once, and each witness gets its own copy of
     its valuation, since hits of one key share theirs."""
@@ -632,8 +626,7 @@ def _render_witnesses(topologies: List[FiniteTopSpace], hits: List[Hit]) -> List
     for ti, aura_index, scope_masks, valuation in hits:
         view = shown.get((ti, aura_index))
         if view is None:
-            space = topologies[ti]
-            s = AuraSpace(space, ScopeFunction(space.universe, scope_masks))
+            s = AuraSpace(topologies[ti], scope_masks)
             view = shown[(ti, aura_index)] = (space_descriptor(s), _space_json(s))
         witnesses.append(Witness(ti, aura_index, *view, dict(valuation)))
     return witnesses
@@ -697,8 +690,8 @@ def _product_pair_pool() -> List[Factor]:
     pool = []
     hulls = {}
     for n in _FACTOR_SIZES:
-        for space in enumerate_topologies(n):
-            for picks in itertools.product(*_checked_choices(space)):
+        for topology in enumerate_topologies(n):
+            for picks in itertools.product(*_checked_choices(topology)):
                 if picks not in hulls:
                     hulls[picks] = tuple(kernel.hull_masks(n, picks))
                 pool.append((n, picks, hulls[picks]))

@@ -114,7 +114,7 @@ def transitive_criterion(s: AuraSpace, q: EvPSequence, label: str) -> bool:
     """
     if q.universe != s.universe:
         raise ValueError("sequence lives in a different universe")
-    return not q.cycle_mask() & ~s.scope.masks[s.universe.index(label)]
+    return not q.cycle_mask() & ~s.scope_masks[s.universe.index(label)]
 
 
 @dataclass(frozen=True)

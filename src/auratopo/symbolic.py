@@ -270,10 +270,11 @@ _DISCRETE_AMBIENT = Verdict(
     False, "the ambient topology is discrete on an infinite carrier", imported=True
 )
 
+_IMPLIED = Verdict(True, "implied by scope-compactness")
+
 
 def _whole_model(name: str, label: str, carrier: str, tau_compact: Verdict) -> SymbolicModel:
     """A model on the carrier ``label`` whose every scope is the carrier."""
-    implied = Verdict(True, "implied by scope-compactness")
     return SymbolicModel(
         name=name,
         carrier=carrier,
@@ -285,8 +286,8 @@ def _whole_model(name: str, label: str, carrier: str, tau_compact: Verdict) -> S
                 f"the only scope-open sets are {{}} and {label}, so every "
                 f"scope-open cover contains {label} itself",
             ),
-            implied,
-            implied,
+            _IMPLIED,
+            _IMPLIED,
             Verdict(
                 True,
                 "any set with two or more points has every point of the "
@@ -312,17 +313,12 @@ def _built_ins(carrier_label: str) -> tuple:
             families=("tails", "whole"),
             verdicts=(
                 Verdict(
-                    False,
-                    "the tails {n>=k} form a scope-open cover; a finite subfamily "
-                    "with least parameter k unites to {n>=k}, which misses "
-                    "1..k-1 whenever k >= 2",
-                    witness_family="tails",
+                    True,
+                    "every scope-open set containing 1 contains 2, 3, ... and so "
+                    "is N; a scope-open cover has such a member, a one-member "
+                    "subcover",
                 ),
-                Verdict(
-                    False,
-                    "the tail cover is countable, so the same witness applies",
-                    witness_family="tails",
-                ),
+                _IMPLIED,
                 Verdict(
                     True,
                     "every scope-open cover consists of tails plus possibly N; "

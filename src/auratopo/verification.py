@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, List, Optional
 from .aura import AuraSpace, classify
 from .connectivity import aura_components, is_aura_connected, is_aura_path_connected
 from .constructions import product, subspace
-from .finite import family_text, is_tau_connected, mask_indices
+from .finite import PointSet, family_text, is_tau_connected, mask_indices
 from .fixtures import PRODUCT_PAIRS, load_fixture
 from .sequences import aura_limits, parse_sequence
 
@@ -89,7 +89,8 @@ def fixture_checks(fixtures_dir: Optional[str] = None) -> List[CheckResult]:
         "rotor3-subspace-scopes",
         "a:{a,b} b:{b}",
         " ".join(
-            f"{lab}:{sub.scope.of(lab).text()}" for lab in sub.universe.labels
+            f"{lab}:{PointSet(sub.universe, m).text()}"
+            for lab, m in zip(sub.universe.labels, sub.scope_masks)
         ),
     ))
     out.append(_scope_topology_check("rotor3-subspace-scope-topology", sub, "{} {b} {a,b}"))
@@ -139,7 +140,7 @@ def fixture_checks(fixtures_dir: Optional[str] = None) -> List[CheckResult]:
         "scope-connected=true plain-connected=false",
         "scope-connected={} plain-connected={}".format(
             "true" if is_aura_connected(split) else "false",
-            "true" if is_tau_connected(split.space) else "false",
+            "true" if is_tau_connected(split.topology) else "false",
         ),
     ))
 

@@ -4,9 +4,7 @@ import random
 
 from auratopo import (
     AuraSpace,
-    FiniteTopSpace,
     PointUniverse,
-    ScopeFunction,
     enumerate_auras,
     enumerate_topologies,
     generate_topology,
@@ -26,7 +24,7 @@ def rand_space(rng: random.Random, n: int) -> AuraSpace:
     for i in range(n):
         fiber = [m for m in opens if (m >> i) & 1]
         scopes.append(rng.choice(fiber))
-    return AuraSpace(FiniteTopSpace(universe, topology), ScopeFunction(universe, scopes))
+    return AuraSpace(topology, scopes)
 
 
 def all_small_spaces(max_n: int):

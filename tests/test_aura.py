@@ -8,11 +8,9 @@ import pytest
 from auratopo import (
     AuraSpace,
     FiniteMap,
-    FiniteTopSpace,
     OpenSetNotInTopology,
     PointNotInOwnAura,
     PointUniverse,
-    ScopeFunction,
     TopologyFamily,
     aura_closure,
     aura_interior,
@@ -128,7 +126,7 @@ def test_trivial_and_discrete_scopes_are_transitive_and_symmetric():
 
 def test_memoised_facts_equal_a_fresh_computation():
     for s in grid_and_random_spaces(seed=53, count=200):
-        fresh = AuraSpace(s.space, ScopeFunction(s.universe, s.scope_masks))
+        fresh = AuraSpace(s.topology, s.scope_masks)
         assert s.classification == classify(fresh)
         assert s.separation == separation_axioms(fresh)
         # Computed once: later reads return the same object.
@@ -141,9 +139,8 @@ def test_equal_spaces_built_separately_hash_equal():
     by_space = {s: k for k, s in enumerate(originals)}
     for s in originals:
         universe = PointUniverse(list(s.universe.labels))
-        topology = TopologyFamily(universe, set(s.space.topology.mask_set))
-        rebuilt = AuraSpace(FiniteTopSpace(universe, topology),
-                            ScopeFunction(universe, list(s.scope_masks)))
+        topology = TopologyFamily(universe, set(s.topology.mask_set))
+        rebuilt = AuraSpace(topology, list(s.scope_masks))
         assert rebuilt is not s and rebuilt == s
         assert hash(rebuilt) == hash(s) == hash(s)
         # A rebuilt space finds the entry of its equal in a dict keyed by spaces.
@@ -152,13 +149,13 @@ def test_equal_spaces_built_separately_hash_equal():
 
 def test_a_space_is_hashed_once(monkeypatch):
     calls = []
-    space_hash = FiniteTopSpace.__hash__
+    topology_hash = TopologyFamily.__hash__
 
-    def counted(space):
-        calls.append(space)
-        return space_hash(space)
+    def counted(topology):
+        calls.append(topology)
+        return topology_hash(topology)
 
-    monkeypatch.setattr(FiniteTopSpace, "__hash__", counted)
+    monkeypatch.setattr(TopologyFamily, "__hash__", counted)
     s = rand_space(random.Random(55), 4)
     assert hash(s) == hash(s) == hash({s: 0}.popitem()[0])
     assert len(calls) == 1
@@ -277,11 +274,16 @@ def test_continuity_rejects_mismatched_endpoints():
 def test_scope_function_accepts_masks_and_validates_membership():
     u = PointUniverse(["a", "b"])
     topo = generate_topology(u, [0b01, 0b10])
-    space = FiniteTopSpace(u, topo)
-    s = AuraSpace(space, ScopeFunction(u, [0b01, 0b11]))
+    s = AuraSpace(topo, [0b01, 0b11])
     assert s.scope_masks == (0b01, 0b11)
     with pytest.raises(PointNotInOwnAura):
-        AuraSpace(space, ScopeFunction(u, [0b10, 0b11]))
+        AuraSpace(topo, [0b10, 0b11])
+    for wrong_length in ([0b01], [0b01, 0b11, 0b11]):
+        with pytest.raises(ValueError, match="exactly once"):
+            AuraSpace(topo, wrong_length)
+    sierpinski = generate_topology(u, [0b01])
+    with pytest.raises(OpenSetNotInTopology):
+        AuraSpace(sierpinski, [0b01, 0b10])
 
 
 def test_int_masks_outside_the_universe_are_rejected():

@@ -19,7 +19,7 @@ from oracles import brute_components, brute_first_separation, brute_is_connected
 
 
 def _scopes(s):
-    return list(s.scope.masks)
+    return list(s.scope_masks)
 
 
 def _sub_open(scopes, carrier, a):

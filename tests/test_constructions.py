@@ -36,11 +36,11 @@ def test_subspace_reindexes_topology_and_scopes():
                 out |= 1 << pos[i]
         return out
 
-    assert sub.space.topology.mask_set == {
-        reindex(o) for o in s.space.topology.mask_set
+    assert sub.topology.mask_set == {
+        reindex(o) for o in s.topology.mask_set
     }
     for new, orig in enumerate(selected):
-        assert sub.scope.masks[new] == reindex(s.scope.masks[orig] & carrier)
+        assert sub.scope_masks[new] == reindex(s.scope_masks[orig] & carrier)
 
 
 def test_subspace_topology_is_valid_and_scopes_stay_open():
@@ -49,10 +49,10 @@ def test_subspace_topology_is_valid_and_scopes_stay_open():
         s = rand_space(rng, rng.randrange(1, 6))
         carrier = rng.randrange(1, 1 << s.n)
         sub = subspace(s, carrier)
-        checked = validate_topology(sub.universe, sub.space.topology.mask_set)
-        assert checked.mask_set == sub.space.topology.mask_set
-        for m in sub.scope.masks:
-            assert m in sub.space.topology.mask_set
+        checked = validate_topology(sub.universe, sub.topology.mask_set)
+        assert checked.mask_set == sub.topology.mask_set
+        for m in sub.scope_masks:
+            assert m in sub.topology.mask_set
 
 
 def test_empty_carrier_is_rejected():
@@ -67,8 +67,8 @@ def test_subspace_of_full_carrier_is_the_space_itself():
             continue
         sub = subspace(s, s.universe.full_mask)
         assert sub.universe.labels == s.universe.labels
-        assert sub.space.topology.mask_set == s.space.topology.mask_set
-        assert sub.scope.masks == s.scope.masks
+        assert sub.topology.mask_set == s.topology.mask_set
+        assert sub.scope_masks == s.scope_masks
 
 
 def test_product_point_order_and_scopes_are_boxes():
@@ -82,11 +82,11 @@ def test_product_point_order_and_scopes_are_boxes():
         x, y = divmod(k, ny)
         expect = 0
         for u in range(a.n):
-            if (a.scope.masks[x] >> u) & 1:
+            if (a.scope_masks[x] >> u) & 1:
                 for v in range(b.n):
-                    if (b.scope.masks[y] >> v) & 1:
+                    if (b.scope_masks[y] >> v) & 1:
                         expect |= 1 << (u * ny + v)
-        assert p.scope.masks[k] == expect
+        assert p.scope_masks[k] == expect
 
 
 def test_product_closure_is_the_box_of_closures():
@@ -101,8 +101,8 @@ def test_product_closure_is_the_box_of_closures():
         for u in range(a.n):
             if (am >> u) & 1:
                 box |= bm << (u * b.n)
-        ca = brute_closure(a.n, list(a.scope.masks), am)
-        cb = brute_closure(b.n, list(b.scope.masks), bm)
+        ca = brute_closure(a.n, list(a.scope_masks), am)
+        cb = brute_closure(b.n, list(b.scope_masks), bm)
         cbox = 0
         for u in range(a.n):
             if (ca >> u) & 1:
@@ -113,8 +113,8 @@ def test_product_closure_is_the_box_of_closures():
 def _brute_box_closure(a, b):
     """All unions of the boxes u × v of every scope-open u and v."""
     boxes = set()
-    for u in brute_tau_a(a.n, list(a.scope.masks)):
-        for v in brute_tau_a(b.n, list(b.scope.masks)):
+    for u in brute_tau_a(a.n, list(a.scope_masks)):
+        for v in brute_tau_a(b.n, list(b.scope_masks)):
             box = 0
             for i in range(a.n):
                 if (u >> i) & 1:
@@ -164,7 +164,7 @@ def test_product_scope_topology_sits_between_boxes_and_ambient():
         factor_fam = product_topology_of_factors(a, b).mask_set
         prod_fam = set(aura_topology(p).mask_set)
         assert factor_fam <= prod_fam
-        assert prod_fam <= p.space.topology.mask_set
+        assert prod_fam <= p.topology.mask_set
 
 
 def test_iterated_product_folds_left():
@@ -175,8 +175,8 @@ def test_iterated_product_folds_left():
     assert triple.universe.labels[-1] == "b|b|b"
     two_step = product(product(a, a), a)
     assert triple.universe.labels == two_step.universe.labels
-    assert triple.scope.masks == two_step.scope.masks
-    assert triple.space.topology.mask_set == two_step.space.topology.mask_set
+    assert triple.scope_masks == two_step.scope_masks
+    assert triple.topology.mask_set == two_step.topology.mask_set
     with pytest.raises(ValueError, match="at least one factor"):
         iterated_product([])
 

@@ -4,7 +4,6 @@ import time
 import pytest
 
 from auratopo import (
-    FiniteTopSpace,
     MissingEmpty,
     MissingWhole,
     NotClosedUnderIntersection,
@@ -170,25 +169,23 @@ def test_tau_closure_is_smallest_closed_superset():
         n = rng.randrange(1, 5)
         u = PointUniverse([str(i) for i in range(n)])
         topo = generate_topology(u, [rng.randrange(0, 1 << n) for _ in range(2)])
-        space = FiniteTopSpace(u, topo)
         closed = [u.full_mask & ~o for o in topo.mask_set]
         for a in range(1 << n):
-            got = tau_closure(space, a).mask
+            got = tau_closure(topo, a).mask
             candidates = [c for c in closed if not a & ~c]
             expected = u.full_mask
             for c in candidates:
                 expected &= c
             assert got == expected
-            assert tau_interior(space, a).mask == u.full_mask & ~tau_closure(space, u.full_mask & ~a).mask
+            assert tau_interior(topo, a).mask == u.full_mask & ~tau_closure(topo, u.full_mask & ~a).mask
 
 
 def test_minimal_open_is_contained_in_every_open_neighbourhood():
     u = PointUniverse(["a", "b", "c"])
     topo = generate_topology(u, [0b011, 0b110])
-    space = FiniteTopSpace(u, topo)
-    m = minimal_open(space, "b").mask
+    m = minimal_open(topo, "b").mask
     assert m in topo.mask_set
-    assert space.minimal_open_masks == topo.minimal_masks == (0b011, 0b010, 0b110)
+    assert topo.minimal_masks == (0b011, 0b010, 0b110)
     for o in topo.mask_set:
         if o & 0b010:
             assert not m & ~o
@@ -196,8 +193,8 @@ def test_minimal_open_is_contained_in_every_open_neighbourhood():
 
 def test_tau_connectedness_flags():
     u = PointUniverse(["a", "b"])
-    discrete = FiniteTopSpace(u, generate_topology(u, [0b01, 0b10]))
-    sierpinski = FiniteTopSpace(u, generate_topology(u, [0b01]))
+    discrete = generate_topology(u, [0b01, 0b10])
+    sierpinski = generate_topology(u, [0b01])
     assert not is_tau_connected(discrete)
     assert is_tau_connected(sierpinski)
 
@@ -213,7 +210,7 @@ def test_pointset_requires_matching_universe():
     u1 = PointUniverse(["a", "b"])
     u2 = PointUniverse(["a", "c"])
     topo = generate_topology(u1, [])
-    with pytest.raises(ValueError):
-        FiniteTopSpace(u2, topo)
+    with pytest.raises(ValueError, match="different universe"):
+        tau_closure(topo, PointSet(u2, 0b01))
     s = PointSet(u1, 0b01)
     assert s.labels() == ("a",)

@@ -19,7 +19,6 @@ from auratopo import (
     AuraSpace,
     OpenSetNotInTopology,
     PointNotInOwnAura,
-    ScopeFunction,
     count_auras,
     enumerate_auras,
     enumerate_topologies,
@@ -44,7 +43,7 @@ def _witness(ti, ai, s, valuation):
 
 def _opens_around(top, i):
     """Point i's scope candidates in canonical family order."""
-    return sorted((m for m in top.topology.mask_set if (m >> i) & 1), key=family_key)
+    return sorted((m for m in top.mask_set if (m >> i) & 1), key=family_key)
 
 
 def _reference_search(n, expression, limit=None, samples=None, seed=0):
@@ -70,7 +69,7 @@ def _reference_search(n, expression, limit=None, samples=None, seed=0):
             for c, d in zip(choices, digits):
                 ai = ai * len(c) + d
             picks = [c[d] for c, d in zip(choices, digits)]
-            visits.append((ti, ai, AuraSpace(top, ScopeFunction(top.universe, picks))))
+            visits.append((ti, ai, AuraSpace(top, picks)))
     for ti, ai, s in visits:
         if expr.holds_on(s):
             hits.append(_witness(ti, ai, s, {a: ATOMS[a](s) for a in expr.atoms}))
@@ -138,9 +137,9 @@ def _patch_a_bad_candidate(monkeypatch, n, topo_key, point, mask):
     """Make ``_fiber_choices`` offer ``mask`` to ``point`` on one topology."""
     original = search_module._fiber_choices
 
-    def with_bad(space):
-        choices = original(space)
-        if space.universe.n == n and space.topology.canonical_key() == topo_key:
+    def with_bad(topology):
+        choices = original(topology)
+        if topology.universe.n == n and topology.canonical_key() == topo_key:
             choices[point] = choices[point] + [mask]
         return choices
 
@@ -154,8 +153,8 @@ def _patch_a_bad_candidate(monkeypatch, n, topo_key, point, mask):
     (4, 0b10, PointNotInOwnAura),
 ])
 def test_scans_reject_a_bad_candidate(monkeypatch, capsys, opens, mask, error):
-    target = next(t for t in enumerate_topologies(2) if len(t.topology.mask_set) == opens)
-    _patch_a_bad_candidate(monkeypatch, 2, target.topology.canonical_key(), 0, mask)
+    target = next(t for t in enumerate_topologies(2) if len(t.mask_set) == opens)
+    _patch_a_bad_candidate(monkeypatch, 2, target.canonical_key(), 0, mask)
     with pytest.raises(error, match="'a'"):
         search(2, "aT0")
     with pytest.raises(error):

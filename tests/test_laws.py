@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import pytest
 
 from auratopo import LAW_NAMES, run_laws
-from auratopo.aura import AuraSpace, ScopeFunction
+from auratopo.aura import AuraSpace
 from auratopo.constructions import product
-from auratopo.finite import FiniteTopSpace, PointSet, TopologyFamily
+from auratopo.finite import PointSet, TopologyFamily
 from auratopo.genopen import GeneralizedClass
 from auratopo.laws import CORE, EXTENDED, LawContext, get_law
 from auratopo.sequences import aura_limits, converges_to, transitive_criterion
@@ -217,7 +217,7 @@ def _break_box_family(monkeypatch):
 
     def broken(sx, sy):
         family = real(sx, sy)
-        if sx.scope.masks[0] != sx.universe.full_mask:
+        if sx.scope_masks[0] != sx.universe.full_mask:
             return family
         return SimpleNamespace(mask_set=family.mask_set | {1})
 
@@ -229,7 +229,7 @@ def _break_continuity(monkeypatch):
     real = laws.is_aura_continuous
 
     def broken(f, src, dst):
-        return dst.scope.masks[-1] != dst.universe.full_mask and real(f, src, dst)
+        return dst.scope_masks[-1] != dst.universe.full_mask and real(f, src, dst)
 
     monkeypatch.setattr(laws, "is_aura_continuous", broken)
 
@@ -239,7 +239,7 @@ def _break_product_connectedness(monkeypatch):
     real = laws.is_aura_connected
 
     def broken(s, a=None):
-        flip = s.n == 4 and a is None and s.scope.masks[0] == s.universe.full_mask
+        flip = s.n == 4 and a is None and s.scope_masks[0] == s.universe.full_mask
         return real(s, a) != flip
 
     monkeypatch.setattr(laws, "is_aura_connected", broken)
@@ -333,7 +333,7 @@ def test_replayed_fault_outcomes_are_pinned(monkeypatch):
 # whose first point has the whole carrier as its scope.
 
 def _full_first_scope(s) -> bool:
-    return s.n > 0 and s.scope.masks[0] == s.universe.full_mask
+    return s.n > 0 and s.scope_masks[0] == s.universe.full_mask
 
 
 def _break_first_full_closure(monkeypatch):
@@ -426,7 +426,7 @@ def _break_subspace_scope(monkeypatch):
         if sub.n != 2 or not _full_first_scope(s):
             return sub
         cut = AuraSpace.__new__(AuraSpace)
-        cut.space, cut.scope = sub.space, ScopeFunction(sub.universe, (1, sub.scope.masks[1]))
+        cut.topology, cut.scope_masks = sub.topology, (1, sub.scope_masks[1])
         return cut
 
     monkeypatch.setattr(laws, "subspace", broken)
@@ -550,10 +550,10 @@ def test_scope_topology_subfamily_runs_on_every_space(monkeypatch):
     # Pinned from a run that checked every space in full.
     ctx = LawContext(3)
     for s in ctx.spaces(2):
-        opens = s.space.topology.mask_set
+        opens = s.topology.mask_set
         if len(opens) == 3:
             kept = opens - {min(opens - {0})}
-            monkeypatch.setattr(s.space, "topology", TopologyFamily(s.universe, kept, validate=False))
+            monkeypatch.setattr(s, "topology", TopologyFamily(s.universe, kept, validate=False))
     (o,) = run_laws(names=["scope-topology-subfamily"], ctx=ctx).outcomes
     assert (o.checks, o.failed, o.failures) == _witnessed("scope-topology-subfamily", 5017, 2, [
         ("scope-open 0x1 is not open", "points a,b | opens {},{a,b} | scopes a:{a} b:{a,b}"),
@@ -571,9 +571,9 @@ def _break_product_topology(monkeypatch):
 
     def broken(sx, sy):
         p = real(sx, sy)
-        if sx.space.topology.mask_set == frozenset(range(4)):
-            opens = p.space.topology.mask_set - {1}
-            p.space = FiniteTopSpace(p.universe, TopologyFamily(p.universe, opens, validate=False))
+        if sx.topology.mask_set == frozenset(range(4)):
+            opens = p.topology.mask_set - {1}
+            p.topology = TopologyFamily(p.universe, opens, validate=False)
         return p
 
     monkeypatch.setattr(laws, "product", broken)
@@ -584,7 +584,7 @@ def _break_compactness(monkeypatch):
     # this reads the ambient topology, which no source class key holds.
     monkeypatch.setattr(
         laws, "is_aura_compact",
-        lambda s, a=None, oracle=False: not (s.n == 2 and len(s.space.topology.mask_set) == 3),
+        lambda s, a=None, oracle=False: not (s.n == 2 and len(s.topology.mask_set) == 3),
     )
 
 
@@ -644,7 +644,7 @@ def test_product_class_keys_hold_the_families_the_chain_reads():
     first_topology, first_tau_a = {}, {}
     for sx, sy in pairs:
         p = product(sx, sy)
-        topology = p.space.topology.mask_set
+        topology = p.topology.mask_set
         tau_a = frozenset(p.aura_topology_masks)
         assert first_topology.setdefault(laws._product_topology_key(sx, sy), topology) == topology
         assert first_tau_a.setdefault(laws._pair_key(sx, sy), tau_a) == tau_a

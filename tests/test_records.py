@@ -20,10 +20,10 @@ from auratopo.connectivity import ComponentPartition, Separation
 from auratopo.documents import SpaceDocument
 from auratopo.search import SearchReport, Witness, search
 
-DISCRETE2 = "AuraSpace(FiniteTopSpace(['1', '2'], {{}, {1}, {2}, {1,2}}), scope {1:{1}, 2:{2}})"
+DISCRETE2 = "AuraSpace(TopologyFamily({{}, {1}, {2}, {1,2}}), scope {1:{1}, 2:{2}})"
 SIERPINSKI = ('{"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]], '
               '"aura": {"a": ["a"], "b": ["a", "b"]}, "name": "sierpinski2"}')
-SIERPINSKI2 = "AuraSpace(FiniteTopSpace(['a', 'b'], {{}, {a}, {a,b}}), scope {a:{a}, b:{a,b}})"
+SIERPINSKI2 = "AuraSpace(TopologyFamily({{}, {a}, {a,b}}), scope {a:{a}, b:{a,b}})"
 WITNESS = ("Witness(topology_index=0, aura_index=0, descriptor='points a,b | opens "
            "{},{a},{b},{a,b} | scopes a:{a} b:{b}', document={'points': ['a', 'b'], "
            "'opens': [[], ['a'], ['b'], ['a', 'b']], 'aura': {'a': ['a'], 'b': ['b']}}, "

@@ -11,7 +11,6 @@ from auratopo import (
     AuraSpace,
     LimitOutOfRange,
     SamplesOutOfRange,
-    ScopeFunction,
     SizeOutOfRange,
     UnknownAtom,
     WorkersOutOfRange,
@@ -39,14 +38,14 @@ def test_topology_enumeration_counts():
 
 def test_enumeration_matches_the_brute_filter():
     for n in range(4):
-        got = {fs.topology.mask_set for fs in enumerate_topologies(n)}
+        got = {fs.mask_set for fs in enumerate_topologies(n)}
         expected = {frozenset(f) for f in brute_topologies(n)}
         assert got == expected
 
 
 def test_enumeration_order_is_stable():
-    first = [s.topology.canonical_key() for s in enumerate_topologies(3)]
-    second = [s.topology.canonical_key() for s in enumerate_topologies(3)]
+    first = [t.canonical_key() for t in enumerate_topologies(3)]
+    second = [t.canonical_key() for t in enumerate_topologies(3)]
     assert first == second == sorted(first)
 
 
@@ -475,7 +474,7 @@ def test_scope_only_atoms_read_nothing_but_the_scope_tuple():
     assert max(tuples.values()) > 1
     assert _split_scope_verdicts(ATOMS) == []
     # The check has teeth: an atom that also reads the topology is caught.
-    leaky = dict(ATOMS, aT0=lambda s: s.separation.t0 or len(s.space.topology.mask_set) > 4)
+    leaky = dict(ATOMS, aT0=lambda s: s.separation.t0 or len(s.topology.mask_set) > 4)
     assert _split_scope_verdicts(leaky)
 
 
@@ -484,15 +483,15 @@ def test_memoised_tau_a_equals_tau_matches_the_definition():
     memo = {}
     spaces = list(all_small_spaces(3))
     for s in spaces:
-        expected = frozenset(brute_tau_a(s.n, s.scope_masks)) == s.space.topology.mask_set
+        expected = frozenset(brute_tau_a(s.n, s.scope_masks)) == s.topology.mask_set
         assert ATOMS["tauAEqualsTau"](s) == expected
         assert expr.holds_on(s) == expected
         # Read as the scans read it: the hulls of the tuple's memo entry,
         # which later spaces of the tuple and of its relabellings share,
         # against each space's own minimal opens.
         _, hulls = memo.get(s.scope_masks) or search_module._decide(
-            memo, s.space, s.scope_masks, ())
-        assert (hulls == s.space.minimal_open_masks) == expected
+            memo, s.topology, s.scope_masks, ())
+        assert (hulls == s.topology.minimal_masks) == expected
     assert len(memo) < len(spaces)
     # The walk's key carries the same verdict, space by space in grid order.
     walked = [key for n in range(4) for *_, key in
@@ -546,11 +545,11 @@ def _relabelling_faults(atoms, max_n):
     faults, classes = [], []
     for n in range(max_n + 1):
         # Under the discrete topology every reflexive tuple is valid.
-        space = next(t for t in enumerate_topologies(n) if len(t.topology.mask_set) == 1 << n)
+        discrete = next(t for t in enumerate_topologies(n) if len(t.mask_set) == 1 << n)
         choices = [[m for m in range(1 << n) if (m >> x) & 1] for x in range(n)]
         decided = {}
         for picks in itertools.product(*choices):
-            s = AuraSpace(space, ScopeFunction(space.universe, picks))
+            s = AuraSpace(discrete, picks)
             decided[picks] = ({a: atoms[a](s) for a in SCOPE_ATOMS}, s.hull_masks)
         canonical = set()
         for picks, (values, hulls) in decided.items():

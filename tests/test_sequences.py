@@ -64,7 +64,7 @@ def test_limits_match_the_oracle():
             cycle = tuple(i for i in range(s.n) if (cm >> i) & 1)
             q = EvPSequence(s.universe, (), cycle)
             got = aura_limits(s, q).mask
-            assert got == brute_limits(s.n, list(s.scope.masks), cm)
+            assert got == brute_limits(s.n, list(s.scope_masks), cm)
     rng = random.Random(50)
     for _ in range(80):
         s = rand_space(rng, rng.randrange(1, 6))
@@ -74,7 +74,7 @@ def test_limits_match_the_oracle():
         prefix = tuple(rng.randrange(s.n) for _ in range(rng.randrange(0, 3)))
         q = EvPSequence(s.universe, prefix, cycle)
         assert aura_limits(s, q).mask == brute_limits(
-            s.n, list(s.scope.masks), q.cycle_mask()
+            s.n, list(s.scope_masks), q.cycle_mask()
         )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -151,7 +152,7 @@ def test_other_models_operators_in_closed_form():
 
 def test_published_verdicts_are_pinned():
     expected = {
-        "nat-successor": (False, False, True, True, True, False),
+        "nat-successor": (True, True, True, True, True, False),
         "nat-discrete": (False, False, True, False, False, False),
         "trivial": (True, True, True, True, True, False),
         "cofinite-trivial": (True, True, True, True, True, True),
@@ -178,6 +179,23 @@ def test_negative_verdicts_carry_a_checkable_witness():
             family = verdict.witness_family
             assert subcover_check(model, family, range(1, 30)) in (True, False)
             assert not subcover_check(model, family, [3, 5, 9])
+
+
+def test_no_witness_family_has_a_small_finite_subcover():
+    # A false verdict names a cover family with no finite subcover, so no
+    # nonempty choice of parameters from 1..6 may cover the carrier.
+    witnessed = 0
+    for name in MODEL_NAMES:
+        model = get_model(name)
+        for key, verdict in model.compactness_report().verdicts().items():
+            if verdict.value or verdict.witness_family is None:
+                continue
+            witnessed += 1
+            for size in range(1, 7):
+                for params in itertools.combinations(range(1, 7), size):
+                    assert not subcover_check(model, verdict.witness_family, params), (
+                        name, key, params)
+    assert witnessed
 
 
 def test_subcover_check_decides_exactly():
