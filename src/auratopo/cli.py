@@ -15,8 +15,8 @@ so a process compiles and runs only those. Every command loads ``cli``,
 - ``analyze``, ``components``: ``documents`` and ``connectivity``;
 - ``subspace``, ``product``: ``documents`` and ``constructions``;
 - ``convergence``: ``documents`` and ``sequences``;
-- ``search``, ``matrix``, ``enumerate``: ``search``, ``connectivity`` and
-  ``constructions``;
+- ``search``, ``enumerate``: ``search`` and ``connectivity``;
+- ``matrix``: ``search``, ``connectivity`` and ``constructions``;
 - ``symbolic``: ``symbolic``;
 - ``verify-paper``: ``verification``, ``fixtures`` and every layer they
   use, and ``laws`` and ``search`` unless ``--skip-laws`` is given.

@@ -2,16 +2,21 @@
 
 Spaces are enumerated as labeled topologies (via their specialization
 preorders) times the full fiber of scope functions over each topology.
-``search`` and ``implication_matrix`` read that grid through one walk,
-``_walk``: a worker's share of the topologies, in grid order, as one
-valuation key per space. Only the first space of each relabelling class
-of scope tuples is built (``_decide``), and one valuation-key memo
-(``_scan``) evaluates the predicate, or picks the matrix's first space of
-each valuation, once per key. The shares run in one process or in a pool
-(``_run_shares``) and merge in grid order, so reports are byte-stable
-regardless of worker count. A sampled search draws its spaces with
-``_sample`` and reads them the same way. Each space a report keeps is
-rendered once (``_render_witnesses``).
+``search`` and ``implication_matrix`` read that grid in two passes over a
+worker's share of the topologies (``_share``). Pass 1 decides one scope
+tuple per relabelling class under the discrete topology, which admits
+every tuple (``_scope_classes``, ``_decide``). A space's valuation is
+fixed by its tuple's class values, whether τ is connected and whether the
+tuple is τ's minimal opens, so pass 1 decides every space of the grid,
+and the matrix also learns from it which valuations occur
+(``_valuation_keys``). Pass 2 (``_visit``) walks the topologies in grid
+order only as far as the last witness the report keeps, and on a
+topology where only the minimal-open tuple can be wanted it reads that
+tuple alone. The shares run in one process or in a pool (``_run_shares``)
+and merge in grid order, so reports are byte-stable regardless of worker
+count. A sampled search draws its spaces with ``_sample`` and reads them
+the same way (``_matches``). Each space a report keeps is rendered once
+(``_render_witnesses``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ import random
 import re
 import string
 from collections import Counter, namedtuple
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import reduce
+from math import prod
+from operator import and_
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import kernel
 from .aura import AuraSpace, space_document
@@ -30,7 +38,6 @@ from .connectivity import (
     is_aura_locally_connected,
     is_aura_path_connected,
 )
-from .constructions import _box_mask
 from .errors import (
     LimitOutOfRange,
     OpenSetNotInTopology,
@@ -205,8 +212,8 @@ ScopeMemo = Dict[Tuple[int, ...], Tuple[tuple, Tuple[int, ...]]]
 
 def _decide(memo: ScopeMemo, topology: TopologyFamily, picks: Tuple[int, ...],
             atoms: Tuple[str, ...], orbit: bool = True) -> Tuple[tuple, Tuple[int, ...]]:
-    """Decide the scope tuple ``picks`` on its first grid space, over
-    ``topology``, and enter it in the memo; return its entry (values, hulls).
+    """Decide the scope tuple ``picks`` on one space, over ``topology``,
+    and enter it in the memo; return its entry (values, hulls).
 
     ``atoms`` are scope-only atoms in ``SCOPE_ATOMS`` order, and ``values``
     holds theirs in that order. The space is built and validated, and it
@@ -230,10 +237,11 @@ def _decide(memo: ScopeMemo, topology: TopologyFamily, picks: Tuple[int, ...],
     ``comparability_rows`` and ``aura_topology_masks`` from the hulls. τ
     only decides which tuples occur, since every scope must be τ-open. So
     all spaces with one scope tuple give each scope-only atom the same
-    value, and the first of them decides it for the rest, which build
-    nothing. The two topology atoms are left to the scans: ``tauConnected``
-    reads τ alone, and ``tauAEqualsTau`` is the comparison of the entry's
-    hulls with each space's minimal opens (``_tau_a_equals_tau``).
+    value, and one of them decides it for the rest, which build nothing.
+    The two topology atoms are left to the scans: ``tauConnected`` reads τ
+    alone, and ``tauAEqualsTau`` compares the entry's hulls with each
+    space's minimal opens (``_tau_a_equals_tau``), which on a grid space
+    is the comparison of its tuple with them (see ``_valuation_keys``).
 
     The scope-only atoms also agree on relabelled tuples. For a
     permutation σ of the n labels, the tuple σ·a has entry σ(x) equal to
@@ -458,6 +466,12 @@ class SearchReport(namedtuple("SearchReport", "command size spaces_scanned expre
 # Workers pickle these back; only the hits a report keeps are rendered.
 Hit = Tuple[int, int, Tuple[int, ...], dict]
 
+# A space's valuation key over the atoms a scan reads: (the scope-only
+# atoms' values, tauConnected, tauAEqualsTau). An atom the scan does not
+# read is None or left out of the values. Two spaces share a key exactly
+# when they agree on every atom read (``_valuation`` reads it back).
+Key = Tuple[tuple, Optional[bool], Optional[bool]]
+
 
 def _scope_atoms(atoms: Tuple[str, ...]) -> Tuple[str, ...]:
     """The scope-only atoms among ``atoms``, in ``SCOPE_ATOMS`` order."""
@@ -469,55 +483,147 @@ def _tau_connected_if_read(atoms: Tuple[str, ...], topology: TopologyFamily) -> 
     return ATOMS["tauConnected"](topology) if "tauConnected" in atoms else None
 
 
-def _walk(topologies: List[TopologyFamily], worker: int, workers: int,
-          atoms: Tuple[str, ...]):
-    """Every space of one worker's share of the grid, in grid order, as
-    (topology index, aura index, scope tuple, valuation key).
+def _valuation(atoms: Tuple[str, ...], key: Key) -> dict:
+    """The valuation a key over ``atoms`` stands for, in their order."""
+    values, tau_connected, tau_a_equals_tau = key
+    known = dict(zip(_scope_atoms(atoms), values),
+                 tauConnected=tau_connected, tauAEqualsTau=tau_a_equals_tau)
+    return {a: known[a] for a in atoms}
 
-    The share is every ``workers``-th topology from index ``worker``. Each
-    topology's grid is walked as plain scope tuples in ``enumerate_auras``
-    order, so a tuple's position is its aura index. Each tuple is a valid
-    scope function: it takes its entry i from list i of
-    ``_checked_choices``, whose every candidate passed the test
-    ``AuraSpace`` makes of entry i (open, and containing point i). So no
-    space is built to validate it.
 
-    The share comes out in ascending (topology index, aura index) order, so
-    the first k spaces of a share with some property are its least ones.
-    The shares split the grid, so the first k of the whole grid lie among
-    the shares' first k, and sorting those by position and cutting at k
-    gives them (``_run_shares``). With k = 1 and the property "has this
-    valuation", this also gives the first space of each valuation, from
-    which ``implication_matrix`` takes its first witnesses.
+def _scope_classes(discrete: TopologyFamily, atoms: Tuple[str, ...]
+                   ) -> Tuple[ScopeMemo, List[Tuple[int, ...]]]:
+    """Pass 1: the scope memo of the whole grid over ``atoms``, and the
+    first tuple of each relabelling class, in grid order.
 
-    The key is (scope-atom values, tauConnected, tauAEqualsTau) over
-    ``atoms``, the atoms the caller reads; an atom it does not read is None
-    or left out of the values. The values come from the share's memo, so
-    only the first space of each relabelling class of scope tuples is
-    built (``_decide``: 218 of the 59,123 spaces at n = 4). ``tauConnected``
-    is decided once per topology, and ``tauAEqualsTau`` compares the
-    tuple's hulls with the topology's minimal opens on every space
-    (``_tau_a_equals_tau``). The key holds the values of ``atoms`` in a
-    fixed arrangement, so two spaces share a key exactly when they agree
-    on every atom of ``atoms`` (``_valuation`` reads it back).
+    Every scope tuple is reflexive (x ∈ a(x)), and ``discrete``, the
+    discrete topology, admits every reflexive tuple, since every set is
+    open in it. It is topology 0 of the grid: its family holds every other
+    one's, so it sorts first. Its grid therefore meets every tuple that any
+    space of the grid has, and ``_decide`` decides the first tuple of each
+    relabelling class and enters the whole class: 16 classes of 64 tuples
+    at n = 3, and 218 of 4,096 at n = 4.
     """
     scope = _scope_atoms(atoms)
-    equals_read = "tauAEqualsTau" in atoms
     memo: ScopeMemo = {}
-    for ti in range(worker, len(topologies), workers):
-        topology = topologies[ti]
-        minimal = topology.minimal_masks
-        tau_connected = _tau_connected_if_read(atoms, topology)
-        for aura_index, picks in enumerate(itertools.product(*_checked_choices(topology))):
-            values, hulls = memo.get(picks) or _decide(memo, topology, picks, scope)
-            yield ti, aura_index, picks, (values, tau_connected,
-                                          hulls == minimal if equals_read else None)
+    classes = []
+    for picks in itertools.product(*_checked_choices(discrete)):
+        if picks not in memo:
+            _decide(memo, discrete, picks, scope)
+            classes.append(picks)
+    return memo, classes
+
+
+def _valuation_keys(n: int, memo: ScopeMemo, classes: List[Tuple[int, ...]],
+                    topologies: List[TopologyFamily], connected: List[bool]) -> Set[Key]:
+    """K, the exact set of valuation keys over all atoms of the size-n grid,
+    from pass 1 and ``connected``, each topology's ``tauConnected``.
+
+    Let a be a class's first tuple and v its values; relabelling moves
+    every fact below along with a, so a stands for its class. The spaces of
+    a are (τ, a) for every τ that admits a, that is every τ in which each
+    scope is open. These are the τ ⊇ gen(a), the topology the scopes
+    generate. gen(a) holds the unions of finite intersections of scopes,
+    so its minimal opens are m(x) = ∩{a(y) : x ∈ a(y)}, an intersection
+    that a(x) takes part in. Three facts decide which keys (v, tc(τ), eq)
+    the spaces of a take, where tc is ``tauConnected`` and eq is
+    ``tauAEqualsTau``:
+
+    1. hull(x) ⊇ a(x) ⊇ m_τ(x): the hull is scope-open, so it holds the
+       scope of its point, and a(x) is a τ-open set around x. So hulls
+       equal to m_τ force a = m_τ. Conversely, minimal opens are
+       transitive (y ∈ m(x) gives m(y) ⊆ m(x)), and a transitive tuple is
+       its own hull, so a = m_τ gives hulls = a = m_τ. eq compares the
+       hulls with m_τ (``_tau_a_equals_tau``), so it holds exactly when
+       a = m_τ, and then a is transitive and τ, the topology whose
+       minimal opens are a, is gen(a) = τ_a.
+    2. A topology coarser than a connected one is connected: two disjoint
+       nonempty open sets of the coarser one that cover X cover it in the
+       finer one too. gen(a) is the coarsest topology that admits a, so
+       some τ that admits a is connected exactly when gen(a) is.
+    3. For n ≥ 2 the discrete topology, which admits every tuple, is
+       disconnected: {x} and X \\ {x} split it. Its minimal opens are the
+       identity tuple x ↦ {x}.
+
+    Hence K holds exactly these keys:
+
+    - (v, false, false) iff a is not the identity tuple. If it is not,
+      then n ≥ 2, and the discrete τ gives the key by facts 3 and 1. The
+      identity tuple, whose scopes are the singletons, is admitted by the
+      discrete topology alone, where eq holds.
+    - (v, true, false) iff some connected τ admits a and m_τ ≠ a. If a is
+      not transitive, m_τ ≠ a on every τ (fact 1), so by fact 2 this holds
+      iff gen(a) is connected. If a is transitive, it holds iff some
+      connected τ strictly contains τ_a, since m_τ = a only at τ = τ_a.
+    - (v, c, true) iff a is transitive, with c the connectedness of
+      τ_a = gen(a) (fact 1).
+
+    gen(a)'s connectedness is read from its minimal opens, through the
+    comparability rows that ``aPathConnected`` reads from the hulls.
+    """
+    keys: Set[Key] = set()
+    identity = tuple(1 << x for x in range(n))
+    for a in classes:
+        values, hulls = memo[a]
+        generated = [reduce(and_, [m for m in a if m >> x & 1]) for x in range(n)]
+        gen_connected = kernel.component_count(kernel.comparability_rows(generated)) <= 1
+        if a != identity:
+            keys.add((values, False, False))
+        if hulls != a:  # a is not transitive
+            if gen_connected:
+                keys.add((values, True, False))
+            continue
+        keys.add((values, gen_connected, True))
+        if gen_connected and any(c and t.mask_set.issuperset(a) and t.minimal_masks != a
+                                 for t, c in zip(topologies, connected)):
+            keys.add((values, True, False))
+    return keys
+
+
+def _visit(topologies: List[TopologyFamily], grids: Dict[int, List[List[int]]],
+           atoms: Tuple[str, ...], memo: ScopeMemo, connected: List[Optional[bool]],
+           walks: Callable[[Optional[bool]], bool]):
+    """Pass 2: the spaces of one share that can hold a wanted key, in grid
+    order, as (topology index, aura index, scope tuple, key).
+
+    ``grids`` maps each topology index of the share, ascending, to its
+    ``_checked_choices``, so every tuple taken from it is a valid scope
+    function and no space is built to validate it. On a topology τ where
+    ``walks(tc(τ))`` holds, every space is visited, in ``enumerate_auras``
+    order, so a tuple's position is its aura index. Elsewhere only the
+    space whose tuple is m_τ, τ's minimal opens, is visited, at the
+    mixed-radix position of m_τ in the choice lists. ``walks`` is asked as
+    each topology is reached, so it sees the hits found so far.
+
+    The key's values come from the memo (pass 1). By fact 1 of
+    ``_valuation_keys``, eq is the comparison of the tuple with m_τ. So
+    every space of τ but m_τ has the key (v, tc(τ), false), or
+    (v, tc(τ), None) if eq is not read, and when ``walks`` says that no
+    such key is wanted, m_τ is the only space of τ that can hold one.
+    Every space skipped holds an unwanted key, and the others come in the
+    order of a full walk, so a scan that stops at its last wanted space
+    finds the hits a full walk finds up to there, in the same order.
+    """
+    equals_read = "tauAEqualsTau" in atoms
+    for ti, choices in grids.items():
+        tau_connected = connected[ti]
+        minimal = topologies[ti].minimal_masks
+        if walks(tau_connected):
+            for aura_index, picks in enumerate(itertools.product(*choices)):
+                yield ti, aura_index, picks, (memo[picks][0], tau_connected,
+                                              picks == minimal if equals_read else None)
+        else:
+            aura_index = 0
+            for c, m in zip(choices, minimal):
+                aura_index = aura_index * len(c) + c.index(m)
+            yield ti, aura_index, minimal, (memo[minimal][0], tau_connected,
+                                            True if equals_read else None)
 
 
 def _sample(topologies: List[TopologyFamily], atoms: Tuple[str, ...], samples: int,
             seed: int):
     """``samples`` seeded random grid spaces, drawn with replacement, as
-    ``_walk`` yields them. The memo enters only the tuples met (see
+    ``_visit`` yields them. The memo enters only the tuples met (see
     ``_decide``)."""
     rng = random.Random(seed)
     scope = _scope_atoms(atoms)
@@ -543,54 +649,96 @@ def _sample(topologies: List[TopologyFamily], atoms: Tuple[str, ...], samples: i
                                       hulls == topology.minimal_masks if equals_read else None)
 
 
-def _valuation(atoms: Tuple[str, ...], key: tuple) -> dict:
-    """The valuation a ``_walk`` key over ``atoms`` stands for, in their order."""
-    values, tau_connected, tau_a_equals_tau = key
-    known = dict(zip(_scope_atoms(atoms), values),
-                 tauConnected=tau_connected, tauAEqualsTau=tau_a_equals_tau)
-    return {a: known[a] for a in atoms}
-
-
-def _scan(spaces, atoms: Tuple[str, ...], expr: Optional[PredicateExpr],
-          keep: Optional[int]) -> Tuple[int, List[Hit]]:
-    """Spaces scanned, and the hits among ``spaces`` in their order, for
-    spaces as ``_walk`` yields them over ``atoms``.
-
-    With a predicate ``expr``, a hit is a space where it holds, and the
-    first ``keep`` hits are kept (all of them if None). Without one, a hit
-    is the first space of each valuation (see ``implication_matrix``). A
-    space's valuation is fixed by its key, so the valuation memo decides
-    each key once: it holds the key's valuation if its spaces are hits,
-    else None, and a later space of the key evaluates nothing.
-    """
-    valuations: dict = {}
-    scanned = 0
+def _matches(spaces, atoms: Tuple[str, ...], expr: PredicateExpr,
+             keep: Optional[int]) -> List[Hit]:
+    """The first ``keep`` spaces of ``spaces`` where ``expr`` holds (all of
+    them if None), in their order; the scan stops at the last one kept. A
+    space's valuation is fixed by its key, so the valuation memo evaluates
+    the predicate once per key: it holds the key's valuation if its spaces
+    are hits, else None."""
     hits: List[Hit] = []
+    if keep == 0:
+        return hits
+    valuations: dict = {}
     for ti, aura_index, picks, key in spaces:
-        scanned += 1
         if key in valuations:
-            if expr is None:
-                continue
             hit = valuations[key]
         else:
             values = _valuation(atoms, key)
-            hit = valuations[key] = values if expr is None or expr.evaluate(values) else None
-        if hit is not None and (keep is None or len(hits) < keep):
+            hit = valuations[key] = values if expr.evaluate(values) else None
+        if hit is not None:
             hits.append((ti, aura_index, picks, hit))
-    return scanned, hits
+            if len(hits) == keep:
+                break
+    return hits
+
+
+def _first_keys(spaces, atoms: Tuple[str, ...], missing: Set[Key]) -> List[Hit]:
+    """The first space of each key in ``missing``, in the order of
+    ``spaces``. The scan takes each key out of ``missing`` as it finds it,
+    and stops when none is left."""
+    hits: List[Hit] = []
+    for ti, aura_index, picks, key in spaces:
+        if key in missing:
+            missing.remove(key)
+            hits.append((ti, aura_index, picks, _valuation(atoms, key)))
+            if not missing:
+                break
+    return hits
 
 
 def _share(n: int, worker: int, workers: int, expression: Optional[str],
            keep: Optional[int], topologies: Optional[List[TopologyFamily]] = None
            ) -> Tuple[int, List[Hit]]:
-    """``_scan`` of one worker's share of the size-n grid, for the predicate
-    ``expression``, or for the matrix if it is None. ``topologies`` is
-    ``enumerate_topologies(n)``, which a pool worker enumerates itself."""
+    """Spaces scanned and hits of one worker's share of the size-n grid:
+    the first ``keep`` spaces (all if None) where the predicate
+    ``expression`` holds, or, if it is None, the first space of each
+    valuation key (see ``implication_matrix``). The share is every
+    ``workers``-th topology from index ``worker``. ``topologies`` is
+    ``enumerate_topologies(n)``, which a pool worker enumerates itself.
+
+    Pass 1 (``_scope_classes``) decides every scope tuple of the grid, and
+    ``tauConnected`` is decided once per topology. A space's valuation is
+    the key (its tuple's values, tc(τ), whether its tuple is m_τ) by fact 1
+    of ``_valuation_keys``, so every space of the share is decided, and
+    the spaces scanned are all of them, Σ ``count_auras``. Pass 2
+    (``_visit``) reads them only as far as the share's last hit and skips
+    the topologies where only m_τ can be a hit:
+
+    - the matrix wants each key of K (``_valuation_keys``) that it has not
+      found yet, and stops once it has found them all;
+    - a search wants the keys where the predicate holds, and stops at its
+      ``keep``-th hit. It walks the topologies of each tc for which some
+      class values v make the predicate hold on (v, tc, false), or on
+      (v, tc, None) if it does not read eq. Some of those keys may occur
+      on no space, which costs a longer walk but loses no hit.
+
+    The share's hits are its least ones in (topology index, aura index)
+    order. The shares split the grid, so the first k of the whole grid lie
+    among the shares' first k, and sorting those by position and cutting
+    at k gives them (``_run_shares``). With k = 1 and the property "has
+    this key", this also gives the first space of each key.
+    """
     if topologies is None:
         topologies = enumerate_topologies(n)
     expr = None if expression is None else parse_predicate(expression)
     atoms = ATOM_NAMES if expr is None else expr.atoms
-    return _scan(_walk(topologies, worker, workers, atoms), atoms, expr, keep)
+    grids = {ti: _checked_choices(topologies[ti])
+             for ti in range(worker, len(topologies), workers)}
+    scanned = sum(prod(len(c) for c in choices) for choices in grids.values())
+    connected = [_tau_connected_if_read(atoms, t) for t in topologies]
+    memo, classes = _scope_classes(topologies[0], atoms)
+    if expr is None:
+        missing = _valuation_keys(n, memo, classes, topologies, connected)
+        walks = lambda tc: any(key[1] == tc and not key[2] for key in missing)
+        return scanned, _first_keys(_visit(topologies, grids, atoms, memo, connected, walks),
+                                    atoms, missing)
+    eq = False if "tauAEqualsTau" in atoms else None
+    values = {memo[a][0] for a in classes}
+    walked = {tc for tc in set(connected)
+              if any(expr.evaluate(_valuation(atoms, (v, tc, eq))) for v in values)}
+    return scanned, _matches(_visit(topologies, grids, atoms, memo, connected, walked.__contains__),
+                             atoms, expr, keep)
 
 
 def _check_workers(workers: int) -> None:
@@ -604,7 +752,7 @@ def _run_shares(topologies: List[TopologyFamily], n: int, workers: int,
     them if None), of ``workers`` shares of the size-n grid (``_share``).
 
     One worker scans ``topologies`` in place, and pool workers enumerate
-    their own. The merge is the one ``_walk`` proves right."""
+    their own. The merge is the one ``_share`` proves right."""
     if workers <= 1:
         results = [_share(n, 0, 1, expression, keep, topologies)]
     else:
@@ -638,8 +786,9 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
     """Scan every space of the given size for the predicate.
 
     Size 5 needs either ``samples`` (seeded random scan) or ``allow_large``
-    (full scan; the fiber count is in the millions).  The whole grid is
-    always scanned so reports do not depend on worker count; a sampled
+    (full scan; the fiber count is in the millions).  Every space of the
+    grid is decided, and the walk stops at the last witness kept (see
+    ``_share``), so reports do not depend on worker count; a sampled
     scan runs in one process whatever ``workers`` says.  ``limit``
     keeps the first witnesses in grid (or sample) order, and only those are
     rendered; a negative limit raises ``LimitOutOfRange``, a negative
@@ -665,8 +814,11 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
     if samples is None:
         scanned, hits = _run_shares(topologies, n, workers, expression, limit)
     else:
-        scanned, hits = _scan(_sample(topologies, expr.atoms, samples, seed),
-                              expr.atoms, expr, limit)
+        # The report counts every sample as scanned, so the scan draws and
+        # decides them all; it does not stop at the limit.
+        scanned = samples
+        hits = _matches(_sample(topologies, expr.atoms, samples, seed),
+                        expr.atoms, expr, None)[:limit]
     return SearchReport("search", n, scanned, expression=expression,
                         witnesses=_render_witnesses(topologies, hits),
                         seed=None if samples is None else seed, samples=samples)
@@ -683,7 +835,7 @@ _FACTOR_SIZES = (2, 3)
 
 def _product_pair_pool() -> List[Factor]:
     """Every 2- and 3-point space as a factor, in grid order. The scope
-    tuples are valid for the reason given in ``_walk``, so no
+    tuples are valid for the reason given in ``_checked_choices``, so no
     space is built; the hulls come straight from the kernel. The same
     scopes are admissible under several topologies, so the 371 factors
     hold 68 distinct scope tuples, and each tuple's hulls are closed once."""
@@ -764,6 +916,8 @@ def product_strictness_scan() -> str:
     distinct y of that size, one lane per y, so the 68 ** 2 pairs take 136
     calls.
     """
+    from .constructions import _box_mask
+
     pool = _product_pair_pool()
     # Every box the scan forms, built once and looked up to pack the lanes.
     width = 1 << max(_FACTOR_SIZES)
@@ -791,9 +945,9 @@ def implication_matrix(n: int, workers: int = 1) -> SearchReport:
     """First-witness matrix for every ordered atom pair at the given size.
 
     The pairs p => q that a space makes fail depend only on its valuation,
-    so only the first space of each valuation is read (``_scan`` without a
-    predicate, merged as ``_walk`` describes): 27 of the 59,123 spaces at
-    size 4. Read in grid order, the first of them that makes p true and q
+    so only the first space of each valuation is read (``_share`` without a
+    predicate): 27 of the 59,123 spaces at size 4, found by walking 4,526
+    of them. Read in grid order, the first of them that makes p true and q
     false is the first such space of the grid, and it is the pair's
     witness. Each witness space is rendered once, however many pairs it
     fails.

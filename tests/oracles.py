@@ -214,3 +214,30 @@ def brute_is_continuous(images, src_n, src_scopes, dst_n, dst_scopes):
         if pre not in src_tau:
             return False
     return True
+
+
+def plain_walk(topologies, atoms):
+    """Every space of the grid over ``topologies``, in grid order, as
+    (topology index, aura index, scope tuple, valuation key over
+    ``atoms``): the walk the scans made before they decided the grid from
+    its scope classes, with no stop and no skipped space.
+
+    Unlike the rest of this module it reads the atoms through the package,
+    in the key layout of ``auratopo.search``: each scope tuple is decided
+    on its own first grid space (``_decide``, with no relabelling), whose
+    scope-only values other tests check against the definitions.
+    ``tauConnected`` is decided once per topology, and ``tauAEqualsTau``
+    compares each space's hulls with its topology's minimal opens.
+    """
+    from auratopo.search import ATOMS, _checked_choices, _decide, _scope_atoms
+
+    scope = _scope_atoms(atoms)
+    equals_read = "tauAEqualsTau" in atoms
+    memo = {}
+    for ti, topology in enumerate(topologies):
+        minimal = topology.minimal_masks
+        tau_connected = ATOMS["tauConnected"](topology) if "tauConnected" in atoms else None
+        for aura_index, picks in enumerate(itertools.product(*_checked_choices(topology))):
+            values, hulls = memo.get(picks) or _decide(memo, topology, picks, scope, orbit=False)
+            yield ti, aura_index, picks, (values, tau_connected,
+                                          hulls == minimal if equals_read else None)

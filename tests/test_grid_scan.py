@@ -1,10 +1,10 @@
 """The mask-tuple grid scans against the validated path.
 
 ``search`` and ``matrix`` walk each topology's grid as plain scope tuples
-and build an ``AuraSpace`` only for the first space of each scope tuple and
-for each rendered witness. These tests compare them with references that
-build and validate every space (``enumerate_auras``, or ``AuraSpace`` for a
-sampled one) and decide every atom on it.
+and build an ``AuraSpace`` only for the first tuple of each relabelling
+class and for each rendered witness. These tests compare them with
+references that build and validate every space (``enumerate_auras``, or
+``AuraSpace`` for a sampled one) and decide every atom on it.
 """
 
 import importlib
@@ -204,11 +204,13 @@ def test_every_grid_reader_follows_the_fiber_choices(monkeypatch):
     ["matrix", "--json"],
     ["search", "--where", "aConnected and not tauConnected or tauAEqualsTau and not aT0",
      "--limit", "25"],
+    ["search", "--where", "aConnected and not tauConnected", "--limit", "5"],
 ])
 @pytest.mark.parametrize("n", ["3", "4"])
 def test_two_workers_print_the_bytes_of_one(capsys, argv, n):
     # Each pool worker fills its own memo one relabelling class at a time
-    # from its own share of the topologies; the report must not show it.
+    # and stops its own share of the walk at its own last hit; the report
+    # must not show it.
     outputs = []
     for workers in ("1", "2"):
         assert main([argv[0], "--size", n, "--workers", workers, *argv[1:]]) in (0, 1)

@@ -47,7 +47,8 @@ def _loaded_after(argv):
 @pytest.mark.parametrize("argv, skipped", [
     (["validate", str(SIERPINSKI)], LAB),
     (["matrix", "--size", "0"], ("laws", "verification", "symbolic", "documents", "fixtures")),
-    (["search", "--size", "2", "--where", "aConnected"], LAB + ("documents",)),
+    (["search", "--size", "2", "--where", "aConnected"], LAB + ("documents", "constructions")),
+    (["enumerate", "--size", "2"], LAB + ("documents", "constructions")),
     (["convergence", str(SIERPINSKI), "--seq", ";a"],
      ("laws", "verification", "symbolic", "covering", "genopen", "fixtures")),
     (["verify-paper", "--skip-laws"], ("laws", "search")),

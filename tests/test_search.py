@@ -21,12 +21,12 @@ from auratopo import (
     parse_predicate,
     search,
 )
-from auratopo import kernel
+from auratopo import constructions, kernel
 from auratopo.aura import classify, separation_axioms
 from auratopo.connectivity import is_aura_connected, is_aura_path_connected
 from auratopo.search import ATOMS, SCOPE_ATOMS, TOPOLOGY_ATOMS, space_descriptor
 from helpers import all_small_spaces, grid_and_random_spaces, rand_space
-from oracles import brute_closure, brute_tau_a, brute_topologies
+from oracles import brute_closure, brute_tau_a, brute_topologies, plain_walk
 
 # The package's `search` attribute is the function, so fetch the module itself.
 search_module = importlib.import_module("auratopo.search")
@@ -318,7 +318,7 @@ def _topologies_differ(x, y):
     """The comparison the scan used to make: the whole product scope topology
     against the union closure of the open boxes."""
     (nx, scopes_x, _), (ny, scopes_y, _) = x, y
-    box = search_module._box_mask
+    box = constructions._box_mask
     prod_scopes = [box(u, v, ny) for u in scopes_x for v in scopes_y]
     tau_x = kernel.tau_a_masks(kernel.hull_masks(nx, scopes_x))
     tau_y = kernel.tau_a_masks(kernel.hull_masks(ny, scopes_y))
@@ -339,7 +339,7 @@ def _lane_groups(pool):
     against: one group per factor size, every factor of that size a lane."""
     for ny in (2, 3):
         ys = [y for y in pool if y[0] == ny]
-        boxes = [[search_module._box_mask(u, v, ny) for v in range(1 << ny)] for u in range(8)]
+        boxes = [[constructions._box_mask(u, v, ny) for v in range(1 << ny)] for u in range(8)]
         for nx in (2, 3):
             lanes = search_module._pack_lanes(nx, ny, ys, boxes)
             for x in pool:
@@ -372,9 +372,10 @@ def test_product_scan_reports_a_broken_hull(small_product_scan, monkeypatch):
 
 def test_product_scan_reports_a_broken_box(small_product_scan, monkeypatch):
     pool = small_product_scan
-    box = search_module._box_mask
+    box = constructions._box_mask
     # Drops the first right-hand point from every box over two or more left points.
-    monkeypatch.setattr(search_module, "_box_mask",
+    # The scan imports the box from constructions each time it runs.
+    monkeypatch.setattr(constructions, "_box_mask",
                         lambda u, v, ny: box(u, v & ~1 if u & (u - 1) else v, ny))
     message = search_module.product_strictness_scan()
     prefix = "product scope topology differs from the box closure on "
@@ -492,17 +493,63 @@ def test_memoised_tau_a_equals_tau_matches_the_definition():
         _, hulls = memo.get(s.scope_masks) or search_module._decide(
             memo, s.topology, s.scope_masks, ())
         assert (hulls == s.topology.minimal_masks) == expected
+        # Read as pass 2 reads it: the tuple itself against the minimal opens.
+        assert (s.scope_masks == s.topology.minimal_masks) == expected
     assert len(memo) < len(spaces)
-    # The walk's key carries the same verdict, space by space in grid order.
+    # The plain walk's key carries the same verdict, space by space in grid order.
     walked = [key for n in range(4) for *_, key in
-              search_module._walk(enumerate_topologies(n), 0, 1, expr.atoms)]
+              plain_walk(enumerate_topologies(n), expr.atoms)]
     assert walked == [((), None, ATOMS["tauAEqualsTau"](s)) for s in spaces]
+
+
+@pytest.mark.parametrize("n, size", [(0, 1), (1, 1), (2, 6), (3, 21), (4, 27)])
+def test_pass_one_key_set_is_the_plain_walk_key_set(n, size):
+    # The matrix stops once it has found every key of K; a key missing from
+    # K would lose its witnesses, and a key K holds in excess would make it
+    # walk the whole grid.
+    topologies = enumerate_topologies(n)
+    assert len(topologies[0].mask_set) == 1 << n  # pass 1 runs under the discrete topology
+    connected = [ATOMS["tauConnected"](t) for t in topologies]
+    memo, classes = search_module._scope_classes(topologies[0], ATOM_NAMES)
+    keys = search_module._valuation_keys(n, memo, classes, topologies, connected)
+    assert keys == {key for *_, key in plain_walk(topologies, ATOM_NAMES)}
+    assert len(keys) == size
+
+
+def _visits(monkeypatch, run):
+    """How many spaces pass 2 reads on each topology while ``run`` runs."""
+    visits = Counter()
+    visit = search_module._visit
+
+    def counted(*args):
+        for item in visit(*args):
+            visits[item[0]] += 1
+            yield item
+
+    monkeypatch.setattr(search_module, "_visit", counted)
+    run()
+    monkeypatch.setattr(search_module, "_visit", visit)
+    return visits
+
+
+def test_pass_two_stops_at_the_last_witness(monkeypatch):
+    visits = _visits(monkeypatch, lambda: implication_matrix(4))
+    walked = {ti: k for ti, k in visits.items() if k > 1}
+    # A few topologies are walked; on every other one up to the last key
+    # only the space whose tuple is the minimal opens is read.
+    assert sum(walked.values()) <= 4526
+    assert len(walked) <= 4
+    assert all(k == 1 for ti, k in visits.items() if ti not in walked)
+    assert sum(visits.values()) < 59123 // 10
+    visits = _visits(monkeypatch, lambda: search(4, "aConnected and not tauConnected", limit=5))
+    assert sum(visits.values()) < 100
 
 
 def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
     # Once per relabelling class of scope tuples (see _decide): the 64
     # tuples at n = 3 fall into 16 classes, the 4,096 at n = 4 into 218.
-    # tauAEqualsTau is never evaluated: the scans read it from the hulls.
+    # tauAEqualsTau is never evaluated: the scans compare each tuple with
+    # its topology's minimal opens.
     tuples = len({s.scope_masks for s in all_small_spaces(3) if s.n == 3})
     topologies = len(enumerate_topologies(3))
     assert (tuples, topologies) == (64, 29)
