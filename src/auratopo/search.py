@@ -7,12 +7,10 @@ worker's share of the topologies (``_share``). Pass 1 decides one scope
 tuple per relabelling class under the discrete topology, which admits
 every tuple (``_scope_classes``, ``_decide``). A space's valuation is
 fixed by its tuple's class values, whether τ is connected and whether the
-tuple is τ's minimal opens, so pass 1 decides every space of the grid,
-and the matrix also learns from it which valuations occur
-(``_valuation_keys``). Pass 2 (``_visit``) walks the topologies in grid
-order only as far as the last witness the report keeps, and on a
-topology where only the minimal-open tuple can be wanted it reads that
-tuple alone. The shares run in one process or in a pool (``_run_shares``)
+tuple is τ's minimal opens, so pass 1 decides every space of the grid.
+Pass 2 (``_visit``) reads each space's valuation key in grid order: a
+search stops at the last witness it keeps, and the matrix keeps the
+first space of each key. The shares run in one process or in a pool (``_run_shares``)
 and merge in grid order, so reports are byte-stable regardless of worker
 count. A sampled search draws its spaces with ``_sample`` and reads them
 the same way (``_matches``). Each space a report keeps is rendered once
@@ -25,10 +23,8 @@ import itertools
 import random
 import re
 import string
-from collections import Counter, namedtuple
-from functools import reduce
+from collections import Counter, deque, namedtuple
 from math import prod
-from operator import and_
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import kernel
@@ -241,7 +237,7 @@ def _decide(memo: ScopeMemo, topology: TopologyFamily, picks: Tuple[int, ...],
     The two topology atoms are left to the scans: ``tauConnected`` reads τ
     alone, and ``tauAEqualsTau`` compares the entry's hulls with each
     space's minimal opens (``_tau_a_equals_tau``), which on a grid space
-    is the comparison of its tuple with them (see ``_valuation_keys``).
+    is the comparison of its tuple with them (see ``_visit``).
 
     The scope-only atoms also agree on relabelled tuples. For a
     permutation σ of the n labels, the tuple σ·a has entry σ(x) equal to
@@ -491,10 +487,8 @@ def _valuation(atoms: Tuple[str, ...], key: Key) -> dict:
     return {a: known[a] for a in atoms}
 
 
-def _scope_classes(discrete: TopologyFamily, atoms: Tuple[str, ...]
-                   ) -> Tuple[ScopeMemo, List[Tuple[int, ...]]]:
-    """Pass 1: the scope memo of the whole grid over ``atoms``, and the
-    first tuple of each relabelling class, in grid order.
+def _scope_classes(discrete: TopologyFamily, atoms: Tuple[str, ...]) -> ScopeMemo:
+    """Pass 1: the scope memo of the whole grid over ``atoms``.
 
     Every scope tuple is reflexive (x ∈ a(x)), and ``discrete``, the
     discrete topology, admits every reflexive tuple, since every set is
@@ -506,118 +500,40 @@ def _scope_classes(discrete: TopologyFamily, atoms: Tuple[str, ...]
     """
     scope = _scope_atoms(atoms)
     memo: ScopeMemo = {}
-    classes = []
     for picks in itertools.product(*_checked_choices(discrete)):
         if picks not in memo:
             _decide(memo, discrete, picks, scope)
-            classes.append(picks)
-    return memo, classes
-
-
-def _valuation_keys(n: int, memo: ScopeMemo, classes: List[Tuple[int, ...]],
-                    topologies: List[TopologyFamily], connected: List[bool]) -> Set[Key]:
-    """K, the exact set of valuation keys over all atoms of the size-n grid,
-    from pass 1 and ``connected``, each topology's ``tauConnected``.
-
-    Let a be a class's first tuple and v its values; relabelling moves
-    every fact below along with a, so a stands for its class. The spaces of
-    a are (τ, a) for every τ that admits a, that is every τ in which each
-    scope is open. These are the τ ⊇ gen(a), the topology the scopes
-    generate. gen(a) holds the unions of finite intersections of scopes,
-    so its minimal opens are m(x) = ∩{a(y) : x ∈ a(y)}, an intersection
-    that a(x) takes part in. Three facts decide which keys (v, tc(τ), eq)
-    the spaces of a take, where tc is ``tauConnected`` and eq is
-    ``tauAEqualsTau``:
-
-    1. hull(x) ⊇ a(x) ⊇ m_τ(x): the hull is scope-open, so it holds the
-       scope of its point, and a(x) is a τ-open set around x. So hulls
-       equal to m_τ force a = m_τ. Conversely, minimal opens are
-       transitive (y ∈ m(x) gives m(y) ⊆ m(x)), and a transitive tuple is
-       its own hull, so a = m_τ gives hulls = a = m_τ. eq compares the
-       hulls with m_τ (``_tau_a_equals_tau``), so it holds exactly when
-       a = m_τ, and then a is transitive and τ, the topology whose
-       minimal opens are a, is gen(a) = τ_a.
-    2. A topology coarser than a connected one is connected: two disjoint
-       nonempty open sets of the coarser one that cover X cover it in the
-       finer one too. gen(a) is the coarsest topology that admits a, so
-       some τ that admits a is connected exactly when gen(a) is.
-    3. For n ≥ 2 the discrete topology, which admits every tuple, is
-       disconnected: {x} and X \\ {x} split it. Its minimal opens are the
-       identity tuple x ↦ {x}.
-
-    Hence K holds exactly these keys:
-
-    - (v, false, false) iff a is not the identity tuple. If it is not,
-      then n ≥ 2, and the discrete τ gives the key by facts 3 and 1. The
-      identity tuple, whose scopes are the singletons, is admitted by the
-      discrete topology alone, where eq holds.
-    - (v, true, false) iff some connected τ admits a and m_τ ≠ a. If a is
-      not transitive, m_τ ≠ a on every τ (fact 1), so by fact 2 this holds
-      iff gen(a) is connected. If a is transitive, it holds iff some
-      connected τ strictly contains τ_a, since m_τ = a only at τ = τ_a.
-    - (v, c, true) iff a is transitive, with c the connectedness of
-      τ_a = gen(a) (fact 1).
-
-    gen(a)'s connectedness is read from its minimal opens, through the
-    comparability rows that ``aPathConnected`` reads from the hulls.
-    """
-    keys: Set[Key] = set()
-    identity = tuple(1 << x for x in range(n))
-    for a in classes:
-        values, hulls = memo[a]
-        generated = [reduce(and_, [m for m in a if m >> x & 1]) for x in range(n)]
-        gen_connected = kernel.component_count(kernel.comparability_rows(generated)) <= 1
-        if a != identity:
-            keys.add((values, False, False))
-        if hulls != a:  # a is not transitive
-            if gen_connected:
-                keys.add((values, True, False))
-            continue
-        keys.add((values, gen_connected, True))
-        if gen_connected and any(c and t.mask_set.issuperset(a) and t.minimal_masks != a
-                                 for t, c in zip(topologies, connected)):
-            keys.add((values, True, False))
-    return keys
+    return memo
 
 
 def _visit(topologies: List[TopologyFamily], grids: Dict[int, List[List[int]]],
-           atoms: Tuple[str, ...], memo: ScopeMemo, connected: List[Optional[bool]],
-           walks: Callable[[Optional[bool]], bool]):
-    """Pass 2: the spaces of one share that can hold a wanted key, in grid
-    order, as (topology index, aura index, scope tuple, key).
+           atoms: Tuple[str, ...], memo: ScopeMemo):
+    """Pass 2: every space of one share, in grid order, as (topology
+    index, aura index, scope tuple, key).
 
     ``grids`` maps each topology index of the share, ascending, to its
     ``_checked_choices``, so every tuple taken from it is a valid scope
-    function and no space is built to validate it. On a topology τ where
-    ``walks(tc(τ))`` holds, every space is visited, in ``enumerate_auras``
-    order, so a tuple's position is its aura index. Elsewhere only the
-    space whose tuple is m_τ, τ's minimal opens, is visited, at the
-    mixed-radix position of m_τ in the choice lists. ``walks`` is asked as
-    each topology is reached, so it sees the hits found so far.
+    function and no space is built to validate it. The tuples of a
+    topology come in ``enumerate_auras`` order, so a tuple's position is
+    its aura index. ``tauConnected`` is decided once per topology, and
+    only if ``atoms`` reads it.
 
-    The key's values come from the memo (pass 1). By fact 1 of
-    ``_valuation_keys``, eq is the comparison of the tuple with m_τ. So
-    every space of τ but m_τ has the key (v, tc(τ), false), or
-    (v, tc(τ), None) if eq is not read, and when ``walks`` says that no
-    such key is wanted, m_τ is the only space of τ that can hold one.
-    Every space skipped holds an unwanted key, and the others come in the
-    order of a full walk, so a scan that stops at its last wanted space
-    finds the hits a full walk finds up to there, in the same order.
+    The key's values come from the memo (pass 1). ``tauAEqualsTau`` is the
+    comparison of the tuple a with m_τ, τ's minimal opens: hull(x) ⊇ a(x)
+    ⊇ m_τ(x), since the hull is scope-open and so holds the scope of its
+    point, and a(x) is a τ-open set around x. So hulls equal to m_τ force
+    a = m_τ. Conversely, minimal opens are transitive (y ∈ m(x) gives
+    m(y) ⊆ m(x)), and a transitive tuple is its own hull, so a = m_τ gives
+    hulls = a = m_τ. ``_tau_a_equals_tau`` compares the hulls with m_τ, so
+    it holds exactly when a = m_τ.
     """
     equals_read = "tauAEqualsTau" in atoms
     for ti, choices in grids.items():
-        tau_connected = connected[ti]
+        tau_connected = _tau_connected_if_read(atoms, topologies[ti])
         minimal = topologies[ti].minimal_masks
-        if walks(tau_connected):
-            for aura_index, picks in enumerate(itertools.product(*choices)):
-                yield ti, aura_index, picks, (memo[picks][0], tau_connected,
-                                              picks == minimal if equals_read else None)
-        else:
-            aura_index = 0
-            for c, m in zip(choices, minimal):
-                aura_index = aura_index * len(c) + c.index(m)
-            yield ti, aura_index, minimal, (memo[minimal][0], tau_connected,
-                                            True if equals_read else None)
+        for aura_index, picks in enumerate(itertools.product(*choices)):
+            yield ti, aura_index, picks, (memo[picks][0], tau_connected,
+                                          picks == minimal if equals_read else None)
 
 
 def _sample(topologies: List[TopologyFamily], atoms: Tuple[str, ...], samples: int,
@@ -673,17 +589,14 @@ def _matches(spaces, atoms: Tuple[str, ...], expr: PredicateExpr,
     return hits
 
 
-def _first_keys(spaces, atoms: Tuple[str, ...], missing: Set[Key]) -> List[Hit]:
-    """The first space of each key in ``missing``, in the order of
-    ``spaces``. The scan takes each key out of ``missing`` as it finds it,
-    and stops when none is left."""
+def _first_keys(spaces, atoms: Tuple[str, ...]) -> List[Hit]:
+    """The first space of each key met in ``spaces``, in their order."""
+    seen: Set[Key] = set()
     hits: List[Hit] = []
     for ti, aura_index, picks, key in spaces:
-        if key in missing:
-            missing.remove(key)
+        if key not in seen:
+            seen.add(key)
             hits.append((ti, aura_index, picks, _valuation(atoms, key)))
-            if not missing:
-                break
     return hits
 
 
@@ -698,20 +611,10 @@ def _share(n: int, worker: int, workers: int, expression: Optional[str],
     ``enumerate_topologies(n)``, which a pool worker enumerates itself.
 
     Pass 1 (``_scope_classes``) decides every scope tuple of the grid, and
-    ``tauConnected`` is decided once per topology. A space's valuation is
-    the key (its tuple's values, tc(τ), whether its tuple is m_τ) by fact 1
-    of ``_valuation_keys``, so every space of the share is decided, and
-    the spaces scanned are all of them, Σ ``count_auras``. Pass 2
-    (``_visit``) reads them only as far as the share's last hit and skips
-    the topologies where only m_τ can be a hit:
-
-    - the matrix wants each key of K (``_valuation_keys``) that it has not
-      found yet, and stops once it has found them all;
-    - a search wants the keys where the predicate holds, and stops at its
-      ``keep``-th hit. It walks the topologies of each tc for which some
-      class values v make the predicate hold on (v, tc, false), or on
-      (v, tc, None) if it does not read eq. Some of those keys may occur
-      on no space, which costs a longer walk but loses no hit.
+    pass 2 (``_visit``) reads each space's key from it, so every space of
+    the share is decided, and the spaces scanned are all of them,
+    Σ ``count_auras``. A search reads them only as far as its ``keep``-th
+    hit; the matrix reads them all.
 
     The share's hits are its least ones in (topology index, aura index)
     order. The shares split the grid, so the first k of the whole grid lie
@@ -726,19 +629,11 @@ def _share(n: int, worker: int, workers: int, expression: Optional[str],
     grids = {ti: _checked_choices(topologies[ti])
              for ti in range(worker, len(topologies), workers)}
     scanned = sum(prod(len(c) for c in choices) for choices in grids.values())
-    connected = [_tau_connected_if_read(atoms, t) for t in topologies]
-    memo, classes = _scope_classes(topologies[0], atoms)
+    memo = _scope_classes(topologies[0], atoms)
+    spaces = _visit(topologies, grids, atoms, memo)
     if expr is None:
-        missing = _valuation_keys(n, memo, classes, topologies, connected)
-        walks = lambda tc: any(key[1] == tc and not key[2] for key in missing)
-        return scanned, _first_keys(_visit(topologies, grids, atoms, memo, connected, walks),
-                                    atoms, missing)
-    eq = False if "tauAEqualsTau" in atoms else None
-    values = {memo[a][0] for a in classes}
-    walked = {tc for tc in set(connected)
-              if any(expr.evaluate(_valuation(atoms, (v, tc, eq))) for v in values)}
-    return scanned, _matches(_visit(topologies, grids, atoms, memo, connected, walked.__contains__),
-                             atoms, expr, keep)
+        return scanned, _first_keys(spaces, atoms)
+    return scanned, _matches(spaces, atoms, expr, keep)
 
 
 def _check_workers(workers: int) -> None:
@@ -789,7 +684,8 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
     (full scan; the fiber count is in the millions).  Every space of the
     grid is decided, and the walk stops at the last witness kept (see
     ``_share``), so reports do not depend on worker count; a sampled
-    scan runs in one process whatever ``workers`` says.  ``limit``
+    scan runs in one process whatever ``workers`` says, and draws every
+    sample though it keeps only the first ``limit`` hits.  ``limit``
     keeps the first witnesses in grid (or sample) order, and only those are
     rendered; a negative limit raises ``LimitOutOfRange``, a negative
     sample count ``SamplesOutOfRange`` and fewer than one worker
@@ -815,10 +711,11 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
         scanned, hits = _run_shares(topologies, n, workers, expression, limit)
     else:
         # The report counts every sample as scanned, so the scan draws and
-        # decides them all; it does not stop at the limit.
+        # decides them all, but it keeps only the first ``limit`` hits.
         scanned = samples
-        hits = _matches(_sample(topologies, expr.atoms, samples, seed),
-                        expr.atoms, expr, None)[:limit]
+        spaces = _sample(topologies, expr.atoms, samples, seed)
+        hits = _matches(spaces, expr.atoms, expr, limit)
+        deque(spaces, maxlen=0)
     return SearchReport("search", n, scanned, expression=expression,
                         witnesses=_render_witnesses(topologies, hits),
                         seed=None if samples is None else seed, samples=samples)
@@ -946,8 +843,7 @@ def implication_matrix(n: int, workers: int = 1) -> SearchReport:
 
     The pairs p => q that a space makes fail depend only on its valuation,
     so only the first space of each valuation is read (``_share`` without a
-    predicate): 27 of the 59,123 spaces at size 4, found by walking 4,526
-    of them. Read in grid order, the first of them that makes p true and q
+    predicate): 27 of the 59,123 spaces at size 4. Read in grid order, the first of them that makes p true and q
     false is the first such space of the grid, and it is the pair's
     witness. Each witness space is rendered once, however many pairs it
     fails.

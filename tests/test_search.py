@@ -503,17 +503,25 @@ def test_memoised_tau_a_equals_tau_matches_the_definition():
 
 
 @pytest.mark.parametrize("n, size", [(0, 1), (1, 1), (2, 6), (3, 21), (4, 27)])
-def test_pass_one_key_set_is_the_plain_walk_key_set(n, size):
-    # The matrix stops once it has found every key of K; a key missing from
-    # K would lose its witnesses, and a key K holds in excess would make it
-    # walk the whole grid.
+def test_matrix_keeps_the_first_space_of_each_plain_walk_key(n, size):
     topologies = enumerate_topologies(n)
     assert len(topologies[0].mask_set) == 1 << n  # pass 1 runs under the discrete topology
-    connected = [ATOMS["tauConnected"](t) for t in topologies]
-    memo, classes = search_module._scope_classes(topologies[0], ATOM_NAMES)
-    keys = search_module._valuation_keys(n, memo, classes, topologies, connected)
-    assert keys == {key for *_, key in plain_walk(topologies, ATOM_NAMES)}
-    assert len(keys) == size
+    firsts = {}
+    for ti, aura_index, picks, key in plain_walk(topologies, ATOM_NAMES):
+        firsts.setdefault(key, (ti, aura_index, picks,
+                                search_module._valuation(ATOM_NAMES, key)))
+    assert len(firsts) == size
+    for workers in (1, 2):
+        shares = [search_module._share(n, w, workers, None, None, topologies)
+                  for w in range(workers)]
+        # Each share keeps the first space of each key it meets, so the
+        # grid's first space of each key is the first of its key once the
+        # shares' hits are merged in grid order.
+        merged = {}
+        for h in sorted((h for _, share in shares for h in share), key=lambda h: h[:2]):
+            merged.setdefault(tuple(h[3].values()), h)
+        assert list(merged.values()) == sorted(firsts.values(), key=lambda h: h[:2])
+        assert sum(scanned for scanned, _ in shares) == sum(map(count_auras, topologies))
 
 
 def _visits(monkeypatch, run):
@@ -533,16 +541,35 @@ def _visits(monkeypatch, run):
 
 
 def test_pass_two_stops_at_the_last_witness(monkeypatch):
-    visits = _visits(monkeypatch, lambda: implication_matrix(4))
-    walked = {ti: k for ti, k in visits.items() if k > 1}
-    # A few topologies are walked; on every other one up to the last key
-    # only the space whose tuple is the minimal opens is read.
-    assert sum(walked.values()) <= 4526
-    assert len(walked) <= 4
-    assert all(k == 1 for ti, k in visits.items() if ti not in walked)
-    assert sum(visits.values()) < 59123 // 10
+    # A limited search stops at its last hit; the matrix reads every space.
     visits = _visits(monkeypatch, lambda: search(4, "aConnected and not tauConnected", limit=5))
     assert sum(visits.values()) < 100
+    visits = _visits(monkeypatch, lambda: implication_matrix(4))
+    assert sum(visits.values()) == 59123
+
+
+def test_sampled_search_keeps_at_most_limit_hits_and_draws_every_sample(monkeypatch):
+    drawn, kept = [], []
+    sample, matches = search_module._sample, search_module._matches
+
+    def counted(*args):
+        for item in sample(*args):
+            drawn.append(item)
+            yield item
+
+    def recorded(*args):
+        hits = matches(*args)
+        kept.append(len(hits))
+        return hits
+
+    monkeypatch.setattr(search_module, "_sample", counted)
+    monkeypatch.setattr(search_module, "_matches", recorded)
+    report = search(4, "not tauConnected", limit=3, samples=400, seed=2)
+    assert len(drawn) == report.spaces_scanned == 400
+    assert kept == [3] and len(report.witnesses) == 3
+    unlimited = search(4, "not tauConnected", samples=400, seed=2)
+    assert kept[1] > 3
+    assert report.witnesses == unlimited.witnesses[:3]
 
 
 def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
