@@ -19,7 +19,7 @@ _EXPORTS = {
         "NotClosedUnderIntersection", "NotClosedUnderUnion",
         "OpenSetNotInTopology", "PointNotInOwnAura", "SamplesOutOfRange",
         "SizeOutOfRange", "TopologyAxiomViolation", "UniverseTooLarge",
-        "UnknownAtom", "UnknownFamily", "UnknownPoint", "WorkersOutOfRange",
+        "UnknownAtom", "UnknownFamily", "UnknownPoint",
     ),
     "finite": (
         "PointSet", "PointUniverse", "TopologyFamily", "generate_topology",

@@ -36,7 +36,7 @@ SeparationAxioms = namedtuple("SeparationAxioms", "t0 t1 t2")
 
 class AuraSpace:
     """Validated aura space (X, τ, 𝔞): a topology on X and a scope mask per
-    point; immutable, safe to share between workers.
+    point; immutable.
 
     Construction is eager: every scope value must be open and contain
     its point, so an invalid aura space never exists.

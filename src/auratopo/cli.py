@@ -287,7 +287,6 @@ def cmd_search(args) -> int:
         args.size,
         args.where,
         limit=args.limit,
-        workers=args.workers,
         allow_large=args.allow_large,
         samples=args.samples,
         seed=args.seed,
@@ -302,7 +301,7 @@ def cmd_search(args) -> int:
 def cmd_matrix(args) -> int:
     from .search import implication_matrix
 
-    report = implication_matrix(args.size, workers=args.workers)
+    report = implication_matrix(args.size)
     if args.json:
         _print_json(report.to_json())
     else:
@@ -413,7 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--where", required=True, help='predicate, e.g. "aConnected and not tauConnected"')
     p.add_argument("--limit", type=int, default=None, help="keep at most this many witnesses")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--samples", type=int, default=None, help="sample this many spaces instead of the full grid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-large", action="store_true", help="permit the full grid at size 5")
@@ -422,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="implication matrix over all predicate atoms")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     _add_json(p)
     p.set_defaults(fn=cmd_matrix)
 

@@ -69,10 +69,6 @@ class SamplesOutOfRange(AuraError):
     """A sample count must be a nonnegative count."""
 
 
-class WorkersOutOfRange(AuraError):
-    """A scan needs at least one worker."""
-
-
 class UnknownAtom(AuraError):
     def __init__(self, name):
         self.name = name

@@ -2,28 +2,27 @@
 
 Spaces are enumerated as labeled topologies (via their specialization
 preorders) times the full fiber of scope functions over each topology.
-``search`` and ``implication_matrix`` read that grid in two passes over a
-worker's share of the topologies (``_share``). Pass 1 decides one scope
-tuple per relabelling class under the discrete topology, which admits
-every tuple (``_scope_classes``, ``_decide``). A space's valuation is
-fixed by its tuple's class values, whether τ is connected and whether the
-tuple is τ's minimal opens, so pass 1 decides every space of the grid.
-Pass 2 (``_visit``) reads each space's valuation key in grid order: a
-search stops at the last witness it keeps, and the matrix keeps the
-first space of each key. The shares run in one process or in a pool (``_run_shares``)
-and merge in grid order, so reports are byte-stable regardless of worker
-count. A sampled search draws its spaces with ``_sample`` and reads them
-the same way (``_matches``). Each space a report keeps is rendered once
-(``_render_witnesses``).
+``search`` and ``implication_matrix`` read that grid in two passes, in
+one process (``_scan``). Pass 1 decides one scope tuple per relabelling
+class under the discrete topology, which admits every tuple
+(``_scope_classes``, ``_decide``). A space's valuation is fixed by its
+tuple's class values, whether τ is connected and whether the tuple is τ's
+minimal opens, so pass 1 decides every space of the grid. Pass 2 reads
+the topologies in grid order: a search filters each grid against the set
+of tuples whose key holds and stops at the last witness it keeps
+(``_grid_matches``), and the matrix keeps the first space of each key
+(``_first_keys``). A sampled search draws its spaces with ``_sample`` and
+reads them the same way (``_matches``). Each space a report keeps is
+rendered once (``_render_witnesses``).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import re
 import string
 from collections import Counter, deque, namedtuple
+from itertools import islice, product
 from math import prod
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -41,7 +40,6 @@ from .errors import (
     SamplesOutOfRange,
     SizeOutOfRange,
     UnknownAtom,
-    WorkersOutOfRange,
 )
 from .finite import PointSet, PointUniverse, TopologyFamily, is_tau_connected
 
@@ -120,15 +118,12 @@ def _checked_choices(topology: TopologyFamily) -> List[List[int]]:
 def enumerate_auras(topology: TopologyFamily):
     """Every scope function over the topology, in lexicographic order of the
     per-point open-set choices."""
-    for picks in itertools.product(*_fiber_choices(topology)):
+    for picks in product(*_fiber_choices(topology)):
         yield AuraSpace(topology, picks)
 
 
 def count_auras(topology: TopologyFamily) -> int:
-    count = 1
-    for c in _fiber_choices(topology):
-        count *= len(c)
-    return count
+    return prod(map(len, _fiber_choices(topology)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +196,15 @@ ATOM_NAMES = tuple(ATOMS)
 TOPOLOGY_ATOMS = ("tauConnected", "tauAEqualsTau")
 SCOPE_ATOMS = tuple(a for a in ATOM_NAMES if a not in TOPOLOGY_ATOMS)
 
-# A scan's memo: scope tuple -> (values, hulls), the tuple's values of the
-# scope-only atoms the scan reads, in ``SCOPE_ATOMS`` order, and its hulls.
-ScopeMemo = Dict[Tuple[int, ...], Tuple[tuple, Tuple[int, ...]]]
+# A scan's memo: scope tuple -> values, the tuple's values of the
+# scope-only atoms the scan reads, in ``SCOPE_ATOMS`` order.
+ScopeMemo = Dict[Tuple[int, ...], tuple]
 
 
 def _decide(memo: ScopeMemo, topology: TopologyFamily, picks: Tuple[int, ...],
-            atoms: Tuple[str, ...], orbit: bool = True) -> Tuple[tuple, Tuple[int, ...]]:
+            atoms: Tuple[str, ...], orbit: bool = True) -> tuple:
     """Decide the scope tuple ``picks`` on one space, over ``topology``,
-    and enter it in the memo; return its entry (values, hulls).
+    and enter it in the memo; return its values.
 
     ``atoms`` are scope-only atoms in ``SCOPE_ATOMS`` order, and ``values``
     holds theirs in that order. The space is built and validated, and it
@@ -235,39 +230,34 @@ def _decide(memo: ScopeMemo, topology: TopologyFamily, picks: Tuple[int, ...],
     all spaces with one scope tuple give each scope-only atom the same
     value, and one of them decides it for the rest, which build nothing.
     The two topology atoms are left to the scans: ``tauConnected`` reads τ
-    alone, and ``tauAEqualsTau`` compares the entry's hulls with each
-    space's minimal opens (``_tau_a_equals_tau``), which on a grid space
-    is the comparison of its tuple with them (see ``_visit``).
+    alone, and ``tauAEqualsTau`` holds on a grid space exactly when its
+    tuple is τ's minimal opens (see ``_grid_matches``).
 
     The scope-only atoms also agree on relabelled tuples. For a
     permutation σ of the n labels, the tuple σ·a has entry σ(x) equal to
     σ(a(x)), so σ is an isomorphism from (X, a) to (X, σ·a): y ∈ a(x)
     exactly when σy ∈ (σ·a)(σx). Each scope-only atom is defined from n
     and that relation alone (the hulls, the comparability rows and τ_a are
-    built from it), so it takes the same value on both tuples. The hull is
-    the least fixed point of the relation, so hull_{σ·a}(σx) = σ(hull_a(x)).
-    A full grid holds every tuple of a class (σ·a is admitted by the
-    relabelled topology σ(τ), which is in the grid too), so with ``orbit``
-    every relabelling σ·a not yet in the memo is entered as well, with this
-    tuple's ``values`` and its own relabelled hulls. A sampled scan meets
+    built from it), so it takes the same value on both tuples. A full grid
+    holds every tuple of a class (σ·a is admitted by the relabelled
+    topology σ(τ), which is in the grid too), so with ``orbit`` every
+    relabelling σ·a not yet in the memo is entered as well, with this
+    tuple's ``values``. A sampled scan meets
     few tuples of each class, and relabelling n! tuples for each one it
     meets costs more than deciding that one, so it enters only the tuple.
 
     A full-grid memo holds one entry per tuple: 64 tuples in 16 classes at
     n = 3, and 4,096 in 218 at n = 4 (the unlabeled digraphs, OEIS
-    A000273). Its entries are tuples of bools and ints, so no space is kept
-    alive.
+    A000273). A class shares one tuple of bools, so no space is kept alive.
     """
     s = AuraSpace(topology, picks)
-    values = tuple([ATOMS[a](s) for a in atoms])
-    hulls = s.hull_masks
-    memo[picks] = entry = (values, hulls)
+    memo[picks] = values = tuple([ATOMS[a](s) for a in atoms])
     if orbit:
         for source, table in kernel.relabelings(len(picks)):
             image = tuple([table[picks[x]] for x in source])
             if image not in memo:
-                memo[image] = (values, tuple([table[hulls[x]] for x in source]))
-    return entry
+                memo[image] = values
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +449,7 @@ class SearchReport(namedtuple("SearchReport", "command size spaces_scanned expre
 # scanning
 
 # One hit of a scan: (topology_index, aura_index, scope_masks, valuation).
-# Workers pickle these back; only the hits a report keeps are rendered.
+# Only the hits a report keeps are rendered.
 Hit = Tuple[int, int, Tuple[int, ...], dict]
 
 # A space's valuation key over the atoms a scan reads: (the scope-only
@@ -487,6 +477,31 @@ def _valuation(atoms: Tuple[str, ...], key: Key) -> dict:
     return {a: known[a] for a in atoms}
 
 
+def _verdicts(expr: PredicateExpr) -> Callable[[Key], Optional[dict]]:
+    """A key's verdict: its valuation if its spaces satisfy ``expr``, else
+    None. A space's valuation is fixed by its key, so the predicate is
+    evaluated once per key, and the spaces of one key share the dict."""
+    verdicts: Dict[Key, Optional[dict]] = {}
+
+    def verdict(key: Key) -> Optional[dict]:
+        if key not in verdicts:
+            valuation = _valuation(expr.atoms, key)
+            verdicts[key] = valuation if expr.evaluate(valuation) else None
+        return verdicts[key]
+
+    return verdict
+
+
+def _aura_index(choices: List[List[int]], picks: Tuple[int, ...]) -> int:
+    """The position of ``picks`` in the grid of ``choices``, in
+    ``enumerate_auras`` order: a mixed-radix number whose last digit, the
+    last point's choice, varies fastest."""
+    index = 0
+    for c, m in zip(choices, picks):
+        index = index * len(c) + c.index(m)
+    return index
+
+
 def _scope_classes(discrete: TopologyFamily, atoms: Tuple[str, ...]) -> ScopeMemo:
     """Pass 1: the scope memo of the whole grid over ``atoms``.
 
@@ -500,46 +515,126 @@ def _scope_classes(discrete: TopologyFamily, atoms: Tuple[str, ...]) -> ScopeMem
     """
     scope = _scope_atoms(atoms)
     memo: ScopeMemo = {}
-    for picks in itertools.product(*_checked_choices(discrete)):
+    for picks in product(*_checked_choices(discrete)):
         if picks not in memo:
             _decide(memo, discrete, picks, scope)
     return memo
 
 
-def _visit(topologies: List[TopologyFamily], grids: Dict[int, List[List[int]]],
-           atoms: Tuple[str, ...], memo: ScopeMemo):
-    """Pass 2: every space of one share, in grid order, as (topology
-    index, aura index, scope tuple, key).
+def _scan(n: int, expr: Optional[PredicateExpr], keep: Optional[int]
+          ) -> Tuple[List[TopologyFamily], int, List[Hit]]:
+    """The size-n grid's topologies, spaces scanned and hits: the first
+    ``keep`` spaces (all if None) where ``expr`` holds (``_grid_matches``),
+    or, if ``expr`` is None, the first space of each valuation key over
+    every atom (``_first_keys``, see ``implication_matrix``).
 
-    ``grids`` maps each topology index of the share, ascending, to its
-    ``_checked_choices``, so every tuple taken from it is a valid scope
-    function and no space is built to validate it. The tuples of a
-    topology come in ``enumerate_auras`` order, so a tuple's position is
-    its aura index. ``tauConnected`` is decided once per topology, and
-    only if ``atoms`` reads it.
+    Pass 1 (``_scope_classes``) decides every scope tuple of the grid, and
+    pass 2 reads each space's key from it, so every space is decided, and
+    the spaces scanned are all of them, Σ ``count_auras``. Each
+    topology's ``_checked_choices`` gives its grid as plain tuples, which
+    are valid scope functions, so no space is built to validate them.
+    """
+    topologies = enumerate_topologies(n)
+    atoms = ATOM_NAMES if expr is None else expr.atoms
+    grids = [_checked_choices(topology) for topology in topologies]
+    scanned = sum(prod(map(len, choices)) for choices in grids)
+    memo = _scope_classes(topologies[0], atoms)
+    if expr is None:
+        return topologies, scanned, _first_keys(topologies, grids, memo)
+    return topologies, scanned, _grid_matches(topologies, grids, memo, expr, keep)
 
-    The key's values come from the memo (pass 1). ``tauAEqualsTau`` is the
-    comparison of the tuple a with m_τ, τ's minimal opens: hull(x) ⊇ a(x)
-    ⊇ m_τ(x), since the hull is scope-open and so holds the scope of its
+
+def _grid_matches(topologies: List[TopologyFamily], grids: List[List[List[int]]],
+                  memo: ScopeMemo, expr: PredicateExpr, keep: Optional[int]) -> List[Hit]:
+    """Pass 2 of a search: the first ``keep`` grid spaces (all if None)
+    where ``expr`` holds, in grid order. The walk stops at the last one
+    kept, and decides ``tauConnected`` as it reaches each topology, only if
+    ``expr`` reads it.
+
+    A space's key is its tuple's class values, tc(τ) and whether the tuple
+    is m_τ, τ's minimal opens (``tauAEqualsTau``): hull(x) ⊇ a(x) ⊇
+    m_τ(x), since the hull is scope-open and so holds the scope of its
     point, and a(x) is a τ-open set around x. So hulls equal to m_τ force
     a = m_τ. Conversely, minimal opens are transitive (y ∈ m(x) gives
     m(y) ⊆ m(x)), and a transitive tuple is its own hull, so a = m_τ gives
     hulls = a = m_τ. ``_tau_a_equals_tau`` compares the hulls with m_τ, so
     it holds exactly when a = m_τ.
+
+    So for each value t of tc met, the tuples whose key (values, t, False)
+    satisfies ``expr`` form one set H_t, built once from the memo with the
+    predicate evaluated once per key. On a topology with tc(τ) = t every
+    tuple but m_τ has that key, and m_τ, which is in τ's grid, has
+    (values, t, True). So the hits of τ are the tuples of its grid in H_t,
+    with m_τ taken out and put back exactly when its own key holds; the
+    grid is filtered against that set in C and cut at the hits still
+    wanted.
     """
+    atoms = expr.atoms
     equals_read = "tauAEqualsTau" in atoms
-    for ti, choices in grids.items():
+    verdict = _verdicts(expr)
+    hitting: Dict[Optional[bool], Set[Tuple[int, ...]]] = {}  # t -> H_t
+    hits: List[Hit] = []
+    for ti, choices in enumerate(grids):
+        if keep is not None and len(hits) == keep:
+            break
         tau_connected = _tau_connected_if_read(atoms, topologies[ti])
-        minimal = topologies[ti].minimal_masks
-        for aura_index, picks in enumerate(itertools.product(*choices)):
-            yield ti, aura_index, picks, (memo[picks][0], tau_connected,
-                                          picks == minimal if equals_read else None)
+        found = hitting.get(tau_connected)
+        if found is None:
+            away = False if equals_read else None
+            holds = {v for v in set(memo.values())
+                     if verdict((v, tau_connected, away)) is not None}
+            found = hitting[tau_connected] = {p for p, v in memo.items() if v in holds}
+        # m_τ's membership in H_t, flipped for this topology where its own
+        # key says otherwise, and flipped back after.
+        minimal = topologies[ti].minimal_masks if equals_read else None
+        flip = set()
+        if equals_read and (minimal in found) != (
+                verdict((memo[minimal], tau_connected, True)) is not None):
+            flip.add(minimal)
+        found ^= flip
+        wanted = None if keep is None else keep - len(hits)
+        for picks in islice(filter(found.__contains__, product(*choices)), wanted):
+            key = (memo[picks], tau_connected, picks == minimal if equals_read else None)
+            hits.append((ti, _aura_index(choices, picks), picks, verdict(key)))
+        found ^= flip
+    return hits
+
+
+def _first_keys(topologies: List[TopologyFamily], grids: List[List[List[int]]],
+                memo: ScopeMemo) -> List[Hit]:
+    """Pass 2 of the matrix: the first grid space of each valuation key
+    over every atom, in grid order.
+
+    Keys are those of ``_grid_matches``: on a topology every tuple but m_τ
+    has the key (its class values, tc(τ), False), and m_τ has (its values,
+    tc(τ), True). So each topology's grid is read once through the memo,
+    the first position of each class values, with m_τ's position left out,
+    is the first space of each False key there, and m_τ's position is the
+    one space of its True key.
+    """
+    firsts: Dict[Key, Hit] = {}
+    for ti, choices in enumerate(grids):
+        topology = topologies[ti]
+        tau_connected = ATOMS["tauConnected"](topology)
+        grid = list(product(*choices))
+        values = list(map(memo.__getitem__, grid))
+        at_minimal = _aura_index(choices, topology.minimal_masks)
+        keys = [((values[at_minimal], tau_connected, True), at_minimal)]
+        values[at_minimal] = None
+        # Read backwards, so that each values keeps its first position.
+        first = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
+        keys += [((v, tau_connected, False), i) for v, i in first.items() if v is not None]
+        for key, i in sorted(keys, key=lambda item: item[1]):
+            if key not in firsts:
+                firsts[key] = (ti, i, grid[i], _valuation(ATOM_NAMES, key))
+    return list(firsts.values())
 
 
 def _sample(topologies: List[TopologyFamily], atoms: Tuple[str, ...], samples: int,
             seed: int):
     """``samples`` seeded random grid spaces, drawn with replacement, as
-    ``_visit`` yields them. The memo enters only the tuples met (see
+    (topology index, aura index, scope tuple, key), keyed as in
+    ``_grid_matches``. The memo enters only the tuples met (see
     ``_decide``)."""
     rng = random.Random(seed)
     scope = _scope_atoms(atoms)
@@ -553,111 +648,21 @@ def _sample(topologies: List[TopologyFamily], atoms: Tuple[str, ...], samples: i
         if grid is None:
             grid = grids[ti] = (_checked_choices(topology), _tau_connected_if_read(atoms, topology))
         choices, tau_connected = grid
-        digits = [rng.randrange(len(c)) for c in choices]
-        picks = tuple(c[d] for c, d in zip(choices, digits))
-        values, hulls = memo.get(picks) or _decide(memo, topology, picks, scope, orbit=False)
-        # Mixed-radix position of the picks in enumerate_auras order, where
-        # the last point's choice varies fastest.
-        aura_index = 0
-        for c, d in zip(choices, digits):
-            aura_index = aura_index * len(c) + d
-        yield ti, aura_index, picks, (values, tau_connected,
-                                      hulls == topology.minimal_masks if equals_read else None)
+        picks = tuple([c[rng.randrange(len(c))] for c in choices])
+        # A predicate that reads no scope-only atom has the falsy values ().
+        values = memo[picks] if picks in memo else _decide(memo, topology, picks, scope,
+                                                           orbit=False)
+        yield ti, _aura_index(choices, picks), picks, (
+            values, tau_connected, picks == topology.minimal_masks if equals_read else None)
 
 
-def _matches(spaces, atoms: Tuple[str, ...], expr: PredicateExpr,
-             keep: Optional[int]) -> List[Hit]:
-    """The first ``keep`` spaces of ``spaces`` where ``expr`` holds (all of
-    them if None), in their order; the scan stops at the last one kept. A
-    space's valuation is fixed by its key, so the valuation memo evaluates
-    the predicate once per key: it holds the key's valuation if its spaces
-    are hits, else None."""
-    hits: List[Hit] = []
-    if keep == 0:
-        return hits
-    valuations: dict = {}
-    for ti, aura_index, picks, key in spaces:
-        if key in valuations:
-            hit = valuations[key]
-        else:
-            values = _valuation(atoms, key)
-            hit = valuations[key] = values if expr.evaluate(values) else None
-        if hit is not None:
-            hits.append((ti, aura_index, picks, hit))
-            if len(hits) == keep:
-                break
-    return hits
-
-
-def _first_keys(spaces, atoms: Tuple[str, ...]) -> List[Hit]:
-    """The first space of each key met in ``spaces``, in their order."""
-    seen: Set[Key] = set()
-    hits: List[Hit] = []
-    for ti, aura_index, picks, key in spaces:
-        if key not in seen:
-            seen.add(key)
-            hits.append((ti, aura_index, picks, _valuation(atoms, key)))
-    return hits
-
-
-def _share(n: int, worker: int, workers: int, expression: Optional[str],
-           keep: Optional[int], topologies: Optional[List[TopologyFamily]] = None
-           ) -> Tuple[int, List[Hit]]:
-    """Spaces scanned and hits of one worker's share of the size-n grid:
-    the first ``keep`` spaces (all if None) where the predicate
-    ``expression`` holds, or, if it is None, the first space of each
-    valuation key (see ``implication_matrix``). The share is every
-    ``workers``-th topology from index ``worker``. ``topologies`` is
-    ``enumerate_topologies(n)``, which a pool worker enumerates itself.
-
-    Pass 1 (``_scope_classes``) decides every scope tuple of the grid, and
-    pass 2 (``_visit``) reads each space's key from it, so every space of
-    the share is decided, and the spaces scanned are all of them,
-    Σ ``count_auras``. A search reads them only as far as its ``keep``-th
-    hit; the matrix reads them all.
-
-    The share's hits are its least ones in (topology index, aura index)
-    order. The shares split the grid, so the first k of the whole grid lie
-    among the shares' first k, and sorting those by position and cutting
-    at k gives them (``_run_shares``). With k = 1 and the property "has
-    this key", this also gives the first space of each key.
-    """
-    if topologies is None:
-        topologies = enumerate_topologies(n)
-    expr = None if expression is None else parse_predicate(expression)
-    atoms = ATOM_NAMES if expr is None else expr.atoms
-    grids = {ti: _checked_choices(topologies[ti])
-             for ti in range(worker, len(topologies), workers)}
-    scanned = sum(prod(len(c) for c in choices) for choices in grids.values())
-    memo = _scope_classes(topologies[0], atoms)
-    spaces = _visit(topologies, grids, atoms, memo)
-    if expr is None:
-        return scanned, _first_keys(spaces, atoms)
-    return scanned, _matches(spaces, atoms, expr, keep)
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise WorkersOutOfRange(f"workers must be at least 1, got {workers}")
-
-
-def _run_shares(topologies: List[TopologyFamily], n: int, workers: int,
-                expression: Optional[str], keep: Optional[int]) -> Tuple[int, List[Hit]]:
-    """Spaces scanned, and the first ``keep`` hits in grid order (all of
-    them if None), of ``workers`` shares of the size-n grid (``_share``).
-
-    One worker scans ``topologies`` in place, and pool workers enumerate
-    their own. The merge is the one ``_share`` proves right."""
-    if workers <= 1:
-        results = [_share(n, 0, 1, expression, keep, topologies)]
-    else:
-        import multiprocessing
-
-        jobs = [(n, w, workers, expression, keep) for w in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.starmap(_share, jobs)
-    hits = sorted((h for r in results for h in r[1]), key=lambda h: (h[0], h[1]))
-    return sum(r[0] for r in results), hits[:keep]
+def _matches(spaces, expr: PredicateExpr, keep: Optional[int]) -> List[Hit]:
+    """The first ``keep`` of the sampled ``spaces`` where ``expr`` holds
+    (all of them if None), in their order; the scan stops at the last one
+    kept."""
+    verdict = _verdicts(expr)
+    hits = ((ti, aura_index, picks, verdict(key)) for ti, aura_index, picks, key in spaces)
+    return list(islice((hit for hit in hits if hit[3] is not None), keep))
 
 
 def _render_witnesses(topologies: List[TopologyFamily], hits: List[Hit]) -> List[Witness]:
@@ -675,7 +680,7 @@ def _render_witnesses(topologies: List[TopologyFamily], hits: List[Hit]) -> List
     return witnesses
 
 
-def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 1,
+def search(n: int, expression: str, limit: Optional[int] = None,
            allow_large: bool = False, samples: Optional[int] = None,
            seed: int = 0) -> SearchReport:
     """Scan every space of the given size for the predicate.
@@ -683,13 +688,10 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
     Size 5 needs either ``samples`` (seeded random scan) or ``allow_large``
     (full scan; the fiber count is in the millions).  Every space of the
     grid is decided, and the walk stops at the last witness kept (see
-    ``_share``), so reports do not depend on worker count; a sampled
-    scan runs in one process whatever ``workers`` says, and draws every
-    sample though it keeps only the first ``limit`` hits.  ``limit``
-    keeps the first witnesses in grid (or sample) order, and only those are
-    rendered; a negative limit raises ``LimitOutOfRange``, a negative
-    sample count ``SamplesOutOfRange`` and fewer than one worker
-    ``WorkersOutOfRange``.
+    ``_scan``); a sampled scan draws every sample though it keeps only the
+    first ``limit`` hits.  ``limit`` keeps the first witnesses in grid (or
+    sample) order, and only those are rendered; a negative limit raises
+    ``LimitOutOfRange`` and a negative sample count ``SamplesOutOfRange``.
     """
     expr = parse_predicate(expression)
     if n < 0 or n > MAX_SIZE:
@@ -704,17 +706,16 @@ def search(n: int, expression: str, limit: Optional[int] = None, workers: int = 
         raise LimitOutOfRange(f"limit must be a nonnegative count, got {limit}")
     if samples is not None and samples < 0:
         raise SamplesOutOfRange(f"samples must be a nonnegative count, got {samples}")
-    _check_workers(workers)
 
-    topologies = enumerate_topologies(n)
     if samples is None:
-        scanned, hits = _run_shares(topologies, n, workers, expression, limit)
+        topologies, scanned, hits = _scan(n, expr, limit)
     else:
         # The report counts every sample as scanned, so the scan draws and
         # decides them all, but it keeps only the first ``limit`` hits.
+        topologies = enumerate_topologies(n)
         scanned = samples
         spaces = _sample(topologies, expr.atoms, samples, seed)
-        hits = _matches(spaces, expr.atoms, expr, limit)
+        hits = _matches(spaces, expr, limit)
         deque(spaces, maxlen=0)
     return SearchReport("search", n, scanned, expression=expression,
                         witnesses=_render_witnesses(topologies, hits),
@@ -740,7 +741,7 @@ def _product_pair_pool() -> List[Factor]:
     hulls = {}
     for n in _FACTOR_SIZES:
         for topology in enumerate_topologies(n):
-            for picks in itertools.product(*_checked_choices(topology)):
+            for picks in product(*_checked_choices(topology)):
                 if picks not in hulls:
                     hulls[picks] = tuple(kernel.hull_masks(n, picks))
                 pool.append((n, picks, hulls[picks]))
@@ -838,21 +839,19 @@ def product_strictness_scan() -> str:
             f"{pairs} ordered pairs of 2- and 3-point factors")
 
 
-def implication_matrix(n: int, workers: int = 1) -> SearchReport:
+def implication_matrix(n: int) -> SearchReport:
     """First-witness matrix for every ordered atom pair at the given size.
 
     The pairs p => q that a space makes fail depend only on its valuation,
-    so only the first space of each valuation is read (``_share`` without a
-    predicate): 27 of the 59,123 spaces at size 4. Read in grid order, the first of them that makes p true and q
-    false is the first such space of the grid, and it is the pair's
-    witness. Each witness space is rendered once, however many pairs it
-    fails.
+    so only the first space of each valuation is read (``_scan`` without a
+    predicate): 27 of the 59,123 spaces at size 4. Read in grid order, the
+    first of them that makes p true and q false is the first such space of
+    the grid, and it is the pair's witness. Each witness space is rendered
+    once, however many pairs it fails.
     """
     if n < 0 or n > MAX_FULL_SIZE:
         raise SizeOutOfRange(f"matrix supports sizes 0..{MAX_FULL_SIZE}, got {n}")
-    _check_workers(workers)
-    topologies = enumerate_topologies(n)
-    scanned, firsts = _run_shares(topologies, n, workers, None, None)
+    topologies, scanned, firsts = _scan(n, None, None)
     first: dict = {}
     for ti, aura_index, picks, values in firsts:
         for p in ATOM_NAMES:

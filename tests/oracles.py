@@ -222,13 +222,15 @@ def plain_walk(topologies, atoms):
     ``atoms``): the walk the scans made before they decided the grid from
     its scope classes, with no stop and no skipped space.
 
-    Unlike the rest of this module it reads the atoms through the package,
-    in the key layout of ``auratopo.search``: each scope tuple is decided
-    on its own first grid space (``_decide``, with no relabelling), whose
-    scope-only values other tests check against the definitions.
-    ``tauConnected`` is decided once per topology, and ``tauAEqualsTau``
-    compares each space's hulls with its topology's minimal opens.
+    Unlike the rest of this module it reads the scope-only atoms through
+    the package, in the key layout of ``auratopo.search``: each scope tuple
+    is decided on its own first grid space (``_decide``, with no
+    relabelling), whose scope-only values other tests check against the
+    definitions. ``tauConnected`` is decided once per topology, and
+    ``tauAEqualsTau`` compares each space's own hulls with its topology's
+    minimal opens.
     """
+    from auratopo import kernel
     from auratopo.search import ATOMS, _checked_choices, _decide, _scope_atoms
 
     scope = _scope_atoms(atoms)
@@ -238,6 +240,7 @@ def plain_walk(topologies, atoms):
         minimal = topology.minimal_masks
         tau_connected = ATOMS["tauConnected"](topology) if "tauConnected" in atoms else None
         for aura_index, picks in enumerate(itertools.product(*_checked_choices(topology))):
-            values, hulls = memo.get(picks) or _decide(memo, topology, picks, scope, orbit=False)
-            yield ti, aura_index, picks, (values, tau_connected,
-                                          hulls == minimal if equals_read else None)
+            if picks not in memo:
+                _decide(memo, topology, picks, scope, orbit=False)
+            equals = tuple(kernel.hull_masks(len(picks), picks)) == minimal if equals_read else None
+            yield ti, aura_index, picks, (memo[picks], tau_connected, equals)

@@ -35,6 +35,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """The unrecognized arguments of a CLI call that argparse rejects with
+    exit code 2 and nothing on stdout."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.rpartition("error: unrecognized arguments: ")[2].rstrip("\n")
+
+
 def test_validate(docs, capsys):
     code, out, err = run_cli(capsys, "validate", str(docs / "sierpinski2.json"))
     assert code == 0
@@ -228,11 +239,15 @@ def test_text_output_ends_with_newline(docs, capsys):
         assert out.endswith("\n") and not out.endswith("\n\n"), argv
 
 
-def test_search_output_does_not_depend_on_workers(capsys):
-    args = ["search", "--size", "3", "--where", "aT1 and not aT2", "--json"]
-    _, solo, _ = run_cli(capsys, *args, "--workers", "1")
-    _, duo, _ = run_cli(capsys, *args, "--workers", "2")
-    assert solo == duo
+def test_workers_option_is_a_usage_error(capsys):
+    # search and matrix run in one process; --workers is no option of either.
+    for argv in (
+        ("search", "--size", "3", "--where", "aT1 and not aT2", "--json", "--workers", "2"),
+        ("matrix", "--size", "2", "--workers", "1"),
+    ):
+        assert usage_error(capsys, *argv) == "--workers " + argv[-1]
+    code, out, _ = run_cli(capsys, "search", "--size", "3", "--where", "aT1 and not aT2", "--json")
+    assert code == 1 and json.loads(out)["spacesScanned"] == 362
 
 
 def test_matrix(capsys):
@@ -337,10 +352,7 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
         ("matrix", "--size", "2", "--workers", "0"),
         ("search", "--size", "2", "--where", "trivial", "--workers", "-1"),
     ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: workers must be at least 1, got {argv[-1]}\n"
+        assert usage_error(capsys, *argv) == "--workers " + argv[-1]
     code, out, err = run_cli(
         capsys, "search", "--size", "2", "--where", "trivial", "--samples", "-5"
     )

@@ -724,6 +724,16 @@ def test_walk_replays_failing_classes_in_grid_order():
     assert walked(_walk_every_instance) == (list(range(9)), outcome)
 
 
+# Faults that feed a context memo under a key that does not fix what they
+# read, or that edit what it holds: the subspace fault's cut spaces go into
+# ``subspace_of`` and, by space equality, the facts memo, and the class memo
+# faults feed the product and surjection memos. Every other fault has no
+# state and changes only values that no memo keeps, or that one keeps under
+# a key fixing every input the fault reads, so a second walk reads from a
+# shared context exactly what it would compute in a fresh one.
+FRESH_CONTEXT_FAULTS = (_break_subspace_scope, *CLASS_MEMO_FAULTS.values())
+
+
 def test_walk_matches_a_walk_of_every_instance_under_faults(monkeypatch):
     # Every fault that breaks some replay classes or class memos, at sizes
     # up to 3: the walk must report what a walk that runs every instance
@@ -731,11 +741,12 @@ def test_walk_matches_a_walk_of_every_instance_under_faults(monkeypatch):
     faults = [*SCOPE_REPLAY_FAULTS.items(), *REPLAY_FAULTS.items(), *CLASS_MEMO_FAULTS.items()]
     for name, fault in faults:
         outcomes = []
+        ctx = None if fault in FRESH_CONTEXT_FAULTS else LawContext(3)
         for walk in (laws._walk, _walk_every_instance):
             with monkeypatch.context() as m:
                 fault(m)
                 m.setattr(laws, "_walk", walk)
-                (o,) = run_laws(names=[name], max_n=3).outcomes
+                (o,) = run_laws(names=[name], max_n=3, ctx=ctx).outcomes
             outcomes.append((o.checks, o.failed, o.failures))
         assert outcomes[0] == outcomes[1], name
         assert outcomes[0][1] > 0, name

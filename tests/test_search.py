@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import json
@@ -13,7 +14,6 @@ from auratopo import (
     SamplesOutOfRange,
     SizeOutOfRange,
     UnknownAtom,
-    WorkersOutOfRange,
     count_auras,
     enumerate_auras,
     enumerate_topologies,
@@ -133,14 +133,24 @@ def test_search_scan_totals_and_limit():
     assert report.witnesses == unlimited.witnesses[:4]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+def _runs(runs, call):
+    """``call()``, run ``runs`` times in this process. Every run must give
+    the first one's result: a walk leaves nothing behind that changes the
+    next (the caches it warms, such as ``kernel.relabelings``, hold only
+    what a cold run computes)."""
+    results = [call() for _ in range(runs)]
+    assert all(result == results[0] for result in results[1:])
+    return results[0]
+
+
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("limit", [0, 1, 5])
-def test_limited_report_is_the_unlimited_one_truncated(limit, workers):
+def test_limited_report_is_the_unlimited_one_truncated(limit, runs):
     expr = "aConnected and not tauConnected"
-    full = search(3, expr, workers=workers).to_json()
+    full = _runs(runs, lambda: search(3, expr).to_json())
     assert len(full["witnesses"]) > 5
     full["witnesses"] = full["witnesses"][:limit]
-    assert search(3, expr, limit=limit, workers=workers).to_json() == full
+    assert _runs(runs, lambda: search(3, expr, limit=limit).to_json()) == full
 
 
 @pytest.mark.parametrize(
@@ -187,12 +197,12 @@ def test_negative_limit_is_rejected():
         search(2, "aT0 and not aT1", limit=-1, samples=50)
 
 
-def test_worker_count_never_changes_the_report():
-    solo = search(3, "aT1 and not aT2", workers=1)
-    duo = search(3, "aT1 and not aT2", workers=2)
-    assert solo.to_json() == duo.to_json()
-    m1 = implication_matrix(2, workers=1)
-    m2 = implication_matrix(2, workers=2)
+def test_a_second_run_in_one_process_gives_the_same_report():
+    first = search(3, "aT1 and not aT2")
+    second = search(3, "aT1 and not aT2")
+    assert first.to_json() == second.to_json()
+    m1 = implication_matrix(2)
+    m2 = implication_matrix(2)
     assert m1.to_json() == m2.to_json()
 
 
@@ -251,11 +261,11 @@ def _brute_first_witnesses(n):
     return first
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("n", [2, 3])
-def test_matrix_matches_a_brute_first_witness_scan(n, workers):
+def test_matrix_matches_a_brute_first_witness_scan(n, runs):
     expected = _brute_first_witnesses(n)
-    report = implication_matrix(n, workers=workers)
+    report = _runs(runs, lambda: implication_matrix(n))
     assert list(report.implications) == [
         (p, q) for p in ATOM_NAMES for q in ATOM_NAMES if p != q]
     for (p, q), w in report.implications.items():
@@ -276,14 +286,16 @@ def test_witness_documents_parse_back():
         assert space_descriptor(parsed.space) == w.descriptor
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_worker_count_below_one_is_rejected(workers):
-    with pytest.raises(WorkersOutOfRange, match=f"got {workers}"):
+@pytest.mark.parametrize("workers", [-1, 0, 2])
+def test_scans_take_no_worker_count(workers):
+    # Both scans run in one process; the worker count and its error are gone.
+    with pytest.raises(TypeError, match="workers"):
         search(2, "trivial", workers=workers)
-    with pytest.raises(WorkersOutOfRange):
+    with pytest.raises(TypeError, match="workers"):
         search(2, "trivial", workers=workers, samples=5)
-    with pytest.raises(WorkersOutOfRange):
+    with pytest.raises(TypeError, match="workers"):
         implication_matrix(2, workers=workers)
+    assert not hasattr(importlib.import_module("auratopo.errors"), "WorkersOutOfRange")
 
 
 def test_negative_sample_count_is_rejected():
@@ -487,14 +499,15 @@ def test_memoised_tau_a_equals_tau_matches_the_definition():
         expected = frozenset(brute_tau_a(s.n, s.scope_masks)) == s.topology.mask_set
         assert ATOMS["tauAEqualsTau"](s) == expected
         assert expr.holds_on(s) == expected
-        # Read as the scans read it: the hulls of the tuple's memo entry,
-        # which later spaces of the tuple and of its relabellings share,
-        # against each space's own minimal opens.
-        _, hulls = memo.get(s.scope_masks) or search_module._decide(
-            memo, s.topology, s.scope_masks, ())
-        assert (hulls == s.topology.minimal_masks) == expected
+        # The memo holds values only: with no scope-only atom read they are
+        # (), which is falsy, so membership decides whether to decide again.
+        if s.scope_masks not in memo:
+            assert search_module._decide(memo, s.topology, s.scope_masks, ()) == ()
+        assert memo[s.scope_masks] == ()
         # Read as pass 2 reads it: the tuple itself against the minimal opens.
         assert (s.scope_masks == s.topology.minimal_masks) == expected
+        # And as the plain walk reads it: the space's own hulls against them.
+        assert (s.hull_masks == s.topology.minimal_masks) == expected
     assert len(memo) < len(spaces)
     # The plain walk's key carries the same verdict, space by space in grid order.
     walked = [key for n in range(4) for *_, key in
@@ -502,50 +515,86 @@ def test_memoised_tau_a_equals_tau_matches_the_definition():
     assert walked == [((), None, ATOMS["tauAEqualsTau"](s)) for s in spaces]
 
 
+@functools.lru_cache(maxsize=None)
+def _plain_grid(n):
+    """The plain walk of the size-n grid over every atom, as a list."""
+    return list(plain_walk(enumerate_topologies(n), ATOM_NAMES))
+
+
 @pytest.mark.parametrize("n, size", [(0, 1), (1, 1), (2, 6), (3, 21), (4, 27)])
 def test_matrix_keeps_the_first_space_of_each_plain_walk_key(n, size):
     topologies = enumerate_topologies(n)
     assert len(topologies[0].mask_set) == 1 << n  # pass 1 runs under the discrete topology
     firsts = {}
-    for ti, aura_index, picks, key in plain_walk(topologies, ATOM_NAMES):
-        firsts.setdefault(key, (ti, aura_index, picks,
-                                search_module._valuation(ATOM_NAMES, key)))
+    for ti, aura_index, picks, key in _plain_grid(n):
+        if key not in firsts:
+            firsts[key] = (ti, aura_index, picks, search_module._valuation(ATOM_NAMES, key))
     assert len(firsts) == size
-    for workers in (1, 2):
-        shares = [search_module._share(n, w, workers, None, None, topologies)
-                  for w in range(workers)]
-        # Each share keeps the first space of each key it meets, so the
-        # grid's first space of each key is the first of its key once the
-        # shares' hits are merged in grid order.
-        merged = {}
-        for h in sorted((h for _, share in shares for h in share), key=lambda h: h[:2]):
-            merged.setdefault(tuple(h[3].values()), h)
-        assert list(merged.values()) == sorted(firsts.values(), key=lambda h: h[:2])
-        assert sum(scanned for scanned, _ in shares) == sum(map(count_auras, topologies))
+    walked, scanned, hits = search_module._scan(n, None, None)
+    assert [t.canonical_key() for t in walked] == [t.canonical_key() for t in topologies]
+    # The first space of each key, in grid order, with the key's valuation.
+    assert hits == sorted(firsts.values(), key=lambda h: h[:2])
+    assert scanned == sum(map(count_auras, topologies))
 
 
-def _visits(monkeypatch, run):
-    """How many spaces pass 2 reads on each topology while ``run`` runs."""
-    visits = Counter()
-    visit = search_module._visit
+@pytest.mark.parametrize("expression", [
+    "tauAEqualsTau and not aT0",
+    "not tauAEqualsTau and transitive",
+    "tauAEqualsTau or aT1",
+])
+def test_minimal_opens_hit_by_their_own_key(expression):
+    # Pass 2 filters each topology's grid against the tuples whose key
+    # would hit away from m_τ, τ's minimal opens, and takes m_τ by its own
+    # key (see _grid_matches). The first predicate hits only m_τ tuples,
+    # the second every transitive tuple but m_τ, which is transitive, and
+    # the third m_τ also where aT1 fails.
+    expr = parse_predicate(expression)
+    verdicts = {}  # plain walk key -> the space's valuation if it is a hit, else None
+    for n in range(5):
+        expected = []
+        for ti, aura_index, picks, key in _plain_grid(n):
+            if key not in verdicts:
+                full = search_module._valuation(ATOM_NAMES, key)
+                valuation = {a: full[a] for a in expr.atoms}
+                verdicts[key] = valuation if expr.evaluate(valuation) else None
+            if verdicts[key] is not None:
+                expected.append((ti, aura_index, picks, verdicts[key]))
+        assert expected or n < 2
+        for limit in (None, 0, 1, 5):
+            _, _, hits = search_module._scan(n, expr, limit)
+            assert hits == expected[:limit], (n, limit)
+    report = search(4, expression, limit=5)
+    assert [(w.topology_index, w.aura_index, w.valuation) for w in report.witnesses] == \
+        [(ti, aura_index, valuation) for ti, aura_index, _, valuation in expected[:5]]
 
-    def counted(*args):
-        for item in visit(*args):
-            visits[item[0]] += 1
-            yield item
 
-    monkeypatch.setattr(search_module, "_visit", counted)
+def _draws(monkeypatch, run):
+    """The tuples drawn from each ``product`` call of the scans while
+    ``run`` runs, per call and in call order, for the calls over
+    4-point grids."""
+    draws = []
+
+    def counted(*choices):
+        draws.append(0)
+        for picks in itertools.product(*choices):
+            draws[-1] += len(choices) == 4
+            yield picks
+
+    monkeypatch.setattr(search_module, "product", counted)
     run()
-    monkeypatch.setattr(search_module, "_visit", visit)
-    return visits
+    monkeypatch.setattr(search_module, "product", itertools.product)
+    return [d for d in draws if d]
 
 
 def test_pass_two_stops_at_the_last_witness(monkeypatch):
-    # A limited search stops at its last hit; the matrix reads every space.
-    visits = _visits(monkeypatch, lambda: search(4, "aConnected and not tauConnected", limit=5))
-    assert sum(visits.values()) < 100
-    visits = _visits(monkeypatch, lambda: implication_matrix(4))
-    assert sum(visits.values()) == 59123
+    # Pass 1 reads the 4,096 tuples of the discrete topology. Then a limited
+    # search stops at its last hit, and the matrix reads every space.
+    draws = _draws(monkeypatch, lambda: search(4, "aConnected and not tauConnected", limit=5))
+    assert draws[0] == 4096
+    assert sum(draws[1:]) < 100
+    draws = _draws(monkeypatch, lambda: implication_matrix(4))
+    assert draws[0] == 4096
+    assert sum(draws[1:]) == 59123
 
 
 def test_sampled_search_keeps_at_most_limit_hits_and_draws_every_sample(monkeypatch):
@@ -588,7 +637,7 @@ def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
             calls[_atom] += 1
             return _fn(s)
         monkeypatch.setitem(ATOMS, atom, counted)
-    report = implication_matrix(3, workers=1)
+    report = implication_matrix(3)
     assert report.spaces_scanned == 362
     for atom in SCOPE_ATOMS:
         assert calls[atom] == classes, atom
@@ -602,7 +651,7 @@ def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
     assert calls["tauAEqualsTau"] == 0
 
     calls.clear()
-    scanned, firsts = search_module._share(4, 0, 1, None, None)
+    _, scanned, firsts = search_module._scan(4, None, None)
     assert scanned == 59123
     assert len(firsts) == 27  # distinct valuations
     for atom in SCOPE_ATOMS:
@@ -658,7 +707,7 @@ def test_scope_atoms_and_hulls_are_invariant_under_relabelling():
 def test_orbit_filled_memo_equals_a_per_tuple_memo(monkeypatch):
     # The memo that each full-grid scan fills one relabelling class at a
     # time holds, for every tuple, what deciding that tuple on its own
-    # first grid space gives: the scope-only values and the hulls.
+    # first grid space gives: the scope-only values, and nothing else.
     memos = []
     decide = search_module._decide
 
@@ -683,7 +732,7 @@ def test_orbit_filled_memo_equals_a_per_tuple_memo(monkeypatch):
         assert len(memos) == 2
         for memo in memos:
             assert memo == plain
-            assert len({id(values) for values, _ in memo.values()}) == [1, 1, 3, 16, 218][n]
+            assert len({id(values) for values in memo.values()}) == [1, 1, 3, 16, 218][n]
 
 
 def test_sampled_search_fills_no_orbits(monkeypatch):
@@ -732,16 +781,16 @@ def _brute_hits(n, expression):
     return hits
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("expression", [
     "tauAEqualsTau and not aConnected",
     "tauConnected and not aT0",
     "not tauAEqualsTau and aLocallyConnected or tauConnected and not clIdempotent",
 ])
-def test_search_matches_a_per_space_brute_scan(expression, workers):
+def test_search_matches_a_per_space_brute_scan(expression, runs):
     expected = _brute_hits(3, expression)
     assert 0 < len(expected) < 362
-    report = search(3, expression, workers=workers)
+    report = _runs(runs, lambda: search(3, expression))
     got = [(w.topology_index, w.aura_index, w.descriptor, w.valuation)
            for w in report.witnesses]
     assert got == expected
