@@ -5,8 +5,6 @@ search lab over all small spaces, and a pinned verification suite.
 """
 
 import importlib
-import sys
-import types
 
 # The public names, by the submodule that defines them. A name is imported
 # from its submodule when first read (PEP 562 ``__getattr__``), so a command
@@ -63,7 +61,6 @@ _EXPORTS = {
     "search": (
         "ATOM_NAMES", "count_auras", "enumerate_auras",
         "enumerate_topologies", "implication_matrix", "parse_predicate",
-        "search",
     ),
     "laws": ("LAW_NAMES", "run_laws"),
     "verification": ("run_verification",),
@@ -91,14 +88,3 @@ def __getattr__(name: str):
 def __dir__():
     return sorted(set(globals()) | set(__all__))
 
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name, value):
-        # The import system binds a submodule on its package once it is
-        # loaded; the name ``search`` stays the function.
-        if name == "search" and isinstance(value, types.ModuleType):
-            value = value.search
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -19,8 +19,8 @@ Laws whose instances repeat one verdict many times run through class
 replay (``_walk``), the module's one replay. ``LawContext`` builds a
 class table (``_Classes``) once per run for each instance list: the
 grid spaces under ``_scope_key``, the labels and the scope tuple (373
-spaces, 70 classes); the factor pairs under ``_pair_key``, both sizes
-and scope tuples (6,597 pairs, 528 classes); and each universe's
+spaces, 70 classes); the factor pairs ``ctx.pairs`` under ``_pair_key``,
+both sizes and scope tuples (6,597 pairs, 528 classes); and each universe's
 sequences under their cycle mask (507 sequences, 7 classes on three
 points). ``_walk`` walks a table: the first instance of each class
 is decided through the operators and stands for the whole class, and a
@@ -134,33 +134,36 @@ class SpaceFacts:
 
 
 class LawContext:
-    """Space grid, class tables and shared caches for one law run."""
+    """Space grid, class tables and one memo for one law run.
+
+    ``_memoised`` keeps every value the laws share under a tuple key that
+    names what the value is built from. ``facts`` keeps its own dict: it
+    is the hot path.
+    """
 
     def __init__(self, max_n: int = MAX_LAW_SIZE):
         if not 0 <= max_n <= MAX_LAW_SIZE:
             raise SizeOutOfRange(f"laws run on sizes 0..{MAX_LAW_SIZE}, got {max_n}")
         self.max_n = max_n
-        self._spaces: Dict[int, list] = {}
         self._facts: Dict[AuraSpace, SpaceFacts] = {}
-        self._surjection_cache: Dict[tuple, bool] = {}
-        self._maps: Dict[tuple, tuple] = {}
-        self._boxes: Dict[tuple, list] = {}
-        self._products: Dict[tuple, AuraSpace] = {}
-        self._subspaces: Dict[tuple, AuraSpace] = {}
-        self._sequences: Dict[PointUniverse, tuple] = {}
+        self._memo: Dict[tuple, object] = {}
         self.discrete_pair = make_aura_space(
             ["0", "1"],
             [[], ["0"], ["1"], ["0", "1"]],
             {"0": ["0"], "1": ["1"]},
         )
 
+    def _memoised(self, key: tuple, build: Callable[[], object]):
+        """The value under ``key``, built by ``build()`` on first use. The
+        test is membership, since a value may be false."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def spaces(self, n: int) -> list:
-        if n not in self._spaces:
-            out = []
-            for top in enumerate_topologies(n):
-                out.extend(enumerate_auras(top))
-            self._spaces[n] = out
-        return self._spaces[n]
+        return self._memoised(("spaces", n), lambda: [
+            s for top in enumerate_topologies(n) for s in enumerate_auras(top)
+        ])
 
     @cached_property
     def grid(self) -> list:
@@ -180,61 +183,35 @@ class LawContext:
         return f
 
     @cached_property
-    def _pair_blocks(self) -> list:
-        """(first position, left spaces, right spaces) per pair of factor
-        sizes, in the order of ``factor_pairs``."""
-        sizes = [(2, 2)] if self.max_n >= 2 else []
-        if self.max_n >= 3:
-            sizes += [(2, 3), (3, 2)]
-        blocks, pos = [], 0
-        for nx, ny in sizes:
-            blocks.append((pos, self.spaces(nx), self.spaces(ny)))
-            pos += len(self.spaces(nx)) * len(self.spaces(ny))
-        return blocks
-
-    def factor_pairs(self) -> Iterator[tuple]:
-        """Ordered nonempty factor pairs with at most six product points.
+    def pairs(self) -> list:
+        """Ordered nonempty factor pairs with at most six product points:
+        the sizes (2, 2), (2, 3) and (3, 2) in turn, left-major in grid order.
 
         Empty factors are excluded: with one factor empty the product is
         empty and the projections cannot be onto, so the factor-recovery
         laws are stated for nonempty factors only.
         """
-        for _, left, right in self._pair_blocks:
-            for sx in left:
-                for sy in right:
-                    yield sx, sy
-
-    def pair_at(self, pos: int) -> tuple:
-        """The factor pair at position ``pos`` of ``factor_pairs``."""
-        for first, left, right in reversed(self._pair_blocks):
-            if pos >= first:
-                i, j = divmod(pos - first, len(right))
-                return left[i], right[j]
-        raise IndexError(pos)
+        return [
+            (sx, sy)
+            for nx, ny in ((2, 2), (2, 3), (3, 2)) if max(nx, ny) <= self.max_n
+            for sx in self.spaces(nx) for sy in self.spaces(ny)
+        ]
 
     @cached_property
     def pair_classes(self) -> _Classes:
         """The factor pairs' class table under ``_pair_key``."""
-        return _Classes(_pair_key(sx, sy) for sx, sy in self.factor_pairs())
+        return _Classes(_pair_key(sx, sy) for sx, sy in self.pairs)
 
     def product_of(self, sx: AuraSpace, sy: AuraSpace) -> AuraSpace:
-        key = (sx, sy)
-        p = self._products.get(key)
-        if p is None:
-            p = product(sx, sy)
-            self._products[key] = p
-        return p
+        return self._memoised(("product", sx, sy), lambda: product(sx, sy))
 
     def boxes(self, nx: int, ny: int) -> list:
         """``_box_mask(a, b, ny)`` at ``a * 2**ny + b``, for every pair of
         carrier masks, built once per pair of factor sizes."""
-        key = (nx, ny)
-        table = self._boxes.get(key)
-        if table is None:
-            table = self._boxes[key] = [
-                _box_mask(a, b, ny) for a in range(1 << nx) for b in range(1 << ny)
-            ]
-        return table
+        return self._memoised(
+            ("boxes", nx, ny),
+            lambda: [_box_mask(a, b, ny) for a in range(1 << nx) for b in range(1 << ny)],
+        )
 
     def subspace_of(self, s: AuraSpace, ym: int) -> AuraSpace:
         """``subspace(s, ym)``, built once per space and carrier mask.
@@ -242,45 +219,31 @@ class LawContext:
         The memo keeps the equal space that ``facts`` already holds, so a
         subspace met before under another carrier is not kept twice.
         """
-        key = (s, ym)
-        sub = self._subspaces.get(key)
-        if sub is None:
-            sub = self._subspaces[key] = self.facts(subspace(s, ym)).space
-        return sub
+        return self._memoised(("subspace", s, ym), lambda: self.facts(subspace(s, ym)).space)
 
     def sequences(self, universe: PointUniverse) -> tuple:
         """The short sequences of ``universe`` and their class table under
         the cycle mask, built once per universe."""
-        table = self._sequences.get(universe)
-        if table is None:
+        def build() -> tuple:
             seqs = list(short_sequences(universe))
-            table = self._sequences[universe] = (seqs, _Classes(q.cycle_mask() for q in seqs))
-        return table
+            return seqs, _Classes(q.cycle_mask() for q in seqs)
+        return self._memoised(("sequences", universe), build)
 
     def onto_maps(self, u: PointUniverse, v: PointUniverse) -> tuple:
         """Every onto map from ``u`` to ``v``, built once per pair of universes."""
-        key = (u, v)
-        maps = self._maps.get(key)
-        if maps is None:
-            maps = self._maps[key] = tuple(
-                FiniteMap(u, v, images)
-                for images in itertools.product(range(v.n), repeat=u.n)
-                if len(set(images)) == v.n
-            )
-        return maps
+        return self._memoised(("onto", u, v), lambda: tuple(
+            FiniteMap(u, v, images)
+            for images in itertools.product(range(v.n), repeat=u.n)
+            if len(set(images)) == v.n
+        ))
 
     def projections(self, prod: AuraSpace, sx: AuraSpace, sy: AuraSpace) -> tuple:
-        """The left and right projections of ``prod`` onto its factors,
-        kept in the map memo of ``onto_maps``."""
-        key = (prod.universe, sx.universe, sy.universe)
-        maps = self._maps.get(key)
-        if maps is None:
-            nx, ny = sx.n, sy.n
-            maps = self._maps[key] = (
-                FiniteMap(prod.universe, sx.universe, [k // ny for k in range(nx * ny)]),
-                FiniteMap(prod.universe, sy.universe, [k % ny for k in range(nx * ny)]),
-            )
-        return maps
+        """The left and right projections of ``prod`` onto its factors."""
+        nx, ny = sx.n, sy.n
+        return self._memoised(("projections", prod.universe, sx.universe, sy.universe), lambda: (
+            FiniteMap(prod.universe, sx.universe, [k // ny for k in range(nx * ny)]),
+            FiniteMap(prod.universe, sy.universe, [k % ny for k in range(nx * ny)]),
+        ))
 
     def has_continuous_surjection(self, src: SpaceFacts, dst: SpaceFacts) -> bool:
         """Does any onto map carry src continuously to dst?
@@ -291,14 +254,10 @@ class LawContext:
         """
         if dst.n > src.n or dst.n == 0 != src.n:
             return False
-        key = (_image_key(src), _image_key(dst))
-        hit = self._surjection_cache.get(key)
-        if hit is None:
-            a, b = src.space, dst.space
-            hit = self._surjection_cache[key] = any(
-                is_aura_continuous(m, a, b) for m in self.onto_maps(a.universe, b.universe)
-            )
-        return hit
+        a, b = src.space, dst.space
+        return self._memoised(("surjection", _image_key(src), _image_key(dst)), lambda: any(
+            is_aura_continuous(m, a, b) for m in self.onto_maps(a.universe, b.universe)
+        ))
 
 
 @dataclass(frozen=True)
@@ -587,7 +546,7 @@ def _space_law(name: str, tier: str, description: str):
 
 def _pair_law(name: str, tier: str, description: str):
     """Register ``fn(ctx, t, sx, sy)``, a statement about one factor pair,
-    as a law over ``ctx.factor_pairs()``, replayed over
+    as a law over ``ctx.pairs``, replayed over
     ``ctx.pair_classes``, the classes of ``_pair_key``.
 
     The replay is sound only if ``fn`` reads nothing of the pair but
@@ -595,7 +554,7 @@ def _pair_law(name: str, tier: str, description: str):
     """
     def wrap(fn):
         def run(ctx: LawContext, t: _Tally) -> None:
-            _walk(t, ctx.pair_classes, lambda pos: fn(ctx, t, *ctx.pair_at(pos)))
+            _walk(t, ctx.pair_classes, lambda pos: fn(ctx, t, *ctx.pairs[pos]))
         _law(name, tier, description)(run)
         return fn
     return wrap
@@ -837,22 +796,22 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
     """The box-family half reads the two factor τ_a and the product τ_a,
     so it walks the pair classes.
 
-    The other half tests τ_{a×b} ⊆ τ_X × τ_Y on every pair, as one
-    subset test of two memoised families. τ_{a×b} is a function of
-    ``_pair_key`` (528 classes at sizes up to 3), and τ_X × τ_Y of
-    ``_product_topology_key`` (248 classes); each family is taken from
-    the product of the first pair of its class. So the test reads the
-    same two families that the pair's own product holds. A pass only adds
-    its check. A pair whose test fails is walked in a class of its own,
-    so it runs in place, after its box half, and builds its own product,
-    which decides the check again and names the witness.
+    The other half tests τ_{a×b} ⊆ τ_X × τ_Y on every pair of
+    ``ctx.pairs``, as one subset test of two memoised families. τ_{a×b}
+    is a function of ``_pair_key`` (528 classes at sizes up to 3), and
+    τ_X × τ_Y of ``_product_topology_key`` (248 classes); each family is
+    taken from the product of the first pair of its class. So the test
+    reads the same two families that the pair's own product holds. A pass
+    only adds its check. A pair whose test fails is walked in a class of
+    its own, so it runs in place, after its box half, and builds its own
+    product, which decides the check again and names the witness.
     """
-    pairs = ctx.pair_classes
+    classes = ctx.pair_classes
     tau_a_of: Dict[int, frozenset] = {}
     topology_of: Dict[tuple, frozenset] = {}
     escaping = set()
-    for pos, (sx, sy) in enumerate(ctx.factor_pairs()):
-        c = pairs.index[pos]
+    for pos, (sx, sy) in enumerate(ctx.pairs):
+        c = classes.index[pos]
         tau_a = tau_a_of.get(c)
         if tau_a is None:
             tau_a = tau_a_of[c] = ctx.facts(ctx.product_of(sx, sy)).tau_a_set
@@ -864,7 +823,7 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
             escaping.add(pos)
 
     def instance(pos: int) -> None:
-        sx, sy = ctx.pair_at(pos)
+        sx, sy = ctx.pairs[pos]
         prod = ctx.product_of(sx, sy)
         t.verify(
             product_topology_of_factors(sx, sy).mask_set <= ctx.facts(prod).tau_a_set,
@@ -880,7 +839,7 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
             prod,
         )
 
-    _walk(t, pairs.split(escaping) if escaping else pairs, instance)
+    _walk(t, classes.split(escaping) if escaping else classes, instance)
 
 
 @_pair_law(

@@ -173,7 +173,8 @@ def _strict_subspace_somewhere(space):
 
 @criterion(5, "search reproductions")
 def test_criterion_5_search_reproductions():
-    from auratopo import parse_document, search
+    from auratopo import parse_document
+    from auratopo.search import search
 
     budgets = []
 

@@ -24,11 +24,10 @@ from auratopo import (
     enumerate_topologies,
     implication_matrix,
     parse_predicate,
-    search,
 )
 from auratopo.cli import main
 from auratopo.finite import family_key
-from auratopo.search import ATOMS, SearchReport, Witness, space_descriptor
+from auratopo.search import ATOMS, SearchReport, Witness, search, space_descriptor
 
 search_module = importlib.import_module("auratopo.search")
 

@@ -793,8 +793,38 @@ def test_laws_bench_runs_and_reports_the_pinned_counts():
     expected.update({"scope-topology-subfamily": 373, "transitive-convergence-criterion": 70 + 461,
                      "continuous-image-connected": 23, "continuous-image-compact": 35})
     assert decided == expected
-    assert run["products"] <= 773
+    assert run["products"] == 773
     assert run["subspaces"] == 461
+
+
+def test_a_second_run_on_one_context_builds_nothing(monkeypatch):
+    # The context keeps every product, subspace, fact table and map that the
+    # laws read, so a second run of every law on it builds none of them and
+    # reports what the first run reported.
+    built = []
+
+    def counting(name, real):
+        def call(*args):
+            built.append(name)
+            return real(*args)
+        return call
+
+    for name in ("product", "subspace", "FiniteMap"):
+        monkeypatch.setattr(laws, name, counting(name, getattr(laws, name)))
+    monkeypatch.setattr(laws.SpaceFacts, "__init__",
+                        counting("SpaceFacts", laws.SpaceFacts.__init__))
+    ctx = LawContext(3)
+    first = run_laws(ctx=ctx)
+    assert first.ok and {"product", "subspace", "FiniteMap", "SpaceFacts"} <= set(built)
+    built.clear()
+    assert run_laws(ctx=ctx) == first
+    assert built == []
+    # Surjection verdicts are kept when false too, so the image laws test
+    # no map for continuity on a context that has run them.
+    monkeypatch.setattr(laws, "is_aura_continuous",
+                        counting("is_aura_continuous", laws.is_aura_continuous))
+    run_laws(names=["continuous-image-connected", "continuous-image-compact"], ctx=ctx)
+    assert built == []
 
 
 def test_product_closure_box_closes_only_the_boxes(monkeypatch):

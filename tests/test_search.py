@@ -19,12 +19,11 @@ from auratopo import (
     enumerate_topologies,
     implication_matrix,
     parse_predicate,
-    search,
 )
 from auratopo import constructions, kernel
 from auratopo.aura import classify, separation_axioms
 from auratopo.connectivity import is_aura_connected, is_aura_path_connected
-from auratopo.search import ATOMS, SCOPE_ATOMS, TOPOLOGY_ATOMS, space_descriptor
+from auratopo.search import ATOMS, SCOPE_ATOMS, TOPOLOGY_ATOMS, search, space_descriptor
 from helpers import all_small_spaces, grid_and_random_spaces, rand_space
 from oracles import brute_closure, brute_tau_a, brute_topologies, plain_walk
 

@@ -4,8 +4,8 @@
 ``MUST_FIRE`` counters stays at zero, or when a layer that the matrix
 enters only through its atoms (``LAYER_ATOMS``) is entered a different
 number of times than those atoms run. These tests run ``perfbench/tracer.py``
-in fresh processes on small versions of the ``laws``, ``scan`` and
-``matrix`` commands and apply the same two checks, with the tables
+in fresh processes on small versions of the ``laws``, ``scan``, ``matrix``
+and ``docs`` commands and apply the same two checks, with the tables
 imported from ``run.py``, so a change to the scans or to the law
 registry that hides a layer from the tracer (which wraps each entry of
 ``laws.LAWS`` and ``SpaceFacts.__init__``) fails here first.
@@ -63,3 +63,14 @@ def test_traced_counters_fire(run_module, tmp_path, workload, argv):
         for key, atoms in run_module.LAYER_ATOMS.items():
             evals = sum(metrics[f"search.atom.{atom}.evals"] for atom in atoms)
             assert metrics[key] == evals == 48, key  # 3 atoms on 16 tuple classes
+
+
+def test_traced_document_counters_fire(run_module, tmp_path):
+    # The docs workload sums the traces of its document commands; a subspace
+    # and a product of the two-point fixture must fire every docs counter.
+    doc_path = str(ROOT / "src" / "auratopo" / "data" / "sierpinski2.json")
+    docs = [_traced(tmp_path, "subspace", doc_path, "--points", "a"),
+            _traced(tmp_path, "product", doc_path, doc_path)]
+    assert [doc["exit_code"] for doc in docs] == [0, 0]
+    metrics = run_module._sum_traces(docs)
+    assert [key for key in run_module.MUST_FIRE["docs"] if not metrics.get(key)] == []
