@@ -10,11 +10,12 @@ re-validation (the tests re-validate samples).
 from __future__ import annotations
 
 from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from . import kernel
 from .errors import EmptySubspace
-from .finite import PointUniverse, TopologyFamily, mask_indices
+from .finite import PointUniverse, TopologyFamily, byte_table_fold, mask_indices
 from .aura import AuraSpace, _as_mask
 
 
@@ -22,7 +23,9 @@ def subspace(s: AuraSpace, carrier) -> AuraSpace:
     """Aura space induced on a nonempty subset of the universe.
 
     Topology is the trace {U & Y}; each scope becomes scope & Y, which
-    is open in the trace and still contains its point.
+    is open in the trace and still contains its point. Masks move to the
+    carrier's indices through byte tables: the bit of the k-th carrier point
+    goes to bit k, and bits off the carrier are dropped.
     """
     ym = _as_mask(s, carrier)
     if ym == 0:
@@ -30,16 +33,11 @@ def subspace(s: AuraSpace, carrier) -> AuraSpace:
     selected = list(mask_indices(ym))
     labels = [s.universe.labels[i] for i in selected]
     sub_universe = PointUniverse(labels)
-    position = {orig: new for new, orig in enumerate(selected)}
-
-    def reindex(mask: int) -> int:
-        out = 0
-        for i in mask_indices(mask & ym):
-            out |= 1 << position[i]
-        return out
-
-    trace = {reindex(o) for o in s.topology.mask_set}
-    topo = TopologyFamily(sub_universe, trace, validate=False)
+    targets = [0] * s.n
+    for new, orig in enumerate(selected):
+        targets[orig] = 1 << new
+    reindex = byte_table_fold(targets, or_, 0)
+    topo = TopologyFamily(sub_universe, map(reindex, s.topology.mask_set), validate=False)
     return AuraSpace(topo, [reindex(s.scope_masks[i]) for i in selected])
 
 

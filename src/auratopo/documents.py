@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
-from .aura import AuraSpace, make_aura_space, space_document
+from .aura import AuraSpace
 from .errors import DocumentSyntaxError, MalformedDocument, UnknownPoint
+from .finite import PointUniverse, TopologyFamily
 
 __all__ = ["SpaceDocument", "parse_document", "parse_space", "serialize_space", "load_document"]
 
@@ -32,7 +34,34 @@ def _require_label_list(value, where: str) -> list:
     return value
 
 
+def _label_masks(entries: list, bits: dict) -> Optional[list]:
+    """The mask of each entry, ORing one ``label -> bit`` lookup per label,
+    or None when some entry is not a list or names a label that ``bits``
+    lacks (a non-string never matches, since every key is a string)."""
+    if not set(map(type, entries)) <= {list}:
+        return None
+    masks = []
+    try:
+        for entry in entries:
+            mask = 0
+            for lab in entry:
+                mask |= bits[lab]
+            masks.append(mask)
+    except (KeyError, TypeError):
+        return None
+    return masks
+
+
 def parse_document(text: str) -> SpaceDocument:
+    """Parse and validate one document in a single pass over its labels.
+
+    Each open and each scope becomes a mask by ORing ``label -> bit``
+    lookups. Only when that fails do the field checks walk the entries,
+    raising the typed error of the first bad one, so a valid document is
+    never checked twice and a bad one gets the same error as a field-by-field
+    check would give. The universe, the topology (validated) and the space
+    are built last.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -48,40 +77,47 @@ def parse_document(text: str) -> SpaceDocument:
             raise MalformedDocument(f"missing field {key!r}")
 
     points = _require_label_list(raw["points"], "points")
-    seen = set()
-    for lab in points:
-        if lab in seen:
+    bits = {}
+    for i, lab in enumerate(points):
+        if lab in bits:
             raise MalformedDocument(f"duplicate point label {lab!r}")
-        seen.add(lab)
+        bits[lab] = 1 << i
 
     opens = raw["opens"]
     if not isinstance(opens, list):
         raise MalformedDocument("opens must be a list of label lists")
-    for i, entry in enumerate(opens):
-        _require_label_list(entry, f"opens[{i}]")
-        for lab in entry:
-            if lab not in seen:
-                raise UnknownPoint(lab)
+    open_masks = _label_masks(opens, bits)
+    if open_masks is None:
+        for i, entry in enumerate(opens):
+            _require_label_list(entry, f"opens[{i}]")
+            for lab in entry:
+                if lab not in bits:
+                    raise UnknownPoint(lab)
 
     aura = raw["aura"]
     if not isinstance(aura, dict):
         raise MalformedDocument("aura must be an object mapping labels to label lists")
-    for lab in aura:
-        if lab not in seen:
-            raise UnknownPoint(lab)
-    for lab in points:
-        if lab not in aura:
-            raise MalformedDocument(f"aura is missing an entry for point {lab!r}")
-        _require_label_list(aura[lab], f"aura[{lab!r}]")
-        for member in aura[lab]:
-            if member not in seen:
-                raise UnknownPoint(member)
+    scope_masks = None
+    if len(aura) == len(points):
+        scope_masks = _label_masks(list(map(aura.get, points)), bits)
+    if scope_masks is None:
+        for lab in aura:
+            if lab not in bits:
+                raise UnknownPoint(lab)
+        for lab in points:
+            if lab not in aura:
+                raise MalformedDocument(f"aura is missing an entry for point {lab!r}")
+            _require_label_list(aura[lab], f"aura[{lab!r}]")
+            for member in aura[lab]:
+                if member not in bits:
+                    raise UnknownPoint(member)
 
     name = raw.get("name")
     if name is not None and not isinstance(name, str):
         raise MalformedDocument("name must be a string")
 
-    space = make_aura_space(points, opens, aura)
+    universe = PointUniverse(points)
+    space = AuraSpace(TopologyFamily(universe, open_masks), scope_masks)
     return SpaceDocument(space, name)
 
 
@@ -90,10 +126,35 @@ def parse_space(text: str) -> AuraSpace:
 
 
 def serialize_space(space: AuraSpace, name: Optional[str] = None) -> str:
-    doc = space_document(space)
+    """The space's canonical document text.
+
+    The bytes are ``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"``
+    for ``doc = space_document(space)`` plus ``name`` when given. The fixed
+    shape is laid out here, because any indent sends ``json`` to its
+    pure-Python encoder; each label is quoted once, by json's own
+    ``encode_basestring_ascii``.
+    """
+    universe = space.universe
+    ranked = universe.ranked
+    quoted = [_quote(lab) for lab in universe.labels]
+    member = {lab: "\n      " + q for lab, q in zip(universe.labels, quoted)}.__getitem__
+
+    def listing(mask: int) -> str:
+        labels = ranked(mask)
+        return "[" + ",".join(map(member, labels)) + "\n    ]" if labels else "[]"
+
+    points = "[" + ",".join(["\n    " + q for q in quoted]) + "\n  ]" if quoted else "[]"
+    opens = ",".join(["\n    " + listing(m) for m in space.topology.ordered_masks])
+    aura = ",".join([f"\n    {q}: {listing(m)}" for q, m in zip(quoted, space.scope_masks)])
+    parts = [
+        '{\n  "points": ', points,
+        ',\n  "opens": [', opens, "\n  ]",
+        ',\n  "aura": ', "{" + aura + "\n  }" if aura else "{}",
+    ]
     if name is not None:
-        doc["name"] = name
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+        parts += [',\n  "name": ', _quote(name)]
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def load_document(path: str) -> SpaceDocument:

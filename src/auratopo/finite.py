@@ -4,13 +4,17 @@ A universe is an ordered tuple of at most 64 distinct labels; a subset
 is the int with bit i set for the i-th label. Set families are stored
 deduplicated and ordered canonically: by cardinality first, then
 lexicographically on the sorted index lists of their members.
+
+Sets render through per-universe byte tables (``byte_table_fold``): one maps
+index bits to label-rank bits, one maps rank bits to label tuples, so a
+set's sorted labels cost a few lookups per byte of its mask.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from operator import and_
-from typing import Iterable, Sequence
+from operator import add, getitem, or_
+from typing import Callable, Iterable, Sequence
 
 from . import kernel
 from .errors import (
@@ -27,7 +31,7 @@ MAX_POINTS = 64
 class PointUniverse:
     """Ordered collection of point labels, capped at 64."""
 
-    __slots__ = ("labels", "_index", "n", "full_mask")
+    __slots__ = ("labels", "_index", "n", "full_mask", "_ranked")
 
     def __init__(self, labels: Sequence[str]):
         labels = tuple(str(x) for x in labels)
@@ -42,6 +46,7 @@ class PointUniverse:
         self._index = index
         self.n = len(labels)
         self.full_mask = (1 << self.n) - 1
+        self._ranked = None
 
     def index(self, label: str) -> int:
         try:
@@ -67,6 +72,32 @@ class PointUniverse:
             mask |= 1 << self.index(lab)
         return mask
 
+    def ranked(self, mask: int) -> tuple:
+        """Member labels of a mask in ascending label order.
+
+        A label's rank is its place among the sorted labels. The mask's
+        index bits map to rank bits, and the rank bits to their labels,
+        through ``byte_table_fold`` tables. They are built on first use, so
+        a universe that never renders a set never pays for them; when the
+        labels are already sorted, ranks are indices and the first step
+        goes.
+        """
+        read = self._ranked
+        if read is None:
+            read = self._ranked = self._ranked_reader()
+        return read(mask)
+
+    def _ranked_reader(self) -> Callable[[int], tuple]:
+        order = sorted(range(self.n), key=self.labels.__getitem__)
+        names = byte_table_fold([(self.labels[i],) for i in order], add, ())
+        if order == list(range(self.n)):
+            return names
+        rank_bits = [0] * self.n
+        for rank, i in enumerate(order):
+            rank_bits[i] = 1 << rank
+        ranks = byte_table_fold(rank_bits, or_, 0)
+        return lambda mask: names(ranks(mask))
+
     def subset(self, labels: Iterable[str]) -> "PointSet":
         return PointSet(self, self.mask_of(labels))
 
@@ -85,17 +116,57 @@ def mask_indices(mask: int):
         mask ^= low
 
 
+def byte_table_fold(items: Sequence, op, empty) -> Callable[[int], object]:
+    """A function folding ``op`` over the items of a mask's set bits, by
+    table lookups, one per byte of the mask.
+
+    Table k covers mask bits 8k to 8k + 7: entry v is ``empty`` folded with
+    ``items[8k + j]`` for every set bit j of v, lowest bit first (for
+    ``add`` on tuples, the lowest item comes first). The last table has
+    2**(bits it covers) entries, so the function accepts exactly the masks
+    of ``len(items)`` bits. Masks of one or two bytes, every universe of at
+    most 16 points, take no loop at all.
+    """
+    tables = []
+    for start in range(0, len(items) or 1, 8):
+        chunk = items[start:start + 8]
+        table = [empty] * (1 << len(chunk))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = op(chunk[low.bit_length() - 1], table[v ^ low])
+        tables.append(tuple(table))
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    if len(tables) == 2:
+        low_byte, high_byte = tables
+        return lambda mask: op(low_byte[mask & 255], high_byte[mask >> 8])
+    return lambda mask: reduce(op, map(getitem, tables, mask.to_bytes(len(tables), "little")))
+
+
+# Each byte with its eight bits in reverse order.
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_LOW64 = (1 << 64) - 1
+
+
 @lru_cache(maxsize=None)
-def family_key(mask: int):
-    """Canonical sort key of one family member. Cached: enumeration and
-    rendering sort the same few masks many times over."""
-    indices = tuple(mask_indices(mask))
-    return (len(indices), indices)
+def family_key(mask: int) -> int:
+    """Canonical sort key of one family member, as one int: the member's
+    size, then the complement of its 64-bit bit reversal.
+
+    It orders masks exactly as ``(size, ascending indices)`` does. Between
+    two sets of one size, the smaller index tuple is the one holding the
+    least element of their symmetric difference: the tuples agree before
+    that element. Reversing the bits makes it the highest differing bit,
+    so that set has the larger reversal and the smaller complement.
+    Cached: enumeration and rendering sort the same few masks many times.
+    """
+    reversed_bits = int.from_bytes(mask.to_bytes(8, "little").translate(_REVERSED_BITS), "big")
+    return mask.bit_count() << 64 | _LOW64 ^ reversed_bits
 
 
 def sorted_labels(universe: PointUniverse, mask: int) -> list:
     """Member labels of a mask, ascending: a set's form in JSON documents."""
-    return sorted(universe.labels[i] for i in mask_indices(mask))
+    return list(universe.ranked(mask))
 
 
 class PointSet:
@@ -130,7 +201,7 @@ class PointSet:
 
     def text(self) -> str:
         """Canonical display: member names ascending, {} when empty."""
-        return "{" + ",".join(sorted_labels(self.universe, self.mask)) + "}"
+        return "{" + ",".join(self.universe.ranked(self.mask)) + "}"
 
     def __repr__(self) -> str:
         return self.text()
@@ -139,7 +210,19 @@ class PointSet:
 def family_text(universe: PointUniverse, masks) -> str:
     """A set family on one line: members in canonical family order, each as
     ``PointSet.text()``, separated by spaces."""
-    return " ".join(PointSet(universe, m).text() for m in sorted(masks, key=family_key))
+    ranked = universe.ranked
+    return " ".join(["{" + ",".join(ranked(m)) + "}" for m in sorted(masks, key=family_key)])
+
+
+def _closed_under_minimal_unions(present: frozenset, minimal: set) -> bool:
+    """``o | m in present`` for every member o and minimal open m: the accept
+    test of ``TopologyFamily._validate``, in plain loops, which run faster
+    than ``all()`` over a generator."""
+    for m in minimal:
+        for o in present:
+            if o | m not in present:
+                return False
+    return True
 
 
 class TopologyFamily:
@@ -192,7 +275,7 @@ class TopologyFamily:
         if full not in self.mask_set:
             raise MissingWhole("the whole universe is missing")
         present = self.mask_set
-        if all(o | m in present for m in set(self.minimal_masks) for o in present):
+        if _closed_under_minimal_unions(present, set(self.minimal_masks)):
             return
         ordered = self.ordered_masks
         for i, a in enumerate(ordered):
@@ -216,10 +299,15 @@ class TopologyFamily:
         """
         full = self.universe.full_mask
         members = self.mask_set
-        return tuple(
-            reduce(and_, [o for o in members if o >> i & 1], full)
-            for i in range(self.universe.n)
-        )
+        out = []
+        for i in range(self.universe.n):
+            bit = 1 << i
+            meet = full
+            for o in members:
+                if o & bit:
+                    meet &= o
+            out.append(meet)
+        return tuple(out)
 
     @cached_property
     def ordered_masks(self) -> tuple:
@@ -286,14 +374,20 @@ def generate_topology(universe: PointUniverse, subbasis: Iterable) -> TopologyFa
 
 
 def _as_mask(space, a) -> int:
-    if isinstance(a, PointSet):
+    """The mask of a ``PointSet`` or a plain int mask of the space's universe.
+
+    Anything else is a ``TypeError``: ``int()`` would truncate a float and
+    read a digit string such as ``"3"`` as a mask rather than a label.
+    """
+    if type(a) is not int:
+        if not isinstance(a, PointSet):
+            raise TypeError(f"expected a PointSet or an int mask, not {type(a).__name__}")
         if a.universe != space.universe:
             raise ValueError("set lives in a different universe")
         return a.mask
-    m = int(a)
-    if m & ~space.universe.full_mask:
+    if a & ~space.universe.full_mask:
         raise ValueError("mask has bits outside the universe")
-    return m
+    return a
 
 
 def tau_closure(topology: TopologyFamily, a) -> PointSet:

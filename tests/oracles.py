@@ -7,6 +7,7 @@ two-part cover. All of it is exponential and only meant for tiny sizes.
 """
 
 import itertools
+import json
 
 
 def brute_closure(n, scopes, a):
@@ -244,3 +245,100 @@ def plain_walk(topologies, atoms):
                 _decide(memo, topology, picks, scope, orbit=False)
             equals = tuple(kernel.hull_masks(len(picks), picks)) == minimal if equals_read else None
             yield ti, aura_index, picks, (memo[picks], tau_connected, equals)
+
+
+# ---------------------------------------------------------------------------
+# The document layer before it parsed in one pass and rendered sets from
+# byte tables: the references the new parser and renderers must match
+# exactly.
+
+def reference_sorted_labels(labels, mask):
+    """Member labels of a mask, sorted, by a walk over every index."""
+    return sorted(lab for i, lab in enumerate(labels) if mask >> i & 1)
+
+
+def reference_family_key(mask):
+    """Canonical family order by its definition: size, then the ascending
+    member indices."""
+    indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return (len(indices), indices)
+
+
+def reference_document(labels, opens, scopes, name=None):
+    """The canonical document text of a space given as labels, open masks
+    and one scope mask per point, through ``json.dumps``."""
+    doc = {
+        "points": list(labels),
+        "opens": [reference_sorted_labels(labels, m)
+                  for m in sorted(opens, key=reference_family_key)],
+        "aura": {lab: reference_sorted_labels(labels, m) for lab, m in zip(labels, scopes)},
+    }
+    if name is not None:
+        doc["name"] = name
+    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+
+def _require_label_list(value, where):
+    from auratopo.errors import MalformedDocument
+
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise MalformedDocument(f"{where} must be a list of point labels")
+    return value
+
+
+def reference_parse_document(text):
+    """``parse_document`` as it was: every field checked in full, in three
+    passes over the labels, then ``make_aura_space``."""
+    from auratopo.aura import make_aura_space
+    from auratopo.documents import SpaceDocument
+    from auratopo.errors import DocumentSyntaxError, MalformedDocument, UnknownPoint
+
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DocumentSyntaxError(f"line {e.lineno} column {e.colno}", e.msg) from None
+
+    if not isinstance(raw, dict):
+        raise MalformedDocument("top-level value must be an object")
+    for key in raw:
+        if key not in ("points", "opens", "aura", "name"):
+            raise MalformedDocument(f"unknown field {key!r}")
+    for key in ("points", "opens", "aura"):
+        if key not in raw:
+            raise MalformedDocument(f"missing field {key!r}")
+
+    points = _require_label_list(raw["points"], "points")
+    seen = set()
+    for lab in points:
+        if lab in seen:
+            raise MalformedDocument(f"duplicate point label {lab!r}")
+        seen.add(lab)
+
+    opens = raw["opens"]
+    if not isinstance(opens, list):
+        raise MalformedDocument("opens must be a list of label lists")
+    for i, entry in enumerate(opens):
+        _require_label_list(entry, f"opens[{i}]")
+        for lab in entry:
+            if lab not in seen:
+                raise UnknownPoint(lab)
+
+    aura = raw["aura"]
+    if not isinstance(aura, dict):
+        raise MalformedDocument("aura must be an object mapping labels to label lists")
+    for lab in aura:
+        if lab not in seen:
+            raise UnknownPoint(lab)
+    for lab in points:
+        if lab not in aura:
+            raise MalformedDocument(f"aura is missing an entry for point {lab!r}")
+        _require_label_list(aura[lab], f"aura[{lab!r}]")
+        for member in aura[lab]:
+            if member not in seen:
+                raise UnknownPoint(member)
+
+    name = raw.get("name")
+    if name is not None and not isinstance(name, str):
+        raise MalformedDocument("name must be a string")
+
+    return SpaceDocument(make_aura_space(points, opens, aura), name)

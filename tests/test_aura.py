@@ -300,3 +300,20 @@ def test_int_masks_outside_the_universe_are_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="mask has bits outside the universe"):
             call()
+
+
+def test_only_point_sets_and_int_masks_are_sets():
+    # clusters5 is labelled 1..5: int() would truncate 2.7 to the mask {2}
+    # and read the label-like "3" as the mask {1,2}.
+    from auratopo import PointSet
+    from auratopo.finite import tau_closure
+
+    s = load_fixture("clusters5")
+    for bad in (2.7, 2.0, "3", True, False, [1]):
+        for call in (aura_closure, aura_interior, derived_set, is_aura_open,
+                     is_aura_connected):
+            with pytest.raises(TypeError, match="expected a PointSet or an int mask"):
+                call(s, bad)
+        with pytest.raises(TypeError):
+            tau_closure(s.topology, bad)
+    assert aura_closure(s, 2) == aura_closure(s, PointSet(s.universe, 2))
