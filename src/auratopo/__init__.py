@@ -15,8 +15,8 @@ _EXPORTS = {
         "EmptyUniverse", "LimitOutOfRange", "MalformedDocument",
         "MissingEmpty", "MissingWhole", "NotACover", "NotAClosedFamily",
         "NotClosedUnderIntersection", "NotClosedUnderUnion",
-        "OpenSetNotInTopology", "PointNotInOwnAura", "SamplesOutOfRange",
-        "SizeOutOfRange", "TopologyAxiomViolation", "UniverseTooLarge",
+        "OpenSetNotInTopology", "PointNotInOwnAura", "SizeOutOfRange",
+        "TooManyWitnesses", "TopologyAxiomViolation", "UniverseTooLarge",
         "UnknownAtom", "UnknownFamily", "UnknownPoint",
     ),
     "finite": (

@@ -5,7 +5,8 @@ and accepts ``--json`` for the machine-readable form of the same data.
 Output is byte-deterministic for fixed inputs and flags.
 
 Exit codes: 0 for success (including a search that found witnesses),
-1 for a failed verification or an empty search, 2 for input errors.
+1 for a failed verification or an empty search, 2 for input errors and
+for a search past its witness budget.
 
 Each subcommand imports the layers it uses inside its ``cmd_*`` function,
 so a process compiles and runs only those. Every command loads ``cli``,
@@ -283,14 +284,7 @@ def cmd_symbolic(args) -> int:
 def cmd_search(args) -> int:
     from .search import search
 
-    report = search(
-        args.size,
-        args.where,
-        limit=args.limit,
-        allow_large=args.allow_large,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    report = search(args.size, args.where, limit=args.limit)
     if args.json:
         _print_json(report.to_json())
     else:
@@ -412,9 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--where", required=True, help='predicate, e.g. "aConnected and not tauConnected"')
     p.add_argument("--limit", type=int, default=None, help="keep at most this many witnesses")
-    p.add_argument("--samples", type=int, default=None, help="sample this many spaces instead of the full grid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--allow-large", action="store_true", help="permit the full grid at size 5")
     _add_json(p)
     p.set_defaults(fn=cmd_search)
 

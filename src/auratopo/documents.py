@@ -66,6 +66,9 @@ def parse_document(text: str) -> SpaceDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"line {e.lineno} column {e.colno}", e.msg) from None
+    except RecursionError:
+        raise DocumentSyntaxError("the parser's depth limit",
+                                  "arrays and objects nested too deeply") from None
 
     if not isinstance(raw, dict):
         raise MalformedDocument("top-level value must be an object")

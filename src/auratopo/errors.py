@@ -65,8 +65,8 @@ class LimitOutOfRange(AuraError):
     """A witness limit must be a nonnegative count."""
 
 
-class SamplesOutOfRange(AuraError):
-    """A sample count must be a nonnegative count."""
+class TooManyWitnesses(AuraError):
+    """A search found more witnesses than its budget allows."""
 
 
 class UnknownAtom(AuraError):

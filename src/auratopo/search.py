@@ -11,17 +11,16 @@ minimal opens, so pass 1 decides every space of the grid. Pass 2 reads
 the topologies in grid order: a search filters each grid against the set
 of tuples whose key holds and stops at the last witness it keeps
 (``_grid_matches``), and the matrix keeps the first space of each key
-(``_first_keys``). A sampled search draws its spaces with ``_sample`` and
-reads them the same way (``_matches``). Each space a report keeps is
+(``_first_keys``). A search keeps at most ``MAX_WITNESSES`` witnesses and
+raises ``TooManyWitnesses`` past them. Each space a report keeps is
 rendered once (``_render_witnesses``).
 """
 
 from __future__ import annotations
 
-import random
 import re
 import string
-from collections import Counter, deque, namedtuple
+from collections import Counter, namedtuple
 from itertools import islice, product
 from math import prod
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -37,8 +36,8 @@ from .errors import (
     LimitOutOfRange,
     OpenSetNotInTopology,
     PointNotInOwnAura,
-    SamplesOutOfRange,
     SizeOutOfRange,
+    TooManyWitnesses,
     UnknownAtom,
 )
 from .finite import PointSet, PointUniverse, TopologyFamily, is_tau_connected
@@ -57,6 +56,9 @@ __all__ = [
 
 MAX_FULL_SIZE = 4
 MAX_SIZE = 5
+# The most witnesses one search collects: every size-4 space, so no search
+# at n <= 4 reaches it.
+MAX_WITNESSES = 59_123
 
 _LABELS = string.ascii_lowercase
 
@@ -202,7 +204,7 @@ ScopeMemo = Dict[Tuple[int, ...], tuple]
 
 
 def _decide(memo: ScopeMemo, topology: TopologyFamily, picks: Tuple[int, ...],
-            atoms: Tuple[str, ...], orbit: bool = True) -> tuple:
+            atoms: Tuple[str, ...]) -> tuple:
     """Decide the scope tuple ``picks`` on one space, over ``topology``,
     and enter it in the memo; return its values.
 
@@ -240,23 +242,20 @@ def _decide(memo: ScopeMemo, topology: TopologyFamily, picks: Tuple[int, ...],
     and that relation alone (the hulls, the comparability rows and τ_a are
     built from it), so it takes the same value on both tuples. A full grid
     holds every tuple of a class (σ·a is admitted by the relabelled
-    topology σ(τ), which is in the grid too), so with ``orbit`` every
-    relabelling σ·a not yet in the memo is entered as well, with this
-    tuple's ``values``. A sampled scan meets
-    few tuples of each class, and relabelling n! tuples for each one it
-    meets costs more than deciding that one, so it enters only the tuple.
+    topology σ(τ), which is in the grid too), so every relabelling σ·a not
+    yet in the memo is entered as well, with this tuple's ``values``.
 
-    A full-grid memo holds one entry per tuple: 64 tuples in 16 classes at
-    n = 3, and 4,096 in 218 at n = 4 (the unlabeled digraphs, OEIS
-    A000273). A class shares one tuple of bools, so no space is kept alive.
+    The memo holds one entry per tuple: 64 tuples in 16 classes at n = 3,
+    4,096 in 218 at n = 4 and 1,048,576 in 9,608 at n = 5 (the unlabeled
+    digraphs, OEIS A000273). A class shares one tuple of bools, so no space
+    is kept alive.
     """
     s = AuraSpace(topology, picks)
     memo[picks] = values = tuple([ATOMS[a](s) for a in atoms])
-    if orbit:
-        for source, table in kernel.relabelings(len(picks)):
-            image = tuple([table[picks[x]] for x in source])
-            if image not in memo:
-                memo[image] = values
+    for source, table in kernel.relabelings(len(picks)):
+        image = tuple([table[picks[x]] for x in source])
+        if image not in memo:
+            memo[image] = values
     return values
 
 
@@ -384,7 +383,7 @@ class Witness(namedtuple("Witness", "topology_index aura_index descriptor docume
 
 
 class SearchReport(namedtuple("SearchReport", "command size spaces_scanned expression witnesses "
-                              "implications product_scan seed samples", defaults=(None,) * 6)):
+                              "implications product_scan", defaults=(None,) * 4)):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -399,8 +398,6 @@ class SearchReport(namedtuple("SearchReport", "command size spaces_scanned expre
         out = [f"command: {self.command}", f"size: {self.size}"]
         if self.expression is not None:
             out.append(f"expression: {self.expression}")
-        if self.seed is not None:
-            out.append(f"sampling: {self.samples} spaces with seed {self.seed}")
         out.append(f"spaces scanned: {self.spaces_scanned}")
         if self.expression is not None:
             out.append(f"witnesses: {len(self.witnesses)}")
@@ -432,9 +429,6 @@ class SearchReport(namedtuple("SearchReport", "command size spaces_scanned expre
         if self.expression is not None:
             out["expression"] = self.expression
             out["witnesses"] = [w.to_json() for w in self.witnesses]
-        if self.seed is not None:
-            out["seed"] = self.seed
-            out["samples"] = self.samples
         if self.implications is not None:
             out["implications"] = {
                 f"{p} => {q}": (None if w is None else w.to_json())
@@ -462,11 +456,6 @@ Key = Tuple[tuple, Optional[bool], Optional[bool]]
 def _scope_atoms(atoms: Tuple[str, ...]) -> Tuple[str, ...]:
     """The scope-only atoms among ``atoms``, in ``SCOPE_ATOMS`` order."""
     return tuple(a for a in SCOPE_ATOMS if a in atoms)
-
-
-def _tau_connected_if_read(atoms: Tuple[str, ...], topology: TopologyFamily) -> Optional[bool]:
-    """``tauConnected`` of the topology, decided once, if ``atoms`` holds it."""
-    return ATOMS["tauConnected"](topology) if "tauConnected" in atoms else None
 
 
 def _valuation(atoms: Tuple[str, ...], key: Key) -> dict:
@@ -570,14 +559,14 @@ def _grid_matches(topologies: List[TopologyFamily], grids: List[List[List[int]]]
     wanted.
     """
     atoms = expr.atoms
-    equals_read = "tauAEqualsTau" in atoms
+    tc_read, equals_read = "tauConnected" in atoms, "tauAEqualsTau" in atoms
     verdict = _verdicts(expr)
     hitting: Dict[Optional[bool], Set[Tuple[int, ...]]] = {}  # t -> H_t
     hits: List[Hit] = []
     for ti, choices in enumerate(grids):
         if keep is not None and len(hits) == keep:
             break
-        tau_connected = _tau_connected_if_read(atoms, topologies[ti])
+        tau_connected = ATOMS["tauConnected"](topologies[ti]) if tc_read else None
         found = hitting.get(tau_connected)
         if found is None:
             away = False if equals_read else None
@@ -630,41 +619,6 @@ def _first_keys(topologies: List[TopologyFamily], grids: List[List[List[int]]],
     return list(firsts.values())
 
 
-def _sample(topologies: List[TopologyFamily], atoms: Tuple[str, ...], samples: int,
-            seed: int):
-    """``samples`` seeded random grid spaces, drawn with replacement, as
-    (topology index, aura index, scope tuple, key), keyed as in
-    ``_grid_matches``. The memo enters only the tuples met (see
-    ``_decide``)."""
-    rng = random.Random(seed)
-    scope = _scope_atoms(atoms)
-    equals_read = "tauAEqualsTau" in atoms
-    memo: ScopeMemo = {}
-    grids: dict = {}  # topology index -> (checked choices, tauConnected)
-    for _ in range(samples):
-        ti = rng.randrange(len(topologies))
-        topology = topologies[ti]
-        grid = grids.get(ti)
-        if grid is None:
-            grid = grids[ti] = (_checked_choices(topology), _tau_connected_if_read(atoms, topology))
-        choices, tau_connected = grid
-        picks = tuple([c[rng.randrange(len(c))] for c in choices])
-        # A predicate that reads no scope-only atom has the falsy values ().
-        values = memo[picks] if picks in memo else _decide(memo, topology, picks, scope,
-                                                           orbit=False)
-        yield ti, _aura_index(choices, picks), picks, (
-            values, tau_connected, picks == topology.minimal_masks if equals_read else None)
-
-
-def _matches(spaces, expr: PredicateExpr, keep: Optional[int]) -> List[Hit]:
-    """The first ``keep`` of the sampled ``spaces`` where ``expr`` holds
-    (all of them if None), in their order; the scan stops at the last one
-    kept."""
-    verdict = _verdicts(expr)
-    hits = ((ti, aura_index, picks, verdict(key)) for ti, aura_index, picks, key in spaces)
-    return list(islice((hit for hit in hits if hit[3] is not None), keep))
-
-
 def _render_witnesses(topologies: List[TopologyFamily], hits: List[Hit]) -> List[Witness]:
     """One witness per hit, in order. Each distinct space is built again
     from its tuple and rendered once, and each witness gets its own copy of
@@ -680,46 +634,29 @@ def _render_witnesses(topologies: List[TopologyFamily], hits: List[Hit]) -> List
     return witnesses
 
 
-def search(n: int, expression: str, limit: Optional[int] = None,
-           allow_large: bool = False, samples: Optional[int] = None,
-           seed: int = 0) -> SearchReport:
+def search(n: int, expression: str, limit: Optional[int] = None) -> SearchReport:
     """Scan every space of the given size for the predicate.
 
-    Size 5 needs either ``samples`` (seeded random scan) or ``allow_large``
-    (full scan; the fiber count is in the millions).  Every space of the
-    grid is decided, and the walk stops at the last witness kept (see
-    ``_scan``); a sampled scan draws every sample though it keeps only the
-    first ``limit`` hits.  ``limit`` keeps the first witnesses in grid (or
-    sample) order, and only those are rendered; a negative limit raises
-    ``LimitOutOfRange`` and a negative sample count ``SamplesOutOfRange``.
+    Every space of the grid is decided, and the walk stops at the last
+    witness kept (see ``_scan``).  ``limit`` keeps the first witnesses in
+    grid order, and only those are rendered; a negative limit raises
+    ``LimitOutOfRange``.  A search that would keep more than
+    ``MAX_WITNESSES`` raises ``TooManyWitnesses`` before it renders any.
     """
     expr = parse_predicate(expression)
     if n < 0 or n > MAX_SIZE:
         raise SizeOutOfRange(f"search supports sizes 0..{MAX_SIZE}, got {n}")
-    if n > MAX_FULL_SIZE and samples is None and not allow_large:
-        raise SizeOutOfRange(
-            f"full scans are capped at {MAX_FULL_SIZE} points; pass samples= "
-            "for a seeded scan or allow_large=True to force it"
-        )
-
     if limit is not None and limit < 0:
         raise LimitOutOfRange(f"limit must be a nonnegative count, got {limit}")
-    if samples is not None and samples < 0:
-        raise SamplesOutOfRange(f"samples must be a nonnegative count, got {samples}")
 
-    if samples is None:
-        topologies, scanned, hits = _scan(n, expr, limit)
-    else:
-        # The report counts every sample as scanned, so the scan draws and
-        # decides them all, but it keeps only the first ``limit`` hits.
-        topologies = enumerate_topologies(n)
-        scanned = samples
-        spaces = _sample(topologies, expr.atoms, samples, seed)
-        hits = _matches(spaces, expr, limit)
-        deque(spaces, maxlen=0)
+    over = MAX_WITNESSES + 1
+    topologies, scanned, hits = _scan(n, expr, over if limit is None else min(limit, over))
+    if len(hits) == over:
+        raise TooManyWitnesses(
+            f"more than {MAX_WITNESSES} witnesses, the witness budget of one search; "
+            f"keep the first ones with --limit (at most {MAX_WITNESSES})")
     return SearchReport("search", n, scanned, expression=expression,
-                        witnesses=_render_witnesses(topologies, hits),
-                        seed=None if samples is None else seed, samples=samples)
+                        witnesses=_render_witnesses(topologies, hits))
 
 
 # ---------------------------------------------------------------------------

@@ -225,14 +225,14 @@ def plain_walk(topologies, atoms):
 
     Unlike the rest of this module it reads the scope-only atoms through
     the package, in the key layout of ``auratopo.search``: each scope tuple
-    is decided on its own first grid space (``_decide``, with no
-    relabelling), whose scope-only values other tests check against the
+    is decided on its own first grid space through ``ATOMS``, with no
+    relabelling, and other tests check those values against the
     definitions. ``tauConnected`` is decided once per topology, and
     ``tauAEqualsTau`` compares each space's own hulls with its topology's
     minimal opens.
     """
-    from auratopo import kernel
-    from auratopo.search import ATOMS, _checked_choices, _decide, _scope_atoms
+    from auratopo import AuraSpace, kernel
+    from auratopo.search import ATOMS, _checked_choices, _scope_atoms
 
     scope = _scope_atoms(atoms)
     equals_read = "tauAEqualsTau" in atoms
@@ -242,7 +242,8 @@ def plain_walk(topologies, atoms):
         tau_connected = ATOMS["tauConnected"](topology) if "tauConnected" in atoms else None
         for aura_index, picks in enumerate(itertools.product(*_checked_choices(topology))):
             if picks not in memo:
-                _decide(memo, topology, picks, scope, orbit=False)
+                s = AuraSpace(topology, picks)
+                memo[picks] = tuple(ATOMS[a](s) for a in scope)
             equals = tuple(kernel.hull_masks(len(picks), picks)) == minimal if equals_read else None
             yield ti, aura_index, picks, (memo[picks], tau_connected, equals)
 

@@ -337,28 +337,44 @@ def test_input_errors_exit_2(docs, tmp_path, capsys):
     )
     assert code == 2
     assert "nonempty cycle" in err
-    code, _, err = run_cli(capsys, "search", "--size", "5", "--where", "trivial")
-    assert code == 2
-    assert "full scans are capped" in err
-    for extra in ((), ("--samples", "50")):
-        code, out, err = run_cli(
-            capsys, "search", "--size", "2", "--where", "aT0 and not aT1",
-            "--limit", "-1", *extra
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: limit must be a nonnegative count, got -1\n"
-    for argv in (
-        ("matrix", "--size", "2", "--workers", "0"),
-        ("search", "--size", "2", "--where", "trivial", "--workers", "-1"),
-    ):
-        assert usage_error(capsys, *argv) == "--workers " + argv[-1]
+    code, out, err = run_cli(capsys, "search", "--size", "6", "--where", "trivial")
+    assert (code, out) == (2, "")
+    assert err == "error: search supports sizes 0..5, got 6\n"
     code, out, err = run_cli(
-        capsys, "search", "--size", "2", "--where", "trivial", "--samples", "-5"
+        capsys, "search", "--size", "2", "--where", "aT0 and not aT1", "--limit", "-1"
     )
     assert code == 2
     assert out == ""
-    assert err == "error: samples must be a nonnegative count, got -5\n"
+    assert err == "error: limit must be a nonnegative count, got -1\n"
+    # Searches walk the whole grid at every size, under one witness budget:
+    # sampling, its seed and the size-5 opt-in are no options.
+    for extra in (
+        ("--workers", "-1"),
+        ("--samples", "50"),
+        ("--seed", "1"),
+        ("--allow-large",),
+    ):
+        argv = ("search", "--size", "2", "--where", "trivial", *extra)
+        assert usage_error(capsys, *argv) == " ".join(extra)
+    assert usage_error(capsys, "matrix", "--size", "2", "--workers", "0") == "--workers 0"
+
+
+def test_deeply_nested_document_is_a_syntax_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(deep))
+    assert (code, out) == (2, "")
+    assert err == ("error: arrays and objects nested too deeply "
+                   "at the parser's depth limit\n")
+
+
+def test_size_five_search_past_the_witness_budget_exits_2(capsys):
+    # aConnected holds on 36,512,306 of the 36,831,347 size-5 spaces; the
+    # search stops one hit past the budget and renders none of them.
+    code, out, err = run_cli(capsys, "search", "--size", "5", "--where", "aConnected")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: more than 59123 witnesses") and "--limit" in err
 
 
 PROJECT = Path(__file__).resolve().parents[1]

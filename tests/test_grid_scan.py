@@ -3,20 +3,18 @@
 ``search`` and ``matrix`` walk each topology's grid as plain scope tuples
 and build an ``AuraSpace`` only for the first tuple of each relabelling
 class and for each rendered witness. These tests compare them with
-references that build and validate every space (``enumerate_auras``, or
-``AuraSpace`` for a sampled one) and decide every atom on it.
+references that build and validate every space (``enumerate_auras``) and
+decide every atom on it.
 """
 
 import importlib
 import itertools
 import json
-import random
 
 import pytest
 
 from auratopo import (
     ATOM_NAMES,
-    AuraSpace,
     OpenSetNotInTopology,
     PointNotInOwnAura,
     count_auras,
@@ -26,7 +24,6 @@ from auratopo import (
     parse_predicate,
 )
 from auratopo.cli import main
-from auratopo.finite import family_key
 from auratopo.search import ATOMS, SearchReport, Witness, search, space_descriptor
 
 search_module = importlib.import_module("auratopo.search")
@@ -40,40 +37,18 @@ def _witness(ti, ai, s, valuation):
     return Witness(ti, ai, space_descriptor(s), search_module._space_json(s), valuation)
 
 
-def _opens_around(top, i):
-    """Point i's scope candidates in canonical family order."""
-    return sorted((m for m in top.mask_set if (m >> i) & 1), key=family_key)
-
-
-def _reference_search(n, expression, limit=None, samples=None, seed=0):
+def _reference_search(n, expression, limit=None):
     """The search report from validated spaces, each atom decided on its own
     space with no memo."""
     expr = parse_predicate(expression)
     topologies = enumerate_topologies(n)
     hits = []
-    if samples is None:
-        scanned = sum(count_auras(top) for top in topologies)
-        visits = ((ti, ai, s) for ti, top in enumerate(topologies)
-                  for ai, s in enumerate(enumerate_auras(top)))
-    else:
-        scanned = samples
-        rng = random.Random(seed)
-        visits = []
-        for _ in range(samples):
-            ti = rng.randrange(len(topologies))
-            top = topologies[ti]
-            choices = [_opens_around(top, i) for i in range(n)]
-            digits = [rng.randrange(len(c)) for c in choices]
-            ai = 0
-            for c, d in zip(choices, digits):
-                ai = ai * len(c) + d
-            picks = [c[d] for c, d in zip(choices, digits)]
-            visits.append((ti, ai, AuraSpace(top, picks)))
-    for ti, ai, s in visits:
-        if expr.holds_on(s):
-            hits.append(_witness(ti, ai, s, {a: ATOMS[a](s) for a in expr.atoms}))
-    return SearchReport("search", n, scanned, expression=expression, witnesses=hits[:limit],
-                        seed=None if samples is None else seed, samples=samples)
+    for ti, top in enumerate(topologies):
+        for ai, s in enumerate(enumerate_auras(top)):
+            if expr.holds_on(s):
+                hits.append(_witness(ti, ai, s, {a: ATOMS[a](s) for a in expr.atoms}))
+    scanned = sum(count_auras(top) for top in topologies)
+    return SearchReport("search", n, scanned, expression=expression, witnesses=hits[:limit])
 
 
 def _reference_matrix(n):
@@ -117,10 +92,8 @@ def test_scan_valuations_match_the_validated_spaces(n):
      lambda: _reference_search(3, "tauAEqualsTau and not aT0 or not tauAEqualsTau and aT1")),
     (["search", "--size", "3", "--where", "aConnected and not clIdempotent", "--limit", "9"],
      lambda: _reference_search(3, "aConnected and not clIdempotent", limit=9)),
-    (["search", "--size", "5", "--samples", "200", "--seed", "1",
-      "--where", "aConnected and not tauConnected or tauAEqualsTau"],
-     lambda: _reference_search(5, "aConnected and not tauConnected or tauAEqualsTau",
-                               samples=200, seed=1)),
+    (["search", "--size", "3", "--where", "aConnected and not tauConnected or tauAEqualsTau"],
+     lambda: _reference_search(3, "aConnected and not tauConnected or tauAEqualsTau")),
     (["matrix", "--size", "3"], lambda: _reference_matrix(3)),
 ])
 def test_json_reports_match_a_validated_reference(capsys, argv, reference):
@@ -159,8 +132,6 @@ def test_scans_reject_a_bad_candidate(monkeypatch, capsys, opens, mask, error):
     with pytest.raises(error):
         implication_matrix(2)
     with pytest.raises(error):
-        search(2, "tauConnected", samples=60, seed=0)
-    with pytest.raises(error):
         search_module._product_pair_pool()
     # enumerate_auras validates through AuraSpace, with the same verdict.
     with pytest.raises(error):
@@ -173,8 +144,8 @@ def test_scans_reject_a_bad_candidate(monkeypatch, capsys, opens, mask, error):
 
 
 def test_every_grid_reader_follows_the_fiber_choices(monkeypatch):
-    # Reverse each point's candidates: enumeration, counts, both scans,
-    # the sampled index and the product pool must all follow.
+    # Reverse each point's candidates: enumeration, counts, both scans
+    # and the product pool must all follow.
     original = search_module._fiber_choices
     monkeypatch.setattr(search_module, "_fiber_choices",
                         lambda space: [c[::-1] for c in original(space)])
@@ -184,11 +155,10 @@ def test_every_grid_reader_follows_the_fiber_choices(monkeypatch):
         reversed_grid = itertools.product(*[c[::-1] for c in original(top)])
         assert [s.scope_masks for s in listed[ti]] == list(reversed_grid)
         assert count_auras(top) == len(listed[ti])
-    for report in (search(3, "aConnected and not tauConnected"),
-                   search(3, "aConnected and not tauConnected", samples=80, seed=4)):
-        assert report.witnesses
-        for w in report.witnesses:
-            assert space_descriptor(listed[w.topology_index][w.aura_index]) == w.descriptor
+    report = search(3, "aConnected and not tauConnected")
+    assert report.witnesses
+    for w in report.witnesses:
+        assert space_descriptor(listed[w.topology_index][w.aura_index]) == w.descriptor
     matrix = implication_matrix(3)
     for w in matrix.implications.values():
         if w is not None:

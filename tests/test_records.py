@@ -43,8 +43,7 @@ def test_fields_in_order():
     assert Witness._fields == ("topology_index", "aura_index", "descriptor", "document",
                                "valuation")
     assert SearchReport._fields == ("command", "size", "spaces_scanned", "expression",
-                                    "witnesses", "implications", "product_scan", "seed",
-                                    "samples")
+                                    "witnesses", "implications", "product_scan")
 
 
 def test_keyword_construction_and_defaults():
@@ -62,7 +61,7 @@ def test_keyword_construction_and_defaults():
     assert w == Witness(valuation=w.valuation, document=w.document, descriptor=w.descriptor,
                         aura_index=0, topology_index=0)
     report = SearchReport("matrix", 0, 1)
-    assert report[3:] == (None, [], None, None, None, None)
+    assert report[3:] == (None, [], None, None)
     # Each report gets a witness list of its own.
     assert report.witnesses is not SearchReport("matrix", 0, 1).witnesses
 
@@ -82,10 +81,10 @@ def test_repr_text():
     assert repr(report) == (
         "SearchReport(command='search', size=2, spaces_scanned=9, "
         f"expression='discrete and aT2', witnesses=[{WITNESS}], implications=None, "
-        "product_scan=None, seed=None, samples=None)")
+        "product_scan=None)")
     assert repr(SearchReport("matrix", 0, 1, implications={}, product_scan="p")) == (
         "SearchReport(command='matrix', size=0, spaces_scanned=1, expression=None, "
-        "witnesses=[], implications={}, product_scan='p', seed=None, samples=None)")
+        "witnesses=[], implications={}, product_scan='p')")
 
 
 def test_equality_and_hashing():

@@ -11,8 +11,8 @@ from auratopo import (
     ATOM_NAMES,
     AuraSpace,
     LimitOutOfRange,
-    SamplesOutOfRange,
     SizeOutOfRange,
+    TooManyWitnesses,
     UnknownAtom,
     count_auras,
     enumerate_auras,
@@ -58,10 +58,8 @@ def test_aura_grid_totals():
 def test_size_gates():
     with pytest.raises(SizeOutOfRange):
         enumerate_topologies(6)
-    with pytest.raises(SizeOutOfRange):
+    with pytest.raises(SizeOutOfRange, match="sizes 0..5, got 6"):
         search(6, "transitive")
-    with pytest.raises(SizeOutOfRange, match="full scans are capped"):
-        search(5, "transitive")
     with pytest.raises(SizeOutOfRange):
         implication_matrix(5)
 
@@ -157,7 +155,7 @@ def test_limited_report_is_the_unlimited_one_truncated(limit, runs):
     [
         {"limit": 4},
         {"limit": None},
-        {"limit": 3, "samples": 60, "seed": 5},
+        {"limit": 400},
     ],
 )
 def test_search_renders_only_the_witnesses_it_returns(monkeypatch, kwargs):
@@ -192,8 +190,32 @@ def test_negative_limit_is_rejected():
     assert len(search(2, "aT0 and not aT1").witnesses) == 4
     with pytest.raises(LimitOutOfRange, match="got -1"):
         search(2, "aT0 and not aT1", limit=-1)
-    with pytest.raises(LimitOutOfRange):
-        search(2, "aT0 and not aT1", limit=-1, samples=50)
+
+
+def test_a_search_past_the_witness_budget_renders_nothing(monkeypatch):
+    # Pass 2 keeps at most one hit past the budget, and a search that
+    # reaches it raises before it renders a witness.
+    keeps, rendered = [], []
+    scan, space_json = search_module._scan, search_module._space_json
+
+    def recorded(n, expr, keep):
+        keeps.append(keep)
+        return scan(n, expr, keep)
+
+    def counted(s):
+        rendered.append(s)
+        return space_json(s)
+
+    monkeypatch.setattr(search_module, "MAX_WITNESSES", 5)
+    monkeypatch.setattr(search_module, "_scan", recorded)
+    monkeypatch.setattr(search_module, "_space_json", counted)
+    for limit in (None, 6, 400):
+        with pytest.raises(TooManyWitnesses, match="more than 5 witnesses.*--limit"):
+            search(3, "transitive", limit=limit)
+    assert rendered == []
+    report = search(3, "transitive", limit=5)
+    assert len(report.witnesses) == len(rendered) == 5
+    assert keeps == [6, 6, 6, 5]
 
 
 def test_a_second_run_in_one_process_gives_the_same_report():
@@ -203,31 +225,6 @@ def test_a_second_run_in_one_process_gives_the_same_report():
     m1 = implication_matrix(2)
     m2 = implication_matrix(2)
     assert m1.to_json() == m2.to_json()
-
-
-def test_sampled_search_is_seeded():
-    a = search(5, "trivial", samples=200, seed=11)
-    b = search(5, "trivial", samples=200, seed=11)
-    assert a.to_json() == b.to_json()
-    assert a.spaces_scanned == 200
-    assert a.seed == 11
-    c = search(5, "trivial", samples=200, seed=12)
-    assert c.seed == 12
-
-
-def test_sampled_witnesses_carry_their_fiber_index():
-    from auratopo import parse_document
-
-    report = search(3, "transitive or not transitive", samples=60, seed=5)
-    assert len(report.witnesses) == 60
-    topologies = enumerate_topologies(3)
-    for w in report.witnesses:
-        listed = list(enumerate_auras(topologies[w.topology_index]))[w.aura_index]
-        sampled = parse_document(json.dumps(w.document))
-        assert space_descriptor(listed) == w.descriptor
-        assert listed == sampled.space
-    # The index is a position in the fiber, not the sample's ordinal.
-    assert any(w.aura_index != k for k, w in enumerate(report.witnesses))
 
 
 def test_matrix_reports_every_ordered_pair():
@@ -291,16 +288,8 @@ def test_scans_take_no_worker_count(workers):
     with pytest.raises(TypeError, match="workers"):
         search(2, "trivial", workers=workers)
     with pytest.raises(TypeError, match="workers"):
-        search(2, "trivial", workers=workers, samples=5)
-    with pytest.raises(TypeError, match="workers"):
         implication_matrix(2, workers=workers)
     assert not hasattr(importlib.import_module("auratopo.errors"), "WorkersOutOfRange")
-
-
-def test_negative_sample_count_is_rejected():
-    assert search(2, "trivial", samples=0).spaces_scanned == 0
-    with pytest.raises(SamplesOutOfRange, match="got -5"):
-        search(2, "trivial", samples=-5)
 
 
 def test_singleton_idempotence_matches_the_definitional_scan():
@@ -596,30 +585,6 @@ def test_pass_two_stops_at_the_last_witness(monkeypatch):
     assert sum(draws[1:]) == 59123
 
 
-def test_sampled_search_keeps_at_most_limit_hits_and_draws_every_sample(monkeypatch):
-    drawn, kept = [], []
-    sample, matches = search_module._sample, search_module._matches
-
-    def counted(*args):
-        for item in sample(*args):
-            drawn.append(item)
-            yield item
-
-    def recorded(*args):
-        hits = matches(*args)
-        kept.append(len(hits))
-        return hits
-
-    monkeypatch.setattr(search_module, "_sample", counted)
-    monkeypatch.setattr(search_module, "_matches", recorded)
-    report = search(4, "not tauConnected", limit=3, samples=400, seed=2)
-    assert len(drawn) == report.spaces_scanned == 400
-    assert kept == [3] and len(report.witnesses) == 3
-    unlimited = search(4, "not tauConnected", samples=400, seed=2)
-    assert kept[1] > 3
-    assert report.witnesses == unlimited.witnesses[:3]
-
-
 def test_scans_decide_scope_atoms_once_per_scope_tuple(monkeypatch):
     # Once per relabelling class of scope tuples (see _decide): the 64
     # tuples at n = 3 fall into 16 classes, the 4,096 at n = 4 into 218.
@@ -723,7 +688,8 @@ def test_orbit_filled_memo_equals_a_per_tuple_memo(monkeypatch):
         for space in enumerate_topologies(n):
             for picks in itertools.product(*search_module._checked_choices(space)):
                 if picks not in plain:
-                    decide(plain, space, picks, SCOPE_ATOMS, orbit=False)
+                    s = AuraSpace(space, picks)
+                    plain[picks] = tuple(ATOMS[a](s) for a in SCOPE_ATOMS)
         assert len(plain) == 1 << (n * n - n)
         memos.clear()
         implication_matrix(n)
@@ -732,38 +698,6 @@ def test_orbit_filled_memo_equals_a_per_tuple_memo(monkeypatch):
         for memo in memos:
             assert memo == plain
             assert len({id(values) for values in memo.values()}) == [1, 1, 3, 16, 218][n]
-
-
-def test_sampled_search_fills_no_orbits(monkeypatch):
-    met, memos, decided, relabelled = set(), [], Counter(), []
-    sample = search_module._sample
-    decide = search_module._decide
-    relabelings = kernel.relabelings
-
-    def meeting(*args):
-        for item in sample(*args):
-            met.add(item[2])
-            yield item
-
-    def recording(memo, space, picks, *args, **kwargs):
-        if not memos or memos[-1] is not memo:
-            memos.append(memo)
-        decided[picks] += 1
-        return decide(memo, space, picks, *args, **kwargs)
-
-    def counted(n):
-        relabelled.append(n)
-        return relabelings(n)
-
-    monkeypatch.setattr(search_module, "_sample", meeting)
-    monkeypatch.setattr(search_module, "_decide", recording)
-    monkeypatch.setattr(kernel, "relabelings", counted)
-    search(4, "aT0 and not tauConnected", samples=300, seed=5)
-    assert len(memos) == 1
-    assert 0 < len(met) < 300
-    assert set(memos[0]) == met
-    assert decided == Counter(dict.fromkeys(met, 1))
-    assert relabelled == []
 
 
 def _brute_hits(n, expression):
@@ -794,11 +728,3 @@ def test_search_matches_a_per_space_brute_scan(expression, runs):
            for w in report.witnesses]
     assert got == expected
 
-
-def test_sampled_search_matches_a_per_space_brute_scan():
-    expression = "tauAEqualsTau or not tauConnected and aPathConnected"
-    expected = _brute_hits(3, expression)
-    report = search(3, expression, samples=120, seed=9)
-    assert report.witnesses
-    for w in report.witnesses:
-        assert (w.topology_index, w.aura_index, w.descriptor, w.valuation) in expected
