@@ -4,9 +4,10 @@ Run with ``PYTHONPATH=src python3 benchmarks/laws_bench.py [--repeats N]``.
 Each repeat runs every law once, in registry order, on a fresh
 ``LawContext`` at sizes up to 3, as ``verify-paper`` does. The output is one
 JSON object: per law its median seconds, its checks and the instances its
-class replay decided through the operators, the median total, and how many
+class replay decided through the operators, the median total, how many
 products ``constructions.product`` and subspaces ``constructions.subspace``
-built in one run.
+built in one run, and how many maps one run tested with
+``is_aura_continuous``.
 """
 
 import argparse
@@ -20,18 +21,18 @@ from auratopo import laws
 
 
 def _one_run() -> dict:
-    """Seconds, checks and decided instances per law, and the products and
-    subspaces built, of one run."""
-    built = {"product": 0, "subspace": 0}
-    real = {name: getattr(laws, name) for name in built}
+    """Seconds, checks and decided instances per law, the products and
+    subspaces built, and the continuity tests, of one run."""
+    calls = {"product": 0, "subspace": 0, "is_aura_continuous": 0}
+    real = {name: getattr(laws, name) for name in calls}
 
     def counted(name):
         def call(*args):
-            built[name] += 1
+            calls[name] += 1
             return real[name](*args)
         return call
 
-    for name in built:
+    for name in calls:
         setattr(laws, name, counted(name))
     try:
         ctx = laws.LawContext()
@@ -44,7 +45,8 @@ def _one_run() -> dict:
     finally:
         for name, fn in real.items():
             setattr(laws, name, fn)
-    return {"laws": rows, "products": built["product"], "subspaces": built["subspace"]}
+    return {"laws": rows, "products": calls["product"], "subspaces": calls["subspace"],
+            "continuity_tests": calls["is_aura_continuous"]}
 
 
 def main() -> None:
@@ -73,6 +75,7 @@ def main() -> None:
         "checks": sum(row["checks"] for row in per_law.values()),
         "products_built": runs[0]["products"],
         "subspaces_built": runs[0]["subspaces"],
+        "continuity_tests": runs[0]["continuity_tests"],
         "laws": per_law,
     }, indent=2))
 

@@ -24,7 +24,7 @@ _EXPORTS = {
         "is_tau_connected", "validate_topology",
     ),
     "aura": (
-        "AuraClassification", "AuraSpace", "FiniteMap", "SeparationAxioms",
+        "AuraClassification", "AuraSpace", "SeparationAxioms",
         "aura_closure", "aura_interior", "aura_topology", "classify",
         "derived_set", "hull", "is_aura_closed", "is_aura_continuous",
         "is_aura_open", "make_aura_space", "separation_axioms",

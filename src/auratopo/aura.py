@@ -8,6 +8,10 @@ one per point, in universe order. The scope drives a Cech-style closure
 (additive but not idempotent in general), an interior, a derived set, and
 a coarser topology of scope-open sets, materialized here through minimal
 hulls rather than a powerset scan.
+
+A map between two spaces is a tuple of target indices, one per source
+point, and ``is_aura_continuous`` decides continuity by hull
+monotonicity: the hulls are the minimal opens of both scope topologies.
 """
 
 from __future__ import annotations
@@ -240,47 +244,28 @@ def separation_axioms(s: AuraSpace) -> SeparationAxioms:
     return SeparationAxioms(t0=t0, t1=t1 and t0, t2=t2 and t1 and t0)
 
 
-class FiniteMap:
-    """Total map between two finite universes, stored as target indices."""
+def is_aura_continuous(images: Sequence[int], src: AuraSpace, dst: AuraSpace) -> bool:
+    """Is the map sending source point i to target point ``images[i]``
+    continuous from the scope topology of ``src`` to that of ``dst``?
 
-    __slots__ = ("source", "target", "images")
+    Decided by hull monotonicity: f is continuous iff f(hull(x)) ⊆
+    hull(f(x)) for every source point x. The hull of a point is its least
+    scope-open neighbourhood, in both spaces. If f is continuous, the
+    preimage of hull(f(x)) is scope-open and holds x, so it holds
+    hull(x). Conversely, let V be scope-open in ``dst`` and f(x) ∈ V. Then
+    hull(f(x)) ⊆ V, so f(hull(x)) ⊆ V: the preimage of V holds the hull of
+    each of its points, so it is a union of hulls, hence scope-open.
 
-    def __init__(self, source: PointUniverse, target: PointUniverse, images: Sequence[int]):
-        images = tuple(int(i) for i in images)
-        if len(images) != source.n:
-            raise ValueError("map must assign every source point")
-        for i in images:
-            if not 0 <= i < target.n:
-                raise ValueError("image index outside the target universe")
-        self.source = source
-        self.target = target
-        self.images = images
-
-    @classmethod
-    def from_labels(cls, source: PointUniverse, target: PointUniverse, mapping: Mapping) -> "FiniteMap":
-        return cls(source, target, [target.index(mapping[lab]) for lab in source.labels])
-
-    def __call__(self, label: str) -> str:
-        return self.target.labels[self.images[self.source.index(label)]]
-
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.target.n
-
-    def preimage_mask(self, target_mask: int) -> int:
-        out = 0
-        for i, img in enumerate(self.images):
-            if (target_mask >> img) & 1:
-                out |= 1 << i
-        return out
-
-
-def is_aura_continuous(f: FiniteMap, src: AuraSpace, dst: AuraSpace) -> bool:
-    """Preimages of scope-open sets are scope-open.
-
-    Tested on the hulls of the target alone: every scope-open set is a
-    union of hulls, a preimage of a union is the union of the preimages,
-    and a union of scope-open sets is scope-open.
+    ``images`` must give one target index per source point; anything else
+    is a ``ValueError``.
     """
-    if f.source != src.universe or f.target != dst.universe:
-        raise ValueError("map endpoints do not match the given spaces")
-    return all(is_aura_open(src, f.preimage_mask(h)) for h in set(dst.hull_masks))
+    if len(images) != src.n:
+        raise ValueError("map must assign every source point")
+    if not all(0 <= i < dst.n for i in images):
+        raise ValueError("image index outside the target universe")
+    dst_hulls = dst.hull_masks
+    return all(
+        (dst_hulls[images[x]] >> images[y]) & 1
+        for x, h in enumerate(src.hull_masks)
+        for y in mask_indices(h)
+    )

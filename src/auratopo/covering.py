@@ -16,7 +16,6 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotACover, NotAClosedFamily, SizeOutOfRange
-from .finite import PointSet
 from .aura import AuraSpace, _as_mask, is_aura_closed
 from .genopen import GeneralizedClass, generalized_family
 
@@ -108,12 +107,11 @@ def _cover_subfamilies_admit_finite_subcover(s: AuraSpace, opens: Sequence, targ
                 union |= m
             if target_mask & ~union:
                 continue
-            members = [PointSet(s.universe, m) for m in fam]
             try:
-                picked = minimal_subcover(s, target_mask, members)
+                picked = minimal_subcover(s, target_mask, fam)
             except NotACover:
                 return False
-            if not is_cover(s, target_mask, picked) or not all(p in members for p in picked):
+            if not is_cover(s, target_mask, picked) or not all(p in fam for p in picked):
                 return False
     return True
 

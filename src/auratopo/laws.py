@@ -29,7 +29,7 @@ reports under a fault keep their bytes. Every space law and
 ``cech-closure-axioms`` walk the scope classes, the pair laws and the
 box half of ``product-topology-chain`` the pair classes, and the
 convergence criterion, within a space, the cycle-mask classes. The two
-image laws walk their sources under size and τ_a (``_image_walk``).
+image laws walk their sources under size and hulls (``_image_walk``).
 ``scope-topology-subfamily`` reads the ambient topology, so it runs on
 every space. ``product-topology-chain`` checks every pair but memoises,
 per class, the product's two topologies.
@@ -47,7 +47,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 from . import kernel
 from .aura import (
     AuraSpace,
-    FiniteMap,
     aura_interior,
     derived_set,
     is_aura_closed,
@@ -64,7 +63,7 @@ from .covering import (
     is_countably_aura_compact,
 )
 from .errors import SizeOutOfRange
-from .finite import PointSet, PointUniverse, mask_indices
+from .finite import PointUniverse, mask_indices
 from .genopen import GeneralizedClass, generalized_family
 from .search import enumerate_auras, enumerate_topologies, space_descriptor
 from .sequences import converges_to, short_sequences, transitive_criterion
@@ -229,20 +228,21 @@ class LawContext:
             return seqs, _Classes(q.cycle_mask() for q in seqs)
         return self._memoised(("sequences", universe), build)
 
-    def onto_maps(self, u: PointUniverse, v: PointUniverse) -> tuple:
-        """Every onto map from ``u`` to ``v``, built once per pair of universes."""
-        return self._memoised(("onto", u, v), lambda: tuple(
-            FiniteMap(u, v, images)
-            for images in itertools.product(range(v.n), repeat=u.n)
-            if len(set(images)) == v.n
+    def onto_maps(self, m: int, n: int) -> tuple:
+        """Every onto map from ``m`` points to ``n`` points, as image tuples,
+        built once per pair of sizes."""
+        return self._memoised(("onto", m, n), lambda: tuple(
+            images for images in itertools.product(range(n), repeat=m)
+            if len(set(images)) == n
         ))
 
-    def projections(self, prod: AuraSpace, sx: AuraSpace, sy: AuraSpace) -> tuple:
-        """The left and right projections of ``prod`` onto its factors."""
-        nx, ny = sx.n, sy.n
-        return self._memoised(("projections", prod.universe, sx.universe, sy.universe), lambda: (
-            FiniteMap(prod.universe, sx.universe, [k // ny for k in range(nx * ny)]),
-            FiniteMap(prod.universe, sy.universe, [k % ny for k in range(nx * ny)]),
+    def projections(self, nx: int, ny: int) -> tuple:
+        """The left and right projections of a product of an ``nx``-point
+        and an ``ny``-point factor, as image tuples: product point k is the
+        pair (k // ny, k % ny)."""
+        return self._memoised(("projections", nx, ny), lambda: (
+            tuple(k // ny for k in range(nx * ny)),
+            tuple(k % ny for k in range(nx * ny)),
         ))
 
     def has_continuous_surjection(self, src: SpaceFacts, dst: SpaceFacts) -> bool:
@@ -256,7 +256,7 @@ class LawContext:
             return False
         a, b = src.space, dst.space
         return self._memoised(("surjection", _image_key(src), _image_key(dst)), lambda: any(
-            is_aura_continuous(m, a, b) for m in self.onto_maps(a.universe, b.universe)
+            is_aura_continuous(m, a, b) for m in self.onto_maps(a.n, b.n)
         ))
 
 
@@ -423,17 +423,19 @@ def _product_topology_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
 
 def _image_key(f: SpaceFacts) -> tuple:
     """Replay key of a source or a target of the image laws: its size
-    and τ_a.
+    and hulls.
 
     ``has_continuous_surjection`` reads both spaces only through their
-    sizes and τ_a: a map is onto by the sizes alone, and continuity is a
-    preimage test against the two scope topologies. So its verdict is a
-    function of the two keys. The targets each source tests are fixed
-    lists, so every source of a class makes the same checks with the
-    same outcomes. Being a source (compact, or connected and nonempty)
-    is decided on every space before the walk.
+    sizes and hulls: a map is onto by the sizes alone, and continuity is
+    hull monotonicity. So its verdict is a function of the two keys. The
+    key splits the grid as size and τ_a would: τ_a is the unions of the
+    hulls, and the hull of x is the least member of τ_a holding x. The
+    targets each source tests are fixed lists, so every source of a
+    class makes the same checks with the same outcomes. Being a source
+    (compact, or connected and nonempty) is decided on every space
+    before the walk.
     """
-    return (f.n, f.space.aura_topology_masks)
+    return (f.n, f.space.hull_masks)
 
 
 @dataclass(frozen=True)
@@ -522,7 +524,7 @@ def _space_law(name: str, tier: str, description: str):
     and local connectedness read the same rows. Closedness and the cover
     and intersection tests go through τ_a, the closure and the interior,
     ``genopen`` through the closure and the interior, and continuity into
-    the fixed two-point space through the preimages of its hulls. The
+    the fixed two-point space through the hulls of both spaces. The
     scopes of ``subspace(s, ym)`` are those of ``s`` cut to ``ym`` and
     renumbered, so its closure and τ_a are functions of the key and
     ``ym``. The convergence body walks the sequences of the universe, a
@@ -873,7 +875,7 @@ def _characterizations(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) 
         "separation verdict disagrees with the proper clopen scan",
         s,
     )
-    splittable = any(is_aura_continuous(m, s, two) for m in ctx.onto_maps(s.universe, two.universe))
+    splittable = any(is_aura_continuous(m, s, two) for m in ctx.onto_maps(s.n, two.n))
     t.verify(
         f.connected == (not splittable),
         "two-point discrete maps disagree with the separation verdict",
@@ -1069,7 +1071,7 @@ def _fip_law(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> None:
     closed = f.closed_masks
     for size in range(0, min(4, len(closed)) + 1):
         for combo in itertools.combinations(closed, size):
-            res = fip(s, [PointSet(s.universe, m) for m in combo])
+            res = fip(s, combo)
             literal = all(
                 reduce(int.__and__, sub, f.full)
                 for r in range(len(combo) + 1)
@@ -1200,10 +1202,10 @@ def _projections(ctx: LawContext, t: _Tally, sx: AuraSpace, sy: AuraSpace) -> No
     sizes, and continuity, connectedness and compactness read only the
     scope topologies of the product and the factors."""
     prod = ctx.product_of(sx, sy)
-    left, right = ctx.projections(prod, sx, sy)
+    left, right = ctx.projections(sx.n, sy.n)
     t.verify(is_aura_continuous(left, prod, sx), "left projection is not continuous", prod)
     t.verify(is_aura_continuous(right, prod, sy), "right projection is not continuous", prod)
-    t.verify(left.is_surjective() and right.is_surjective(), "projection is not onto", prod)
+    t.verify(len(set(left)) == sx.n and len(set(right)) == sy.n, "projection is not onto", prod)
     if ctx.facts(prod).connected:
         t.verify(
             ctx.facts(sx).connected and ctx.facts(sy).connected,

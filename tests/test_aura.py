@@ -7,7 +7,6 @@ import pytest
 
 from auratopo import (
     AuraSpace,
-    FiniteMap,
     OpenSetNotInTopology,
     PointNotInOwnAura,
     PointUniverse,
@@ -17,6 +16,7 @@ from auratopo import (
     aura_topology,
     classify,
     derived_set,
+    enumerate_auras,
     find_aura_separation,
     generate_topology,
     hull,
@@ -194,17 +194,18 @@ def test_separation_axioms_match_neighbourhood_scans():
         assert axioms.t2 == t2
 
 
-def test_finite_map_validation():
-    u2 = PointUniverse(["a", "b"])
-    u3 = PointUniverse(["x", "y", "z"])
-    with pytest.raises(ValueError, match="assign every source point"):
-        FiniteMap(u3, u2, [0, 1])
-    with pytest.raises(ValueError, match="outside the target universe"):
-        FiniteMap(u2, u3, [0, 3])
-    f = FiniteMap.from_labels(u3, u2, {"x": "a", "y": "a", "z": "b"})
-    assert f("y") == "a"
-    assert f.is_surjective()
-    assert f.preimage_mask(0b01) == 0b011
+def test_continuity_rejects_a_bad_image_tuple():
+    two = make_aura_space(["a", "b"], [[], ["a"], ["b"], ["a", "b"]], {"a": ["a"], "b": ["b"]})
+    three = make_aura_space(["x", "y", "z"], [[], ["x", "y", "z"]],
+                            {p: ["x", "y", "z"] for p in "xyz"})
+    for images in ((0, 1), (0, 1, 1, 0), ()):
+        with pytest.raises(ValueError, match="assign every source point"):
+            is_aura_continuous(images, three, two)
+    for images in ((0, 2, 1), (0, -1, 1)):
+        with pytest.raises(ValueError, match="outside the target universe"):
+            is_aura_continuous(images, three, two)
+    assert is_aura_continuous((0, 2), two, three)
+    assert not is_aura_continuous((0, 0, 1), three, two)
 
 
 def test_continuity_matches_preimage_scan():
@@ -213,29 +214,46 @@ def test_continuity_matches_preimage_scan():
     for src in spaces:
         for dst in spaces:
             for _ in range(3):
-                images = [rng.randrange(0, dst.n) for _ in range(src.n)]
-                f = FiniteMap(src.universe, dst.universe, images)
-                assert is_aura_continuous(f, src, dst) == brute_is_continuous(
+                images = tuple(rng.randrange(0, dst.n) for _ in range(src.n))
+                assert is_aura_continuous(images, src, dst) == brute_is_continuous(
                     images, src.n, src.scope_masks, dst.n, dst.scope_masks
                 )
 
 
 def test_continuity_matches_the_tau_a_preimage_definition_on_every_small_map():
-    # is_aura_continuous tests the preimages of the target's hulls only; the
-    # oracle tests the preimage of every scope-open set.
+    # is_aura_continuous tests hull monotonicity; the oracle tests the
+    # preimage of every scope-open set.
     spaces = list(all_small_spaces(2))
     maps = 0
     for src in spaces:
         for dst in spaces:
             for images in itertools.product(range(dst.n), repeat=src.n):
-                f = FiniteMap(src.universe, dst.universe, images)
-                assert is_aura_continuous(f, src, dst) == brute_is_continuous(
+                assert is_aura_continuous(images, src, dst) == brute_is_continuous(
                     images, src.n, src.scope_masks, dst.n, dst.scope_masks
                 )
                 maps += 1
     # 11 maps from the empty space, 1 + 9 · 2 from the point, 9 · (1 + 9 · 4)
     # from the two-point spaces.
     assert maps == 363
+
+
+def test_continuity_reads_the_target_hulls_where_they_differ_from_the_scopes():
+    # Up to two points every scope tuple is transitive, so its hulls are its
+    # scopes and a criterion reading the target's scopes passes the tests
+    # above. Here the targets are the first four non-transitive scope tuples
+    # on three points, and the sources all 64 scope tuples on three points.
+    discrete = generate_topology(PointUniverse(["x", "y", "z"]), [0b001, 0b010, 0b100])
+    sources = list(enumerate_auras(discrete))
+    targets = [s for s in sources if not classify(s).transitive][:4]
+    maps = 0
+    for dst in targets:
+        for src in sources:
+            for images in itertools.product(range(3), repeat=3):
+                assert is_aura_continuous(images, src, dst) == brute_is_continuous(
+                    images, 3, src.scope_masks, 3, dst.scope_masks
+                )
+                maps += 1
+    assert maps == 6912
 
 
 def test_each_space_builds_its_hulls_and_rows_once(monkeypatch):
@@ -261,14 +279,6 @@ def test_each_space_builds_its_hulls_and_rows_once(monkeypatch):
         assert len(s.comparability_rows) == s.n
         assert is_aura_path_connected(s) in (True, False)
     assert counts == {"hull_masks": len(spaces), "comparability_rows": len(spaces)}
-
-
-def test_continuity_rejects_mismatched_endpoints():
-    s = make_aura_space(["a"], [[], ["a"]], {"a": ["a"]})
-    t = make_aura_space(["x"], [[], ["x"]], {"x": ["x"]})
-    f = FiniteMap(s.universe, s.universe, [0])
-    with pytest.raises(ValueError):
-        is_aura_continuous(f, s, t)
 
 
 def test_scope_function_accepts_masks_and_validates_membership():

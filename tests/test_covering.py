@@ -162,10 +162,11 @@ def test_lindelof_oracle_fails_when_a_cover_has_no_subcover(monkeypatch):
 def test_compactness_oracle_checks_the_returned_subcover(monkeypatch):
     # A subcover search that answers without raising is not taken on trust:
     # what it returns must come from the subfamily and cover the target.
+    # The oracle passes the subfamily as masks, so the fakes answer in masks.
     s = _space3()
     fakes = {
         "empty": (lambda space, target, members: (), 10),
-        "outside the family": (lambda space, target, members: (space.universe.full_set(),), 2),
+        "outside the family": (lambda space, target, members: (space.universe.full_mask,), 2),
     }
     for name, (fake, failed) in fakes.items():
         monkeypatch.setattr("auratopo.covering.minimal_subcover", fake)

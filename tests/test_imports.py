@@ -146,7 +146,7 @@ print(json.dumps({
 }))
 """)
     got = json.loads(out)
-    assert len(got["all"]) == len(set(got["all"])) == 93
+    assert len(got["all"]) == len(set(got["all"])) == 92
     assert got["missing_from_dir"] == []
     assert got["missing_from_star"] == []
     assert got["wrong"] == []

@@ -809,16 +809,34 @@ def test_a_second_run_on_one_context_builds_nothing(monkeypatch):
             return real(*args)
         return call
 
-    for name in ("product", "subspace", "FiniteMap"):
+    # Maps are image tuples that the context hands out: each call is
+    # recorded with the object it returned.
+    maps = []
+
+    def recording(name, real):
+        def call(self, *args):
+            out = real(self, *args)
+            maps.append(((name, args), out))
+            return out
+        return call
+
+    for name in ("product", "subspace"):
         monkeypatch.setattr(laws, name, counting(name, getattr(laws, name)))
     monkeypatch.setattr(laws.SpaceFacts, "__init__",
                         counting("SpaceFacts", laws.SpaceFacts.__init__))
+    for name in ("onto_maps", "projections"):
+        monkeypatch.setattr(LawContext, name, recording(name, getattr(LawContext, name)))
     ctx = LawContext(3)
     first = run_laws(ctx=ctx)
-    assert first.ok and {"product", "subspace", "FiniteMap", "SpaceFacts"} <= set(built)
+    assert first.ok and {"product", "subspace", "SpaceFacts"} <= set(built)
+    first_maps = dict(maps)
+    assert {name for name, _ in first_maps} == {"onto_maps", "projections"}
     built.clear()
+    maps.clear()
     assert run_laws(ctx=ctx) == first
     assert built == []
+    assert {name for (name, _), _ in maps} == {"onto_maps", "projections"}
+    assert all(out is first_maps[key] for key, out in maps)
     # Surjection verdicts are kept when false too, so the image laws test
     # no map for continuity on a context that has run them.
     monkeypatch.setattr(laws, "is_aura_continuous",
