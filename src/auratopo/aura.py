@@ -228,6 +228,15 @@ def separation_axioms(s: AuraSpace) -> SeparationAxioms:
     be kept away from x exactly when y is outside hull(x), and two
     points have disjoint scope-open neighbourhoods exactly when their
     hulls are disjoint.
+
+    So t1 and t2 agree, and each holds exactly when every scope is {x}.
+    t1 says no hull holds a second point, so every hull is {x}; then the
+    hulls are pairwise disjoint, which is t2. Conversely, if y ≠ x lies
+    in hull(x), then y lies in hull(x) ∩ hull(y), so t2 fails. Every
+    hull is {x} exactly when every scope is {x}: the scope of x holds x
+    and lies inside hull(x), and the hull collects only the points
+    reached from x through scopes. This is the finite fact that a T1
+    finite space is discrete (McCord 1966; Barmak, LNM 2032, ch. 1).
     """
     hulls = s.hull_masks
     t0 = t1 = t2 = True

@@ -326,12 +326,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    from .verification import run_verification
+    from .verification import MAX_LAW_SIZE, run_verification
 
     report = run_verification(
         fixtures_dir=args.fixtures_dir,
         include_laws=not args.skip_laws,
-        law_max_n=args.max_size,
+        law_max_n=MAX_LAW_SIZE if args.max_size is None else args.max_size,
     )
     if args.json:
         _print_json(report.to_json())
@@ -423,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="run all pinned fixture checks and laws")
     p.add_argument("--fixtures-dir", default=None, help="read fixtures from this directory")
     p.add_argument("--skip-laws", action="store_true", help="fixture checks only")
-    p.add_argument("--max-size", type=int, default=3, help="largest space size for the law suite")
+    p.add_argument("--max-size", type=int, help="largest space size for the law suite")
     _add_json(p)
     p.set_defaults(fn=cmd_verify_paper)
 

@@ -107,6 +107,15 @@ def is_aura_locally_connected(s: AuraSpace) -> bool:
     flood of the space's comparability rows from its least point, which
     reaches the whole hull exactly when the comparability graph cut to
     the hull has a single class.
+
+    So the verdict is always true. Every point y of hull(x) is comparable
+    with x, because y lies in the hull of x: the comparability graph cut
+    to hull(x) holds a star around x and has a single class. In topological
+    terms, the minimal open set of a point of a finite space is
+    connected, indeed contractible (McCord 1966; Barmak, LNM 2032,
+    ch. 1), so every finite space is locally connected. The flood stays,
+    so that the ``aLocallyConnected`` atom still runs this layer, which
+    ``perfbench`` counts per atom call.
     """
     rows = s.comparability_rows
     return all(flood(rows, h & -h, h) == h for h in set(s.hull_masks))
@@ -119,6 +128,16 @@ def is_aura_path_connected(s: AuraSpace) -> bool:
     shadow of a continuous unit-interval path; the space is path
     connected when the fence graph, whose rows are the space's
     comparability rows, has a single class.
+
+    So the verdict equals ``is_aura_connected(s)``. The fence graph is
+    the hull comparability graph, whose classes are the components: a
+    nonempty space is connected exactly when the flood from its least
+    point reaches every point, which is exactly one class, and the empty
+    space is both. A finite space is connected if and only if it is path
+    connected (McCord 1966; Barmak, LNM 2032, ch. 1). The component count
+    stays, so that ``aPathConnected`` still runs this layer and
+    ``kernel.component_count``, which ``perfbench`` expects ``matrix`` to
+    call.
     """
     return kernel.component_count(s.comparability_rows) <= 1
 

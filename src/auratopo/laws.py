@@ -16,33 +16,32 @@ statement about one space and a pair law (``_pair_law``) one about a
 factor pair; the driver owns the walk over the grid described next.
 
 Laws whose instances repeat one verdict many times run through class
-replay (``_walk``), the module's one replay. ``LawContext`` builds a
-class table (``_Classes``) once per run for each instance list: the
-grid spaces under ``_scope_key``, the labels and the scope tuple (373
+replay (``_walk``), the module's one replay. Each instance list comes
+with one class id per instance, built once per run by ``LawContext``:
+the grid spaces under ``_scope_key``, the labels and the scope tuple (373
 spaces, 70 classes); the factor pairs ``ctx.pairs`` under ``_pair_key``,
-both sizes and scope tuples (6,597 pairs, 528 classes); and each universe's
-sequences under their cycle mask (507 sequences, 7 classes on three
-points). ``_walk`` walks a table: the first instance of each class
-is decided through the operators and stands for the whole class, and a
-class that fails is replayed instance by instance, in grid order, so
-reports under a fault keep their bytes. Every space law and
-``cech-closure-axioms`` walk the scope classes, the pair laws and the
-box half of ``product-topology-chain`` the pair classes, and the
-convergence criterion, within a space, the cycle-mask classes. The two
+both sizes and scope tuples (6,597 pairs, 528 classes); and each
+universe's sequences under their cycle mask (507 sequences, 7 classes on
+three points). ``_walk`` goes through the instances in grid order: an
+instance whose class has already passed adds that pass's check count,
+and every other instance runs through the operators. So a passing class
+runs once, and a failing class runs instance by instance, in place,
+until one passes, and reports under a fault keep their bytes. Every
+space law and ``cech-closure-axioms`` walk the scope classes, the pair
+laws and the box half of ``product-topology-chain`` the pair classes,
+and the convergence criterion, within a space, the cycle masks. The two
 image laws walk their sources under size and hulls (``_image_walk``).
-``scope-topology-subfamily`` reads the ambient topology, so it runs on
-every space. ``product-topology-chain`` checks every pair but memoises,
-per class, the product's two topologies.
+``scope-topology-subfamily`` reads the ambient topology, so each space
+is a class of its own. ``product-topology-chain`` checks every pair but
+memoises, per class, the product's two topologies.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from heapq import heappop, heappush
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from . import kernel
 from .aura import (
@@ -62,13 +61,12 @@ from .covering import (
     is_aura_lindelof,
     is_countably_aura_compact,
 )
-from .errors import SizeOutOfRange
 from .finite import PointUniverse, mask_indices
 from .genopen import GeneralizedClass, generalized_family
 from .search import enumerate_auras, enumerate_topologies, space_descriptor
 from .sequences import converges_to, short_sequences, transitive_criterion
+from .verification import MAX_LAW_SIZE, check_law_size
 
-MAX_LAW_SIZE = 3
 MAX_WITNESSES = 5
 
 CORE = "core"
@@ -133,7 +131,7 @@ class SpaceFacts:
 
 
 class LawContext:
-    """Space grid, class tables and one memo for one law run.
+    """Space grid, class ids and one memo for one law run.
 
     ``_memoised`` keeps every value the laws share under a tuple key that
     names what the value is built from. ``facts`` keeps its own dict: it
@@ -141,8 +139,7 @@ class LawContext:
     """
 
     def __init__(self, max_n: int = MAX_LAW_SIZE):
-        if not 0 <= max_n <= MAX_LAW_SIZE:
-            raise SizeOutOfRange(f"laws run on sizes 0..{MAX_LAW_SIZE}, got {max_n}")
+        check_law_size(max_n)
         self.max_n = max_n
         self._facts: Dict[AuraSpace, SpaceFacts] = {}
         self._memo: Dict[tuple, object] = {}
@@ -170,9 +167,9 @@ class LawContext:
         return [s for n in range(self.max_n + 1) for s in self.spaces(n)]
 
     @cached_property
-    def scope_classes(self) -> _Classes:
-        """The grid's class table under ``_scope_key``."""
-        return _Classes(_scope_key(s) for s in self.grid)
+    def scope_classes(self) -> List[int]:
+        """The class id of each grid space under ``_scope_key``."""
+        return _class_ids(_scope_key(s) for s in self.grid)
 
     def facts(self, s: AuraSpace) -> SpaceFacts:
         f = self._facts.get(s)
@@ -197,9 +194,9 @@ class LawContext:
         ]
 
     @cached_property
-    def pair_classes(self) -> _Classes:
-        """The factor pairs' class table under ``_pair_key``."""
-        return _Classes(_pair_key(sx, sy) for sx, sy in self.pairs)
+    def pair_classes(self) -> List[int]:
+        """The class id of each factor pair under ``_pair_key``."""
+        return _class_ids(_pair_key(sx, sy) for sx, sy in self.pairs)
 
     def product_of(self, sx: AuraSpace, sy: AuraSpace) -> AuraSpace:
         return self._memoised(("product", sx, sy), lambda: product(sx, sy))
@@ -221,11 +218,11 @@ class LawContext:
         return self._memoised(("subspace", s, ym), lambda: self.facts(subspace(s, ym)).space)
 
     def sequences(self, universe: PointUniverse) -> tuple:
-        """The short sequences of ``universe`` and their class table under
-        the cycle mask, built once per universe."""
+        """The short sequences of ``universe`` and their cycle masks, built
+        once per universe."""
         def build() -> tuple:
             seqs = list(short_sequences(universe))
-            return seqs, _Classes(q.cycle_mask() for q in seqs)
+            return seqs, [q.cycle_mask() for q in seqs]
         return self._memoised(("sequences", universe), build)
 
     def onto_maps(self, m: int, n: int) -> tuple:
@@ -292,72 +289,27 @@ class _Tally:
             self.messages.append(f"{self.law}: {detail}{where}")
 
 
-class _Classes:
-    """Class table of an instance list, built from each instance's key.
-
-    ``index[pos]`` is the class of the instance at position ``pos``, one
-    small integer per instance in an ``array``; class ``c`` has its first
-    instance at ``first[c]`` and ``size[c]`` instances in all. Classes
-    are numbered in order of their first instance, so ``first`` ascends.
-    A law finds an instance's arguments from its position.
-    """
-
-    __slots__ = ("index", "first", "size")
-
-    def __init__(self, keys: Iterable):
-        ids: Dict[object, int] = {}
-        self.index = array("H")
-        self.first: List[int] = []
-        self.size: List[int] = []
-        for pos, key in enumerate(keys):
-            c = ids.setdefault(key, len(ids))
-            if c == len(self.first):
-                self.first.append(pos)
-                self.size.append(0)
-            self.index.append(c)
-            self.size[c] += 1
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def later(self, c: int) -> Iterator[int]:
-        """Positions of class ``c`` after its first, ascending."""
-        index = self.index
-        return (p for p in range(self.first[c] + 1, len(index)) if index[p] == c)
-
-    def split(self, alone: Iterable[int]) -> _Classes:
-        """This table with each position of ``alone`` in a class of its own."""
-        alone = set(alone)
-        return _Classes(-1 - p if p in alone else c for p, c in enumerate(self.index))
+def _class_ids(keys: Iterable) -> List[int]:
+    """Each key's class id: the number of distinct keys met before its first."""
+    ids: Dict[object, int] = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
 
 
-def _walk(t: _Tally, table: _Classes, run: Callable[[int], None]) -> None:
-    """Class replay: call ``run(pos)`` on the instances of ``table`` that
-    decide its classes, and add the checks of the others to ``t``.
+def _walk(t: _Tally, ids: Sequence, run: Callable[[int], None]) -> None:
+    """Class replay: walk the positions of ``ids`` in grid order and call
+    ``run(pos)`` on each one whose class has not passed yet; the others
+    add the check count of their class's passing instance to ``t``.
 
     A law builds each instance's key from exactly the inputs its verdict
     reads, so every instance of a class makes the same checks with the
-    same outcomes, and the walk runs the law over a class table of
-    its instance list. A heap of positions starts with the first
-    instance of each class. When a first instance passes, the other
-    ``size - 1`` instances of its class add its check count and never
-    run. When it fails, its class's later positions join the heap; each
-    runs in full, in grid order, until one passes, and from then on the
-    rest of the class only adds that instance's count.
+    same outcomes, and ``ids[pos]`` names the class of position ``pos``.
+    An instance that runs is counted in ``t.decided``; if it passes, its
+    check count is kept for its class. So a passing class runs once, and
+    a failing one runs in full, in place, until one of its instances
+    passes: a report under a fault is the report of a walk that runs
+    every instance, witness for witness.
 
-    Proof sketch that a report under a fault keeps its bytes. Checking
-    the instances one by one in grid order, with a class marked passed
-    by its first passing instance, an instance runs exactly when no
-    earlier instance of its class has passed, and otherwise adds the
-    count of that passing instance. The walk runs the same instances:
-    a first instance always, and a later one only if its class's first
-    failed and no run since has passed. The heap hands them out in
-    ascending position, so they run in grid order, each from its own
-    position's arguments. Messages, the failed count and the witness cap
-    depend only on the sequence of runs, so they agree; the check total
-    is a sum, so it agrees whatever order the counts are added in.
-
-    The trade-off is that a replayed instance no longer runs the
+    The trade-off is that a replayed instance does not run the
     operators: a fault that reads an input outside the key passes. Each
     law argues in its docstring that its key holds every input it reads.
     The test suite checks the convergence key against every sequence it
@@ -366,12 +318,8 @@ def _walk(t: _Tally, table: _Classes, run: Callable[[int], None]) -> None:
     to those of runs that checked every instance, and compares the walk
     with one that runs every instance.
     """
-    index, first, size = table.index, table.first, table.size
-    heap = list(first)  # ascending, so already a heap
-    passed: Dict[int, int] = {}
-    while heap:
-        pos = heappop(heap)
-        c = index[pos]
+    passed: Dict[object, int] = {}
+    for pos, c in enumerate(ids):
         count = passed.get(c)
         if count is not None:
             t.checks += count
@@ -380,14 +328,7 @@ def _walk(t: _Tally, table: _Classes, run: Callable[[int], None]) -> None:
         run(pos)
         t.decided += 1
         if t.failed == failed:
-            count = t.checks - before
-            if pos == first[c]:
-                t.checks += (size[c] - 1) * count
-            else:
-                passed[c] = count
-        elif pos == first[c]:
-            for p in table.later(c):
-                heappush(heap, p)
+            passed[c] = t.checks - before
 
 
 def _pair_key(sx: AuraSpace, sy: AuraSpace) -> tuple:
@@ -667,10 +608,10 @@ def _derived_laws(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> No
     "scope-open sets are open, and hulls are the minimal scope-open neighbourhoods",
 )
 def _subfamily(ctx: LawContext, t: _Tally) -> None:
-    """Runs on every space: τ_a ⊆ τ reads the ambient topology, which
-    ``_scope_key`` does not hold."""
-    for s in ctx.grid:
-        t.decided += 1
+    """Runs on every space, each its own class: τ_a ⊆ τ reads the ambient
+    topology, which ``_scope_key`` does not hold."""
+    def instance(pos: int) -> None:
+        s = ctx.grid[pos]
         f = ctx.facts(s)
         ambient = s.topology.mask_set
         for u in s.aura_topology_masks:
@@ -686,6 +627,8 @@ def _subfamily(ctx: LawContext, t: _Tally) -> None:
                         lambda: f"hull of point {i} exceeds a scope-open set containing it",
                         s,
                     )
+
+    _walk(t, range(len(ctx.grid)), instance)
 
 
 @_space_law(
@@ -808,12 +751,10 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
     its own, so it runs in place, after its box half, and builds its own
     product, which decides the check again and names the witness.
     """
-    classes = ctx.pair_classes
     tau_a_of: Dict[int, frozenset] = {}
     topology_of: Dict[tuple, frozenset] = {}
-    escaping = set()
-    for pos, (sx, sy) in enumerate(ctx.pairs):
-        c = classes.index[pos]
+    ids = []
+    for pos, ((sx, sy), c) in enumerate(zip(ctx.pairs, ctx.pair_classes)):
         tau_a = tau_a_of.get(c)
         if tau_a is None:
             tau_a = tau_a_of[c] = ctx.facts(ctx.product_of(sx, sy)).tau_a_set
@@ -821,8 +762,7 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
         topology = topology_of.get(topology_key)
         if topology is None:
             topology = topology_of[topology_key] = ctx.product_of(sx, sy).topology.mask_set
-        if not tau_a <= topology:
-            escaping.add(pos)
+        ids.append(c if tau_a <= topology else -1 - pos)
 
     def instance(pos: int) -> None:
         sx, sy = ctx.pairs[pos]
@@ -832,7 +772,7 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
             "box-generated family escapes the product scope topology",
             prod,
         )
-        if pos not in escaping:
+        if ids[pos] >= 0:
             t.checks += 1
             return
         t.verify(
@@ -841,7 +781,7 @@ def _product_chain(ctx: LawContext, t: _Tally) -> None:
             prod,
         )
 
-    _walk(t, classes.split(escaping) if escaping else classes, instance)
+    _walk(t, ids, instance)
 
 
 @_pair_law(
@@ -887,16 +827,20 @@ def _image_walk(ctx: LawContext, t: _Tally, sources: list, targets: list,
                 check: Callable[[SpaceFacts, SpaceFacts, bool], None]) -> None:
     """Walk ``sources`` under ``_image_key``, calling ``check(fs, fd, onto)``
     on each target ``fd`` in grid order, with ``onto`` whether a continuous
-    onto map carries ``fs`` to ``fd``: asked once per class of targets."""
-    classes = _Classes(_image_key(f) for f in targets)
+    onto map carries ``fs`` to ``fd``: asked once per class of targets, of
+    its first target, in order of first targets."""
+    target_ids = _class_ids(_image_key(f) for f in targets)
+    first: Dict[int, SpaceFacts] = {}
+    for c, fd in zip(target_ids, targets):
+        first.setdefault(c, fd)
 
     def instance(pos: int) -> None:
         fs = sources[pos]
-        onto = [ctx.has_continuous_surjection(fs, targets[p]) for p in classes.first]
-        for fd, c in zip(targets, classes.index):
+        onto = [ctx.has_continuous_surjection(fs, fd) for fd in first.values()]
+        for fd, c in zip(targets, target_ids):
             check(fs, fd, onto[c])
 
-    _walk(t, _Classes(_image_key(f) for f in sources), instance)
+    _walk(t, _class_ids(_image_key(f) for f in sources), instance)
 
 
 @_law(
@@ -1038,7 +982,7 @@ def _convergence(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> Non
     """
     transitive = s.classification.transitive
     labels = s.universe.labels
-    seqs, classes = ctx.sequences(s.universe)
+    seqs, masks = ctx.sequences(s.universe)
 
     def instance(pos: int) -> None:
         q = seqs[pos]
@@ -1058,7 +1002,7 @@ def _convergence(ctx: LawContext, t: _Tally, s: AuraSpace, f: SpaceFacts) -> Non
                     s,
                 )
 
-    _walk(t, classes, instance)
+    _walk(t, masks, instance)
 
 
 @_space_law(

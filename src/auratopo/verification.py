@@ -15,12 +15,23 @@ from typing import TYPE_CHECKING, List, Optional
 from .aura import AuraSpace, classify
 from .connectivity import aura_components, is_aura_connected, is_aura_path_connected
 from .constructions import product, subspace
+from .errors import SizeOutOfRange
 from .finite import PointSet, family_text, is_tau_connected, mask_indices
 from .fixtures import PRODUCT_PAIRS, load_fixture
 from .sequences import aura_limits, parse_sequence
 
 if TYPE_CHECKING:
     from .laws import LawReport
+
+# The largest space size of the law suite. It is defined here, not in
+# ``laws``, so that ``verify-paper --skip-laws`` checks ``--max-size``
+# without loading the law suite.
+MAX_LAW_SIZE = 3
+
+
+def check_law_size(max_n: int) -> None:
+    if not 0 <= max_n <= MAX_LAW_SIZE:
+        raise SizeOutOfRange(f"laws run on sizes 0..{MAX_LAW_SIZE}, got {max_n}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +202,12 @@ class VerificationReport:
 def run_verification(
     fixtures_dir: Optional[str] = None,
     include_laws: bool = True,
-    law_max_n: int = 3,
+    law_max_n: int = MAX_LAW_SIZE,
 ) -> VerificationReport:
+    """The fixture checks, then the laws on sizes up to ``law_max_n``
+    unless ``include_laws`` is false. ``law_max_n`` is checked first,
+    whether or not the laws run."""
+    check_law_size(law_max_n)
     checks = tuple(fixture_checks(fixtures_dir))
     laws = None
     if include_laws:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -285,6 +286,39 @@ def test_verify_paper_with_laws_at_size_one(capsys):
     assert code == 0
     assert "law cech-closure-axioms: ok" in out
     assert out.splitlines()[-1] == "verification: pass"
+
+
+def test_verify_paper_rejects_a_law_size_before_any_fixture_check(capsys, monkeypatch):
+    # --max-size is checked whether or not the laws run, and before the
+    # fixture checks, which would otherwise all run first.
+    from auratopo import verification
+
+    ran = []
+    monkeypatch.setattr(verification, "fixture_checks", lambda *a: ran.append(a) or [])
+    for argv in (("--skip-laws", "--max-size", "9"), ("--max-size", "4")):
+        code, out, err = run_cli(capsys, "verify-paper", *argv)
+        size = argv[-1]
+        assert (code, out, err) == (2, "", f"error: laws run on sizes 0..3, got {size}\n")
+    assert ran == []
+
+
+# The perfbench workloads by pin name; each pin is the sha256 of the stdout.
+PINNED_COMMANDS = {
+    "laws": ("verify-paper",),
+    "matrix": ("matrix", "--size", "4"),
+    "scan": ("search", "--size", "4", "--where", "aConnected and not tauConnected",
+             "--limit", "5"),
+}
+
+
+def test_stdout_matches_the_perfbench_pins(capsys):
+    pins_path = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+    pins = json.loads(pins_path.read_text(encoding="utf-8"))
+    assert set(pins) == set(PINNED_COMMANDS)
+    for name, argv in PINNED_COMMANDS.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, name
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins[name], name
 
 
 def test_verify_paper_json_is_byte_deterministic(capsys):

@@ -243,6 +243,33 @@ def test_path_connectedness_counts_fence_classes():
     assert not is_aura_path_connected(load_fixture("discrete2"))
 
 
+def test_finite_space_connectivity_and_separation_facts_hold_by_definition():
+    # The three facts that the docstrings of is_aura_locally_connected,
+    # is_aura_path_connected and separation_axioms prove, checked from the
+    # oracle definitions: every hull is connected; connected iff every two
+    # points are joined by a fence of hull steps; t1 iff t2 iff every scope
+    # is {x}. Every grid space up to three points, then seeded random
+    # spaces on one to eight points.
+    from oracles import brute_hull
+
+    rng = random.Random(20)
+    spaces = [*all_small_spaces(3), *(rand_space(rng, rng.randrange(1, 9)) for _ in range(200))]
+    for s in spaces:
+        n, scopes = s.n, _scopes(s)
+        full = (1 << n) - 1
+        hulls = [brute_hull(n, scopes, x) for x in range(n)]
+        assert all(brute_is_connected(n, scopes, h) for h in hulls)
+        connected = brute_is_connected(n, scopes, full)
+        assert connected == (_comparability_classes(n, scopes) <= 1)
+        t1 = all(not (hulls[x] >> y) & 1 for x in range(n) for y in range(n) if x != y)
+        t2 = all(not hulls[x] & hulls[y] for x in range(n) for y in range(x + 1, n))
+        assert t1 == t2 == all(m == 1 << x for x, m in enumerate(scopes))
+        sep = s.separation
+        assert is_aura_locally_connected(s)
+        assert is_aura_path_connected(s) == is_aura_connected(s) == connected
+        assert sep.t1 == sep.t2 == t1
+
+
 def test_fence_path_is_a_shortest_lexicographically_least_fence():
     def comparable(hulls, x, y):
         return (hulls[x] >> y) & 1 or (hulls[y] >> x) & 1
